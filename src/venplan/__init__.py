@@ -22,7 +22,6 @@ from .network import (
     SubRoute,
     VehicularRoute,
     build_network,
-    route_delay,
     route_junctions,
     sub_route,
     validate_route,
@@ -42,7 +41,6 @@ from .energetics import (
     loss_factor,
     max_rate,
     max_transferable,
-    path_delay,
     path_economics,
     path_loss,
     source_injection,
@@ -53,20 +51,14 @@ from .planner import (
     MAX_ENERGY,
     MIN_LOSS,
     SIMPLEX,
-    MultiSourceResult,
     PairPlan,
     PathAssignment,
     PlanRequest,
     ScenarioSolution,
-    TradeoffReport,
     TransferPlan,
-    check_tradeoff_properties,
     knapsack_assign,
     lp_assign,
     solve,
-    solve_max_energy,
-    solve_min_loss,
-    solve_multi_source,
     solve_scenario,
 )
 from .scenario import (
@@ -100,7 +92,6 @@ __all__ = [
     "SubRoute",
     "VehicularRoute",
     "build_network",
-    "route_delay",
     "route_junctions",
     "sub_route",
     "validate_route",
@@ -116,7 +107,6 @@ __all__ = [
     "loss_factor",
     "max_rate",
     "max_transferable",
-    "path_delay",
     "path_economics",
     "path_loss",
     "source_injection",
@@ -129,20 +119,14 @@ __all__ = [
     "SIMPLEX",
     "MAX_ENERGY",
     "MIN_LOSS",
-    "MultiSourceResult",
     "PairPlan",
     "PathAssignment",
     "PlanRequest",
     "ScenarioSolution",
-    "TradeoffReport",
     "TransferPlan",
-    "check_tradeoff_properties",
     "knapsack_assign",
     "lp_assign",
     "solve",
-    "solve_max_energy",
-    "solve_min_loss",
-    "solve_multi_source",
     "solve_scenario",
     "GeneratorConfig",
     "Scenario",

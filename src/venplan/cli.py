@@ -34,7 +34,13 @@ from .scenario import (
     scenario_hash,
     serialize_scenario,
 )
-from .sweep import SweepSpec, run_sweep, sweep_metadata, sweep_to_csv
+from .sweep import (
+    SWEEP_PARAMETERS,
+    SweepSpec,
+    run_sweep,
+    sweep_metadata,
+    sweep_to_csv,
+)
 
 EXIT_OK = 0
 EXIT_FORMAT = 3
@@ -170,10 +176,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    objective = MAX_ENERGY if args.objective == "max-energy" else MIN_LOSS
     solution = solve_scenario(
         scenario,
-        objective=objective,
+        objective=args.objective,
         method=args.solver,
         loss_cap=args.loss_cap,
         delivery_floor=args.delivery_floor,
@@ -207,11 +212,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         nominal_packet_size=args.packet_size,
         nominal_penetration=args.penetration,
     )
-    objective = MAX_ENERGY if args.objective == "max-energy" else MIN_LOSS
     result = run_sweep(
         scenario,
         spec,
-        objective=objective,
+        objective=args.objective,
         method=args.solver,
         loss_cap=args.loss_cap,
         delivery_floor=args.delivery_floor,
@@ -248,11 +252,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         route_count=args.routes,
         pair_count=args.pairs,
         max_route_length=args.max_route_length,
-        enumeration=EnumerationConfig(
-            max_hops=args.max_hops if args.max_hops is not None else 4,
-            max_paths=args.max_paths if args.max_paths is not None else 20,
-            mode=args.mode if args.mode is not None else FULL_ROUTE,
-        ),
+        enumeration=_enumeration_override(args, GeneratorConfig(seed).enumeration),
         penetration=args.penetration,
     )
     scenario = generate_scenario(config)
@@ -307,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one parameter, emit CSV")
     p_sweep.add_argument("scenario")
     p_sweep.add_argument(
-        "--parameter", required=True, choices=["z", "T", "w", "penetration"]
+        "--parameter", required=True, choices=SWEEP_PARAMETERS
     )
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated, strictly increasing")

@@ -13,6 +13,7 @@ All quantities use kWh, hours, and vehicles per hour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -29,14 +30,14 @@ class EnergyParams:
     window: float  # hours available to complete the transfer
 
     def __post_init__(self) -> None:
-        if not self.packet_size > 0:
-            raise ValidationError("packet_size must be positive")
+        if not 0 < self.packet_size < math.inf:
+            raise ValidationError("packet_size must be positive and finite")
         for name in ("charge_efficiency", "discharge_efficiency"):
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValidationError(f"{name} must be within (0, 1]")
-        if self.window < 0:
-            raise ValidationError("window must be nonnegative")
+        if not 0 <= self.window < math.inf:
+            raise ValidationError("window must be finite and nonnegative")
 
     @property
     def round_trip_efficiency(self) -> float:
@@ -59,11 +60,6 @@ class EnergyParams:
             discharge_efficiency=1.0,
             window=window,
         )
-
-
-def path_delay(path: EnergyPath) -> float:
-    """Hours for a carrier vehicle to propagate along the whole path."""
-    return path.delay
 
 
 def max_rate(path: EnergyPath, params: EnergyParams, penetration: float = 1.0) -> float:
@@ -117,24 +113,19 @@ class PathEconomics:
     """Per-path planning coefficients derived from one parameter set."""
 
     path: EnergyPath
-    delay: float  # hours
     max_rate: float  # kWh per hour
     capacity: float  # kWh deliverable within the window at max rate
     loss_factor: float  # kWh lost per kWh delivered
-    injection_factor: float  # kWh injected per kWh delivered
 
 
 def path_economics(
     path: EnergyPath, params: EnergyParams, penetration: float = 1.0
 ) -> PathEconomics:
-    """Evaluate delay, rate limit, capacity, and loss coefficients of a path."""
+    """Evaluate the rate limit, capacity, and loss factor of a path."""
     rate = max_rate(path, params, penetration)
-    retained = params.round_trip_efficiency**path.hops
     return PathEconomics(
         path=path,
-        delay=path.delay,
         max_rate=rate,
         capacity=max_transferable(path, params, rate),
-        loss_factor=1.0 / retained - 1.0,
-        injection_factor=1.0 / retained,
+        loss_factor=loss_factor(params, path.hops),
     )

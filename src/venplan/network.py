@@ -12,7 +12,7 @@ between concurrent consumers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .errors import ValidationError
 
@@ -175,15 +175,3 @@ def sub_route(network: RoadNetwork, route: VehicularRoute, n: int, m: int) -> Su
         delay=delay,
         flow=route.flow,
     )
-
-
-def route_delay(
-    network: RoadNetwork, route_or_subroute: Union[VehicularRoute, SubRoute]
-) -> float:
-    """Total traversal time in hours: the sum of the member arcs' delays."""
-    if isinstance(route_or_subroute, SubRoute):
-        return route_or_subroute.delay
-    total = 0.0
-    for arc_id in route_or_subroute.arcs:
-        total += network.arc(arc_id).delay
-    return total

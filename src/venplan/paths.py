@@ -99,7 +99,6 @@ class _RouteIndex:
     """Per-call index: route geometry tables and entry points per junction."""
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
-        self.network = network
         self.routes = {r.id: r for r in routes}
         if len(self.routes) != len(routes):
             raise ValidationError("duplicate route ids")
@@ -248,7 +247,11 @@ def enumerate_paths(
                 ):
                     return  # the heap may still produce something smaller
             key, _, chain = heapq.heappop(finished)
-            results.append(_materialize(index, source, target, chain))
+            segments = tuple(
+                sub_route(network, index.routes[route_id], n, m)
+                for route_id, n, m in chain
+            )
+            results.append(EnergyPath(source=source, target=target, segments=segments))
 
     while heap or finished:
         release_safe()
@@ -256,7 +259,7 @@ def enumerate_paths(
             break
         if not heap:
             continue
-        key, _, junction, path_delay, visited, chain = heapq.heappop(heap)
+        key, _, junction, delay_so_far, visited, chain = heapq.heappop(heap)
         if junction == target:
             counter += 1
             heapq.heappush(finished, (key, counter, chain))
@@ -293,7 +296,7 @@ def enumerate_paths(
                     remaining_delay = delay_bound[head]
                 child_key = (
                     hops + 1 + remaining_hops,
-                    path_delay + seg_delay + remaining_delay,
+                    delay_so_far + seg_delay + remaining_delay,
                     ids + (route_id,),
                     spans + ((n, m),),
                 )
@@ -304,7 +307,7 @@ def enumerate_paths(
                         child_key,
                         counter,
                         head,
-                        path_delay + seg_delay,
+                        delay_so_far + seg_delay,
                         visited | set(new_junctions),
                         chain + ((route_id, n, m),),
                     ),
@@ -312,30 +315,6 @@ def enumerate_paths(
                 if head == target or per_hop:
                     break  # past the target every slice revisits it
     return results
-
-
-def _materialize(
-    index: _RouteIndex, source: int, target: int, chain: tuple
-) -> EnergyPath:
-    segments = []
-    for route_id, n, m in chain:
-        route = index.routes[route_id]
-        delay = 0.0
-        for k in range(n - 1, m):
-            delay += index.delays[route_id][k]
-        segments.append(
-            SubRoute(
-                route_id=route_id,
-                start=n,
-                end=m,
-                arcs=tuple(route.arcs[n - 1 : m]),
-                entry=index.tails[route_id][n - 1],
-                exit=index.heads[route_id][m - 1],
-                delay=delay,
-                flow=route.flow,
-            )
-        )
-    return EnergyPath(source=source, target=target, segments=tuple(segments))
 
 
 def validate_path(

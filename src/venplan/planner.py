@@ -7,6 +7,11 @@ delivered energy subject to a loss budget, or meet a delivery floor at
 minimum total loss. A greedy fill in ascending per-unit-loss order solves
 either exactly; an LP route through the bounded simplex provides an
 independent cross-check on the same instances.
+
+Modelling assumption: each path is priced as if it had its routes' packet
+rate to itself. Paths that share a route (even within one pair) are not
+coupled, so a plan may send more over a route than its vehicles carry;
+pinning rates at their maxima is optimal only under that assumption.
 """
 
 from __future__ import annotations
@@ -215,176 +220,29 @@ def _assign(caps, lams, hops, objective, bound, method):
     raise ValidationError(f"unknown method {method!r}")
 
 
-def _economics(request: PlanRequest) -> list[PathEconomics]:
-    return [
+def solve(request: PlanRequest, method: str = GREEDY) -> TransferPlan:
+    """Plan one request for its objective with the given method.
+
+    Max-energy maximizes delivered energy subject to the loss cap; min-loss
+    minimizes total loss while meeting the delivery floor. When the floor
+    exceeds the total path capacity the plan saturates every path and
+    reports status "infeasible", which keeps sweeps informative.
+    """
+    econ = [
         path_economics(p, request.params, request.penetration) for p in request.paths
     ]
-
-
-def solve_max_energy(request: PlanRequest, method: str = GREEDY) -> TransferPlan:
-    """Maximize delivered energy subject to the request's loss cap."""
-    if request.objective != MAX_ENERGY:
-        raise ValidationError("request objective is not max-energy")
-    econ = _economics(request)
-    caps = [e.capacity for e in econ]
-    lams = [e.loss_factor for e in econ]
-    hops = [e.path.hops for e in econ]
-    if not econ:
-        return TransferPlan((), 0.0, 0.0, OPTIMAL)
-    x, status = _assign(caps, lams, hops, MAX_ENERGY, request.loss_cap, method)
-    return _assemble_plan(econ, x, status)
-
-
-def solve_min_loss(request: PlanRequest, method: str = GREEDY) -> TransferPlan:
-    """Minimize total loss while meeting the request's delivery floor.
-
-    When the floor exceeds the total path capacity the plan saturates every
-    path and reports status "infeasible", which keeps sweeps informative.
-    """
-    if request.objective != MIN_LOSS:
-        raise ValidationError("request objective is not min-loss")
-    econ = _economics(request)
-    caps = [e.capacity for e in econ]
-    lams = [e.loss_factor for e in econ]
-    hops = [e.path.hops for e in econ]
-    if not econ:
-        status = OPTIMAL if request.delivery_floor <= 0 else INFEASIBLE
-        return TransferPlan((), 0.0, 0.0, status)
-    x, status = _assign(caps, lams, hops, MIN_LOSS, request.delivery_floor, method)
-    return _assemble_plan(econ, x, status)
-
-
-def solve(request: PlanRequest, method: str = GREEDY) -> TransferPlan:
-    """Dispatch on the request's objective."""
     if request.objective == MAX_ENERGY:
-        return solve_max_energy(request, method)
-    return solve_min_loss(request, method)
-
-
-@dataclass(frozen=True)
-class MultiSourceResult:
-    """Independent per-pair plans plus their aggregate totals."""
-
-    plans: tuple[TransferPlan, ...]
-    transferred: float  # kWh
-    loss: float  # kWh
-
-
-def solve_multi_source(
-    requests: Sequence[PlanRequest], method: str = GREEDY
-) -> MultiSourceResult:
-    """Solve each request independently and sum the totals in input order."""
-    plans = tuple(solve(req, method) for req in requests)
-    transferred = 0.0
-    loss = 0.0
-    for plan in plans:
-        transferred += plan.transferred
-        loss += plan.loss
-    return MultiSourceResult(plans=plans, transferred=transferred, loss=loss)
-
-
-@dataclass(frozen=True)
-class TradeoffReport:
-    """Outcome of the loss-versus-delivery property checks.
-
-    ``premise_holds`` is true when every path loses at least as much as it
-    delivers (loss factor >= 1, i.e. the retained fraction per path is at
-    most one half). Under that premise every nonnegative assignment has
-    total loss >= total delivered energy.
-    """
-
-    premise_holds: bool
-    offending_paths: tuple[int, ...]
-    samples: int
-    dominance_violations: int
-    loss_caps: tuple[float, ...]
-    energy_curve: tuple[float, ...]
-    energy_monotone: bool
-    energy_saturates: bool
-    floors: tuple[float, ...]
-    loss_curve: tuple[float, ...]
-    loss_monotone: bool
-
-
-def check_tradeoff_properties(
-    capacities,
-    loss_factors,
-    loss_caps: Optional[Sequence[float]] = None,
-    floors: Optional[Sequence[float]] = None,
-    samples: int = 1000,
-    seed: int = 0,
-    method: str = GREEDY,
-) -> TradeoffReport:
-    """Audit monotonicity, saturation, and loss dominance on one instance.
-
-    Re-solves the max-energy problem over an ascending loss-cap sweep and
-    the min-loss problem over an ascending floor sweep, and samples random
-    feasible assignments to count violations of loss >= transferred. A
-    failing premise (some loss factor below 1) is reported, not raised.
-    """
-    caps, lams = _check_instance(capacities, loss_factors)
-    total_cap = float(caps.sum())
-    max_loss = float((lams * caps).sum())
-    offenders = tuple(int(j) for j in np.flatnonzero(lams < 1.0))
-    premise = not offenders
-
-    if loss_caps is None:
-        base = max_loss if max_loss > 0 else 1.0
-        loss_caps = tuple(f * base for f in (0.0, 0.1, 0.25, 0.5, 1.0, 2.0))
+        bound = request.loss_cap
     else:
-        loss_caps = tuple(float(v) for v in loss_caps)
-    if floors is None:
-        floors = tuple(f * total_cap for f in (0.0, 0.25, 0.5, 0.75, 1.0))
-    else:
-        floors = tuple(float(v) for v in floors)
-
-    energy_curve = []
-    for cap in loss_caps:
-        x, _ = _assign(caps, lams, None, MAX_ENERGY, cap, method)
-        energy_curve.append(float(x.sum()))
-    loss_curve = []
-    for floor in floors:
-        x, status = _assign(caps, lams, None, MIN_LOSS, floor, method)
-        if status != OPTIMAL:
-            raise ValidationError(f"floor {floor} exceeds total capacity {total_cap}")
-        loss_curve.append(float((lams * x).sum()))
-
-    tol = 1e-9 * max(1.0, total_cap, max_loss)
-    energy_monotone = all(
-        b >= a - tol for a, b in zip(energy_curve, energy_curve[1:])
-    )
-    saturating_caps = [v for c, v in zip(loss_caps, energy_curve) if c >= max_loss]
-    energy_saturates = bool(saturating_caps) and all(
-        abs(v - total_cap) <= tol for v in saturating_caps
-    )
-    loss_monotone = all(b >= a - tol for a, b in zip(loss_curve, loss_curve[1:]))
-
-    rng = np.random.default_rng(seed)
-    finite_caps = [c for c in loss_caps if math.isfinite(c)]
-    largest_cap = max(finite_caps) if finite_caps else math.inf
-    violations = 0
-    for _ in range(samples):
-        x = rng.uniform(0.0, 1.0, caps.size) * caps
-        loss = float((lams * x).sum())
-        if math.isfinite(largest_cap) and loss > largest_cap > 0:
-            x = x * (largest_cap / loss)
-            loss = float((lams * x).sum())
-        if float(x.sum()) > loss + tol:
-            violations += 1
-
-    return TradeoffReport(
-        premise_holds=premise,
-        offending_paths=offenders,
-        samples=samples,
-        dominance_violations=violations,
-        loss_caps=loss_caps,
-        energy_curve=tuple(energy_curve),
-        energy_monotone=energy_monotone,
-        energy_saturates=energy_saturates,
-        floors=floors,
-        loss_curve=tuple(loss_curve),
-        loss_monotone=loss_monotone,
-    )
+        bound = request.delivery_floor
+    if not econ:
+        status = INFEASIBLE if request.objective == MIN_LOSS and bound > 0 else OPTIMAL
+        return TransferPlan((), 0.0, 0.0, status)
+    caps = [e.capacity for e in econ]
+    lams = [e.loss_factor for e in econ]
+    hops = [e.path.hops for e in econ]
+    x, status = _assign(caps, lams, hops, request.objective, bound, method)
+    return _assemble_plan(econ, x, status)
 
 
 @dataclass(frozen=True)

@@ -70,12 +70,6 @@ class Scenario:
             if s == t:
                 raise ValidationError("pair source and target must differ")
 
-    def effective_routes(self) -> tuple[VehicularRoute, ...]:
-        """Routes with flows scaled by the participation fraction."""
-        return tuple(
-            replace(r, flow=r.flow * self.penetration) for r in self.routes
-        )
-
 
 def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     if not isinstance(obj, dict):
@@ -86,7 +80,13 @@ def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ScenarioFormatError(f"{where}.{key} must be a number")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ScenarioFormatError(f"{where}.{key} must be finite")
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ScenarioFormatError(f"{where}.{key} must be an integer")
@@ -263,7 +263,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text form; equal scenarios serialize byte-identically."""
-    return json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(
+        scenario_to_dict(scenario), indent=2, sort_keys=True, allow_nan=False
+    )
+    return text + "\n"
 
 
 def scenario_hash(scenario: Scenario) -> str:

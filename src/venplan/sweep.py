@@ -46,6 +46,8 @@ class SweepSpec:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if not self.values:
             raise ValidationError("sweep values must be non-empty")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValidationError("sweep values must be finite")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise ValidationError("sweep values must be strictly increasing")
 

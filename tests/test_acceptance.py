@@ -45,7 +45,6 @@ from venplan import (
     OPTIMAL,
     PlanRequest,
     SweepSpec,
-    check_tradeoff_properties,
     enumerate_paths,
     find_crossover,
     generate_scenario,
@@ -55,13 +54,14 @@ from venplan import (
     path_loss,
     run_sweep,
     serialize_scenario,
-    solve_multi_source,
+    solve,
     solve_scenario,
     source_injection,
 )
 from venplan.energetics import EnergyParams
 
 from _oracles import brute_force_paths, vertex_enumeration_lp
+from _properties import check_tradeoff_properties
 from conftest import single_arc_path
 
 
@@ -346,8 +346,8 @@ def test_criterion_8_scale_smoke():
         )
         for pair in max_energy.pairs
     ]
-    min_loss = solve_multi_source(requests)
-    if any(plan.status != OPTIMAL for plan in min_loss.plans):
+    min_loss = [solve(request) for request in requests]
+    if any(plan.status != OPTIMAL for plan in min_loss):
         failures.append("min-loss at half capacity unexpectedly infeasible")
 
     elapsed = time.perf_counter() - started

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -209,6 +210,60 @@ class TestGenerate:
         assert main(["generate", "--seed", "1", "--junctions", "10",
                      "--arcs", "3"]) == 4
         assert "connect the network" in capsys.readouterr().err
+
+    def test_max_paths_zero_removes_the_cap(self, tmp_path):
+        capped = tmp_path / "capped.json"
+        uncapped = tmp_path / "uncapped.json"
+        assert main(self.ARGS + ["--seed", "3", "-o", str(capped)]) == 0
+        assert main(self.ARGS + ["--seed", "3", "--max-paths", "0",
+                                 "-o", str(uncapped)]) == 0
+        default = parse_scenario(capped.read_text()).enumeration
+        assert (default.max_hops, default.max_paths, default.mode) == (
+            4, 20, "full-route"
+        )
+        assert parse_scenario(uncapped.read_text()).enumeration.max_paths is None
+
+
+def _nan_arc_delay(doc):
+    doc["network"]["arcs"][0]["delay"] = math.nan
+
+
+def _infinite_route_flow(doc):
+    doc["routes"][0]["flow"] = math.inf
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv, spoil",
+        [
+            (["validate"], _nan_arc_delay),
+            (["validate"], _infinite_route_flow),
+            (["solve"], _nan_arc_delay),
+            (["sweep", "--parameter", "T", "--values", "1,nan"], None),
+            (["sweep", "--parameter", "w", "--values", "1,inf"], None),
+            (["sweep", "--parameter", "z", "--values", "0.5", "--window", "inf"],
+             None),
+            (["sweep", "--parameter", "z", "--values", "0.5",
+              "--packet-size", "inf"], None),
+        ],
+        ids=["validate-nan-delay", "validate-inf-flow", "solve-nan-delay",
+             "sweep-nan-value", "sweep-inf-value", "sweep-inf-window",
+             "sweep-inf-packet"],
+    )
+    def test_rejected_without_traceback(self, tmp_path, argv, spoil):
+        scenario = FIXTURE
+        if spoil is not None:
+            doc = json.loads(THREE_ROUTES.read_text())
+            spoil(doc)
+            scenario = tmp_path / "spoiled.json"
+            scenario.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "venplan.cli", argv[0], str(scenario), *argv[1:]],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode in (3, 4), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:

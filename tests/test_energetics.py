@@ -1,4 +1,6 @@
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,6 @@ from venplan import (
     loss_factor,
     max_rate,
     max_transferable,
-    path_delay,
     path_economics,
     path_loss,
     source_injection,
@@ -39,6 +40,9 @@ class TestEnergyParams:
             dict(charge_efficiency=1.2),
             dict(discharge_efficiency=-0.5),
             dict(window=-1.0),
+            dict(packet_size=math.inf),
+            dict(window=math.inf),
+            dict(window=math.nan),
         ],
     )
     def test_invalid_params(self, kwargs):
@@ -53,11 +57,11 @@ class TestEnergyParams:
 class TestPathDelay:
     def test_single_arc(self):
         path, _, _ = single_arc_path([1.5], [100.0])
-        assert path_delay(path) == 1.5
+        assert path.delay == 1.5
 
     def test_additivity(self):
         path, _, _ = single_arc_path([2.0, 3.0], [100.0, 100.0])
-        assert path_delay(path) == 5.0
+        assert path.delay == 5.0
 
     def test_equals_flattened_arc_sum(self, three_routes_scenario):
         from venplan import enumerate_paths
@@ -68,7 +72,7 @@ class TestPathDelay:
             for seg in path.segments:
                 for arc_id in seg.arcs:
                     flat += s.network.arc(arc_id).delay
-            assert path_delay(path) == pytest.approx(flat, rel=1e-12)
+            assert path.delay == pytest.approx(flat, rel=1e-12)
 
 
 class TestMaxRate:
@@ -185,7 +189,7 @@ class TestLossAndInjection:
         if energy <= 0.0 or rate <= 0.0:
             return
         retained = p.round_trip_efficiency**path.hops
-        duration = path_delay(path) + energy / (retained * rate)
+        duration = path.delay + energy / (retained * rate)
         assert duration <= window * (1 + 1e-12)
 
 
@@ -194,11 +198,11 @@ class TestPathEconomics:
         path, _, _ = single_arc_path([0.5, 0.5], [60.0, 30.0])
         p = params(z=0.9, w=0.1, window=5.0)
         econ = path_economics(path, p)
-        assert econ.delay == path_delay(path)
+        assert econ.path is path
         assert econ.max_rate == max_rate(path, p)
         assert econ.capacity == max_transferable(path, p, econ.max_rate)
-        assert econ.loss_factor == pytest.approx(loss_factor(p, 2), rel=1e-12)
-        assert econ.injection_factor == pytest.approx(1 / 0.81, rel=1e-12)
+        assert econ.loss_factor == loss_factor(p, 2)
+        assert econ.loss_factor == pytest.approx(1 / 0.81 - 1, rel=1e-12)
 
     def test_loss_factor_zero_only_when_lossless(self):
         assert loss_factor(params(z=1.0), 3) == 0.0

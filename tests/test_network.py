@@ -7,7 +7,6 @@ from venplan import (
     ValidationError,
     VehicularRoute,
     build_network,
-    route_delay,
     route_junctions,
     sub_route,
     validate_route,
@@ -123,13 +122,16 @@ class TestSubRoute:
 
 
 class TestRouteDelay:
+    """A whole route's delay is the delay of its full-length slice."""
+
     def test_single_arc(self):
         net = chain_network([5.0])
-        assert route_delay(net, VehicularRoute(1, (1,), 1.0)) == 5.0
+        assert sub_route(net, VehicularRoute(1, (1,), 1.0), 1, 1).delay == 5.0
 
     def test_additivity(self):
         net = chain_network([2.0, 3.0, 4.0])
-        assert route_delay(net, VehicularRoute(1, (1, 2, 3), 1.0)) == 9.0
+        route = VehicularRoute(1, (1, 2, 3), 1.0)
+        assert sub_route(net, route, 1, 3).delay == 9.0
 
     def test_matches_independent_resummation(self):
         rng = random.Random(11)
@@ -139,12 +141,12 @@ class TestRouteDelay:
         resummed = 0.0
         for arc_id in route.arcs:
             resummed += net.arc(arc_id).delay
-        assert route_delay(net, route) == resummed
+        assert sub_route(net, route, 1, 10).delay == resummed
 
     def test_subroute_delay_accessor(self):
         net = chain_network([1.0, 2.0])
         route = VehicularRoute(1, (1, 2), 1.0)
-        assert route_delay(net, sub_route(net, route, 2, 2)) == 2.0
+        assert sub_route(net, route, 2, 2).delay == 2.0
 
 
 class TestRouteValidation:

@@ -14,18 +14,15 @@ from venplan import (
     EnergyParams,
     PlanRequest,
     ValidationError,
-    check_tradeoff_properties,
     enumerate_paths,
     knapsack_assign,
     lp_assign,
     solve,
-    solve_max_energy,
-    solve_min_loss,
-    solve_multi_source,
     solve_scenario,
 )
 
 from _oracles import vertex_enumeration_lp
+from _properties import check_tradeoff_properties
 from conftest import single_arc_path
 
 
@@ -167,24 +164,15 @@ class TestPlanRequests:
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
         return PlanRequest(paths=(path,), params=params, objective=objective, **kwargs)
 
-    def test_objective_mismatch_rejected(self):
-        request = self.make_request(MAX_ENERGY)
-        with pytest.raises(ValidationError):
-            solve_min_loss(request)
-        with pytest.raises(ValidationError):
-            solve_max_energy(self.make_request(MIN_LOSS))
-
     def test_empty_request_yields_zero_plan(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        plan = solve_max_energy(
-            PlanRequest(paths=(), params=params, objective=MAX_ENERGY)
-        )
+        plan = solve(PlanRequest(paths=(), params=params, objective=MAX_ENERGY))
         assert plan.transferred == 0.0 and plan.loss == 0.0
         assert plan.status == OPTIMAL
 
     def test_empty_min_loss_with_floor_is_infeasible(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        plan = solve_min_loss(
+        plan = solve(
             PlanRequest(
                 paths=(), params=params, objective=MIN_LOSS, delivery_floor=2.0
             )
@@ -287,6 +275,8 @@ class TestScenarioPipeline:
 
 
 class TestMultiSource:
+    """Scenario totals are the in-order sums of independent per-pair plans."""
+
     def request_for(self, scenario, source, target):
         paths = enumerate_paths(
             scenario.network, scenario.routes, source, target, scenario.enumeration
@@ -299,29 +289,27 @@ class TestMultiSource:
         )
 
     def test_single_request_matches_plain_solve(self, three_routes_scenario):
-        request = self.request_for(three_routes_scenario, 1, 4)
-        combined = solve_multi_source([request])
-        alone = solve(request)
-        assert combined.transferred == alone.transferred
-        assert combined.loss == alone.loss
+        solution = solve_scenario(three_routes_scenario)
+        alone = solve(self.request_for(three_routes_scenario, 1, 4))
+        assert solution.pairs[0].plan == alone
+        assert solution.transferred == alone.transferred
+        assert solution.loss == alone.loss
 
     def test_aggregate_is_resummation(self, three_routes_scenario):
-        requests = [
-            self.request_for(three_routes_scenario, 1, 4),
-            self.request_for(three_routes_scenario, 2, 4),
-            self.request_for(three_routes_scenario, 1, 5),
-            self.request_for(three_routes_scenario, 2, 5),
-            self.request_for(three_routes_scenario, 3, 4),
-        ]
-        result = solve_multi_source(requests)
+        pairs = ((1, 4), (2, 4), (1, 5), (2, 5), (3, 4))
+        scenario = dataclasses.replace(three_routes_scenario, pairs=pairs)
+        solution = solve_scenario(scenario)
         transferred = 0.0
         loss = 0.0
-        for request in requests:
-            plan = solve(request)
+        for (source, target), pair in zip(pairs, solution.pairs):
+            plan = solve(self.request_for(scenario, source, target))
+            assert (pair.source, pair.target) == (source, target)
+            assert pair.plan == plan
             transferred += plan.transferred
             loss += plan.loss
-        assert result.transferred == transferred
-        assert result.loss == loss
+        assert transferred > 0
+        assert solution.transferred == transferred
+        assert solution.loss == loss
 
 
 class TestTradeoffProperties:

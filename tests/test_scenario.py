@@ -11,6 +11,7 @@ from venplan import (
     ValidationError,
     enumerate_paths,
     generate_scenario,
+    max_rate,
     parse_scenario,
     scenario_hash,
     serialize_scenario,
@@ -199,11 +200,15 @@ class TestGenerator:
             assert parse_scenario(serialize_scenario(scenario)) == scenario
 
     def test_effective_flow_scaling_is_exact(self):
+        # penetration scales each path's flow-limited rate, not the routes
         scenario = generate_scenario(self.CONFIG)
-        half = dataclasses.replace(scenario, penetration=0.5)
-        full = dataclasses.replace(scenario, penetration=1.0)
-        for r_half, r_full in zip(half.effective_routes(), full.effective_routes()):
-            assert 2.0 * r_half.flow == r_full.flow
+        for s, t in scenario.pairs:
+            paths = enumerate_paths(
+                scenario.network, scenario.routes, s, t, scenario.enumeration
+            )
+            for path in paths:
+                half = max_rate(path, scenario.params, 0.5)
+                assert 2.0 * half == max_rate(path, scenario.params, 1.0)
 
     def test_unsatisfiable_configs_reported(self):
         with pytest.raises(ValidationError, match="connect the network"):
