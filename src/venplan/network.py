@@ -11,6 +11,7 @@ between concurrent consumers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -85,7 +86,7 @@ def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
     """Validate junctions and arcs and assemble an indexed road network.
 
     Raises ValidationError on duplicate ids, dangling arc endpoints,
-    self-loops, or negative delay/flow/length.
+    self-loops, or negative or non-finite delay/flow/length.
     """
     junction_list = list(junctions)
     arc_list = list(arcs)
@@ -106,12 +107,10 @@ def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
             raise ValidationError(f"arc {arc.id} is a self-loop at junction {arc.tail}")
         if arc.tail not in junction_set or arc.head not in junction_set:
             raise ValidationError(f"arc {arc.id} references an undeclared junction")
-        if arc.delay < 0:
-            raise ValidationError(f"arc {arc.id} has negative delay")
-        if arc.flow < 0:
-            raise ValidationError(f"arc {arc.id} has negative flow")
-        if arc.length < 0:
-            raise ValidationError(f"arc {arc.id} has negative length")
+        for field in ("delay", "flow", "length"):
+            value = getattr(arc, field)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValidationError(f"arc {arc.id} {field} must be finite and nonnegative")
         arc_map[arc.id] = arc
 
     adjacency: dict[int, tuple[int, ...]] = {j: () for j in junction_set}
@@ -134,13 +133,13 @@ def route_junctions(network: RoadNetwork, route: VehicularRoute) -> tuple[int, .
 
 
 def validate_route(network: RoadNetwork, route: VehicularRoute) -> None:
-    """Check connectivity, loop-freedom, and flow sign of a route.
+    """Check connectivity, loop-freedom, and flow of a route.
 
     Consecutive arcs must chain head-to-tail and no junction may be visited
     twice. Raises ValidationError naming the failed invariant.
     """
-    if route.flow < 0:
-        raise ValidationError(f"route {route.id} has negative flow")
+    if not (route.flow >= 0 and math.isfinite(route.flow)):
+        raise ValidationError(f"route {route.id} flow must be finite and nonnegative")
     seq = route_junctions(network, route)
     for k in range(len(route.arcs) - 1):
         here = network.arc(route.arcs[k])

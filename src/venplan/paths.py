@@ -96,7 +96,9 @@ class PathViolation:
 
 
 class _RouteIndex:
-    """Per-call index: route geometry tables and entry points per junction."""
+    """Per-call index: route geometry tables and entry points per junction,
+    from which ``bound_table`` builds the search's one lower-bound table.
+    """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
         self.routes = {r.id: r for r in routes}
@@ -117,62 +119,43 @@ class _RouteIndex:
                 entries.setdefault(arc.tail, []).append((route.id, pos))
         self.entries = {j: tuple(sorted(v)) for j, v in entries.items()}
 
-    def hop_lower_bounds(self, target: int, mode: str, max_hops: int) -> dict[int, int]:
-        """Fewest segments needed to reach ``target`` from each junction.
+    def bound_table(
+        self, target: int, mode: str, max_hops: int
+    ) -> dict[int, tuple[int, float]]:
+        """Map each junction to (fewest slices, least delay) left to ``target``.
 
-        Ignores loop-freedom, so the result is a valid lower bound for the
-        search. Junctions absent from the result cannot reach the target in
-        ``max_hops`` segments at all.
+        Layer ``k`` holds the least delay from each junction to ``target`` in
+        at most ``k`` route slices: any contiguous stretch of one route in
+        full-route mode, one arc in per-hop mode. Each layer comes from the
+        previous one by one backward pass over each route. A junction's entry
+        is its first layer ``k`` and that layer's delay; the target's is
+        ``(0, 0.0)``. Loop-freedom is ignored, so the entries are lower
+        bounds, and junctions absent from the result cannot reach the target
+        in ``max_hops`` slices at all.
         """
-        dist = {target: 0}
-        for layer in range(1, max_hops + 1):
-            added = False
+        per_hop = mode == PER_HOP
+        table = {target: (0, 0.0)}
+        layer = {target: 0.0}
+        for k in range(1, max_hops + 1):
+            nxt = dict(layer)
             for route_id in self.routes:
                 tails = self.tails[route_id]
                 heads = self.heads[route_id]
-                reaches = False  # some arc at or after this position ends in dist
+                delays = self.delays[route_id]
+                best = math.inf  # least delay to the target from this arc's tail
                 for pos in range(len(tails) - 1, -1, -1):
-                    if mode == PER_HOP:
-                        reaches = heads[pos] in dist
-                    elif heads[pos] in dist:
-                        reaches = True
-                    if reaches and tails[pos] not in dist:
-                        dist[tails[pos]] = layer
-                        added = True
-            if not added:
+                    rest = layer.get(heads[pos], math.inf)
+                    if not per_hop and best < rest:
+                        rest = best  # the slice runs on past this arc's head
+                    best = delays[pos] + rest
+                    if best < nxt.get(tails[pos], math.inf):
+                        nxt[tails[pos]] = best
+            if nxt == layer:
                 break
-        return dist
-
-    def delay_lower_bounds(self, target: int) -> dict[int, float]:
-        """Least remaining delay to ``target`` over route-covered arcs.
-
-        Dijkstra on the reversed covered-arc graph. Valid for both modes: a
-        segment's delay is the sum of its member arcs' delays, so no chain
-        of segments can beat the shortest covered arc path.
-        """
-        reverse: dict[int, list[tuple[int, float]]] = {}
-        seen_arcs: set[tuple[int, int, float]] = set()
-        for route_id in self.routes:
-            for tail, head, delay in zip(
-                self.tails[route_id], self.heads[route_id], self.delays[route_id]
-            ):
-                key = (tail, head, delay)
-                if key in seen_arcs:
-                    continue
-                seen_arcs.add(key)
-                reverse.setdefault(head, []).append((tail, delay))
-        dist = {target: 0.0}
-        frontier = [(0.0, target)]
-        while frontier:
-            d, junction = heapq.heappop(frontier)
-            if d > dist.get(junction, math.inf):
-                continue
-            for tail, delay in reverse.get(junction, ()):
-                nd = d + delay
-                if nd < dist.get(tail, math.inf):
-                    dist[tail] = nd
-                    heapq.heappush(frontier, (nd, tail))
-        return dist
+            for junction, delay in nxt.items():
+                table.setdefault(junction, (k, delay))
+            layer = nxt
+        return table
 
 
 def enumerate_paths(
@@ -190,9 +173,12 @@ def enumerate_paths(
     (start, end) index pairs, so the output is fully deterministic.
 
     The search is best-first over partial paths, ordered by the same key
-    with the hop count and delay replaced by exact lower bounds on their
-    final values (fewest segments to the target and least remaining delay,
-    both ignoring loop constraints, so both admissible and consistent).
+    with the hop count and delay replaced by lower bounds on their final
+    values. One table gives both: for each junction, the fewest segments
+    ``k`` still needed to reach the target and the least delay ``d`` of a
+    completion in ``k`` segments, both ignoring loop constraints. Any
+    completion with more segments sorts later whatever its delay, so the key
+    is admissible and consistent in lexicographic order (the A* argument).
     Segment transitions are generated lazily from the route index; the full
     set of sub-routes is never materialized.
     """
@@ -206,10 +192,9 @@ def enumerate_paths(
         config = EnumerationConfig()
 
     index = _RouteIndex(network, routes)
-    hop_bound = index.hop_lower_bounds(target, config.mode, config.max_hops)
-    if source not in hop_bound:
+    bound = index.bound_table(target, config.mode, config.max_hops)
+    if source not in bound:
         return []
-    delay_bound = index.delay_lower_bounds(target)
 
     max_hops = config.max_hops
     max_paths = config.max_paths
@@ -218,8 +203,8 @@ def enumerate_paths(
 
     # Heap entries: (key, tiebreak, junction, delay so far, visited, chain)
     # where chain is a tuple of (route_id, n, m) triples. The key is
-    # (hops + hop bound, delay + delay bound, route ids, (n, m) pairs); it
-    # grows along any extension, up to float rounding in the delay bound.
+    # (hops + k, delay + d, route ids, (n, m) pairs) with (k, d) the bound
+    # table's entry; it grows along any extension, up to float rounding in d.
     # The counter never decides the order (keys are unique per state), it
     # only keeps heap entries totally comparable.
     #
@@ -227,7 +212,7 @@ def enumerate_paths(
     # output order is restored by holding each finished path until the best
     # optimistic key left in the heap is past it by a margin that dominates
     # the bound's rounding noise, then releasing in exact key order.
-    start_key = (hop_bound[source], delay_bound[source], (), ())
+    start_key = (*bound[source], (), ())
     counter = 0
     heap: list[tuple] = [(start_key, 0, source, 0.0, frozenset((source,)), ())]
     finished: list[tuple] = []  # exact keys, via heapq
@@ -264,9 +249,9 @@ def enumerate_paths(
             counter += 1
             heapq.heappush(finished, (key, counter, chain))
             continue
+        # below max_hops: the prune kept hops + k <= max_hops, and k >= 1 off
+        # the target
         hops = len(chain)
-        if hops >= max_hops:
-            continue
         _, _, ids, spans = key
         last_route, _, last_end = chain[-1] if chain else (None, 0, 0)
         for route_id, n in entries.get(junction, ()):
@@ -284,19 +269,15 @@ def enumerate_paths(
                     break  # extending further would revisit it anyway
                 new_junctions.append(head)
                 seg_delay += delays[m - 1]
-                if head == target:
-                    remaining_hops = 0
-                    remaining_delay = 0.0
-                else:
-                    remaining_hops = hop_bound.get(head, -1)
-                    if remaining_hops < 0 or hops + 1 + remaining_hops > max_hops:
-                        if per_hop:
-                            break
-                        continue  # a longer slice may still work
-                    remaining_delay = delay_bound[head]
+                # a head absent from the table is out of reach in max_hops
+                k, d = bound.get(head, (max_hops, 0.0))
+                if hops + 1 + k > max_hops:
+                    if per_hop:
+                        break
+                    continue  # a longer slice may still work
                 child_key = (
-                    hops + 1 + remaining_hops,
-                    delay_so_far + seg_delay + remaining_delay,
+                    hops + 1 + k,
+                    delay_so_far + seg_delay + d,
                     ids + (route_id,),
                     spans + ((n, m),),
                 )

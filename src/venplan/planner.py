@@ -114,11 +114,11 @@ def _check_instance(capacities, loss_factors) -> tuple[np.ndarray, np.ndarray]:
     caps = np.asarray(capacities, dtype=float)
     lams = np.asarray(loss_factors, dtype=float)
     if caps.shape != lams.shape or caps.ndim != 1:
-        raise ValueError("capacities and loss factors must be equal-length vectors")
+        raise ValidationError("capacities and loss factors must be equal-length vectors")
     if not (np.all(np.isfinite(caps)) and np.all(np.isfinite(lams))):
-        raise ValueError("capacities and loss factors must be finite")
+        raise ValidationError("capacities and loss factors must be finite")
     if np.any(caps < 0) or np.any(lams < 0):
-        raise ValueError("capacities and loss factors must be nonnegative")
+        raise ValidationError("capacities and loss factors must be nonnegative")
     return caps, lams
 
 
@@ -143,7 +143,7 @@ def knapsack_assign(
     x = np.zeros(n)
     if objective == MAX_ENERGY:
         if not bound >= 0:
-            raise ValueError("loss cap must be nonnegative")
+            raise ValidationError("loss cap must be nonnegative")
         budget = bound
         for j in order:
             if lams[j] <= 0.0:
@@ -161,7 +161,7 @@ def knapsack_assign(
         return x, OPTIMAL
     if objective == MIN_LOSS:
         if not (bound >= 0 and math.isfinite(bound)):
-            raise ValueError("delivery floor must be finite and nonnegative")
+            raise ValidationError("delivery floor must be finite and nonnegative")
         if bound <= 0.0:
             return x, OPTIMAL
         if float(caps.sum()) < bound:
@@ -185,7 +185,7 @@ def lp_assign(
     n = caps.size
     if objective == MAX_ENERGY:
         if not bound >= 0:
-            raise ValueError("loss cap must be nonnegative")
+            raise ValidationError("loss cap must be nonnegative")
         rows = None
         rhs = None
         if math.isfinite(bound):
@@ -197,7 +197,7 @@ def lp_assign(
         return result.x, OPTIMAL
     if objective == MIN_LOSS:
         if not (bound >= 0 and math.isfinite(bound)):
-            raise ValueError("delivery floor must be finite and nonnegative")
+            raise ValidationError("delivery floor must be finite and nonnegative")
         rows = None
         rhs = None
         if bound > 0:

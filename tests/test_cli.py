@@ -1,10 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import venplan
 from venplan import parse_scenario, run_sweep, SweepSpec
 from venplan.cli import main
 
@@ -12,6 +15,18 @@ from conftest import THREE_ROUTES
 
 
 FIXTURE = str(THREE_ROUTES)
+
+
+def run_module(*argv):
+    """Run ``python -m venplan.cli`` on the package these tests import."""
+    src = str(Path(venplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "venplan.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestValidate:
@@ -234,53 +249,44 @@ def _infinite_route_flow(doc):
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
-        "argv, spoil",
+        "argv, spoil, code",
         [
-            (["validate"], _nan_arc_delay),
-            (["validate"], _infinite_route_flow),
-            (["solve"], _nan_arc_delay),
-            (["sweep", "--parameter", "T", "--values", "1,nan"], None),
-            (["sweep", "--parameter", "w", "--values", "1,inf"], None),
+            (["validate"], _nan_arc_delay, 3),
+            (["validate"], _infinite_route_flow, 3),
+            (["solve"], _nan_arc_delay, 3),
+            (["sweep", "--parameter", "T", "--values", "1,nan"], None, 4),
+            (["sweep", "--parameter", "w", "--values", "1,inf"], None, 4),
             (["sweep", "--parameter", "z", "--values", "0.5", "--window", "inf"],
-             None),
+             None, 4),
             (["sweep", "--parameter", "z", "--values", "0.5",
-              "--packet-size", "inf"], None),
+              "--packet-size", "inf"], None, 4),
+            # finite inputs whose path capacity overflows to inf
+            (["sweep", "--parameter", "w", "--values", "1e300",
+              "--window", "1e300"], None, 4),
         ],
         ids=["validate-nan-delay", "validate-inf-flow", "solve-nan-delay",
              "sweep-nan-value", "sweep-inf-value", "sweep-inf-window",
-             "sweep-inf-packet"],
+             "sweep-inf-packet", "sweep-overflow-capacity"],
     )
-    def test_rejected_without_traceback(self, tmp_path, argv, spoil):
+    def test_rejected_without_traceback(self, tmp_path, argv, spoil, code):
         scenario = FIXTURE
         if spoil is not None:
             doc = json.loads(THREE_ROUTES.read_text())
             spoil(doc)
             scenario = tmp_path / "spoiled.json"
             scenario.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "venplan.cli", argv[0], str(scenario), *argv[1:]],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode in (3, 4), proc.stderr
+        proc = run_module(argv[0], str(scenario), *argv[1:])
+        assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
 
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "venplan.cli", "--version"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("--version")
         assert proc.returncode == 0
         assert proc.stdout.startswith("venplan ")
 
     def test_module_validate(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "venplan.cli", "validate", FIXTURE],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_module("validate", FIXTURE)
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")

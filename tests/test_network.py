@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -56,10 +57,17 @@ class TestBuildNetwork:
         with pytest.raises(ValidationError, match="undeclared junction"):
             build_network([1, 2], [Arc(1, 1, 9, 1.0, 1.0)])
 
-    @pytest.mark.parametrize("field", ["delay", "flow", "length"])
-    def test_negative_attribute(self, field):
-        kwargs = {"delay": 1.0, "flow": 1.0, "length": 1.0, field: -0.1}
-        with pytest.raises(ValidationError, match=f"negative {field}"):
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param(field, value, id=field + suffix)
+            for suffix, value in (("", -0.1), ("-nan", math.nan), ("-inf", math.inf))
+            for field in ("delay", "flow", "length")
+        ],
+    )
+    def test_negative_attribute(self, field, value):
+        kwargs = {"delay": 1.0, "flow": 1.0, "length": 1.0, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be finite and nonnegative"):
             build_network([1, 2], [Arc(1, 1, 2, **kwargs)])
 
     def test_empty_inputs(self):
@@ -161,8 +169,9 @@ class TestRouteValidation:
 
     def test_negative_flow(self):
         net = chain_network([1.0])
-        with pytest.raises(ValidationError, match="negative flow"):
-            validate_route(net, VehicularRoute(1, (1,), -1.0))
+        for flow in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="flow must be finite and nonnegative"):
+                validate_route(net, VehicularRoute(1, (1,), flow))
 
     def test_injected_revisit_always_rejected(self):
         # Close a chain into a ring; any route using all ring arcs revisits

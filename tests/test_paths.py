@@ -136,16 +136,46 @@ class TestEnumerationProperties:
         for seed in range(1, 13):
             scenario = generate_scenario(small_config(seed))
             net, routes = scenario.network, scenario.routes
-            hops = scenario.enumeration.max_hops
-            for mode in (FULL_ROUTE, PER_HOP):
+            for hops in range(1, scenario.enumeration.max_hops + 1):
+                for mode in (FULL_ROUTE, PER_HOP):
+                    config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
+                    for s in sorted(net.junctions):
+                        for t in sorted(net.junctions):
+                            if s == t:
+                                continue
+                            found = enumerate_paths(net, routes, s, t, config)
+                            expected = brute_force_paths(net, routes, s, t, hops, mode)
+                            assert found == expected, (seed, hops, mode, s, t)
+
+    def test_fewest_segments_slower_than_more_segments(self):
+        # 1 -> 4 directly takes 20 h, two segments via 2 take 2 h and three
+        # segments via 3 take 0.4 h: each hop budget cuts off a faster
+        # completion, which the search bound must account for.
+        arcs = [
+            Arc(1, 1, 4, 20.0, 5.0),
+            Arc(2, 1, 2, 1.0, 5.0),
+            Arc(3, 2, 4, 1.0, 5.0),
+            Arc(4, 1, 3, 0.1, 5.0),
+            Arc(5, 3, 2, 0.1, 5.0),
+            Arc(6, 2, 5, 0.1, 5.0),
+            Arc(7, 5, 4, 0.1, 5.0),
+        ]
+        net = build_network([1, 2, 3, 4, 5], arcs)
+        routes = [
+            VehicularRoute(1, (1,), 5.0),
+            VehicularRoute(2, (2,), 5.0),
+            VehicularRoute(3, (3,), 5.0),
+            VehicularRoute(4, (4,), 5.0),
+            VehicularRoute(5, (5, 6), 5.0),
+            VehicularRoute(6, (7,), 5.0),
+        ]
+        for mode in (FULL_ROUTE, PER_HOP):
+            for hops in (1, 2, 3):
                 config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
-                for s in sorted(net.junctions):
-                    for t in sorted(net.junctions):
-                        if s == t:
-                            continue
-                        found = enumerate_paths(net, routes, s, t, config)
-                        expected = brute_force_paths(net, routes, s, t, hops, mode)
-                        assert found == expected, (seed, mode, s, t)
+                found = enumerate_paths(net, routes, 1, 4, config)
+                assert found == brute_force_paths(net, routes, 1, 4, hops, mode)
+                assert found[0].delay == 20.0, (mode, hops)
+            assert min(found, key=lambda p: p.delay).hops == 3, mode
 
     def test_soundness_on_random_scenarios(self):
         for seed in (21, 22, 23):
