@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 from .paths import EnergyPath
@@ -129,3 +132,29 @@ def path_economics(
         capacity=max_transferable(path, params, rate),
         loss_factor=loss_factor(params, path.hops),
     )
+
+
+def economics_arrays(
+    paths: Sequence[EnergyPath], params: EnergyParams, penetration: float = 1.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rate, capacity and loss-factor arrays of ``paths``, in path order.
+
+    The vector form of :func:`path_economics`, equal to it value for value:
+    the arithmetic runs in the same order, and z**k and the loss factor come
+    from the scalar formulas once per distinct hop count k, because numpy's
+    SIMD power may round differently. Overflow leaves inf or nan in the
+    arrays without a warning; the planner rejects non-finite capacities.
+    """
+    n = len(paths)
+    hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
+    distinct, inverse = np.unique(hops, return_inverse=True)
+    z = params.round_trip_efficiency
+    retained = np.array([z**k for k in distinct.tolist()])[inverse]
+    lams = np.array([loss_factor(params, k) for k in distinct.tolist()])[inverse]
+    delays = np.fromiter((p.delay for p in paths), dtype=float, count=n)
+    flows = np.fromiter((p.bottleneck_flow for p in paths), dtype=float, count=n)
+    with np.errstate(all="ignore"):
+        rates = (params.packet_size * penetration) * flows
+        slack = params.window - delays
+        caps = np.where(slack <= 0, 0.0, slack * retained * rates)
+    return rates, caps, lams

@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import ValidationError
@@ -35,23 +36,33 @@ PER_HOP = "per-hop"
 
 @dataclass(frozen=True)
 class EnergyPath:
-    """Chain of route sub-segments carrying energy from source to target."""
+    """Chain of route sub-segments carrying energy from source to target.
+
+    ``hops``, ``delay`` and ``bottleneck_flow`` are computed once per path.
+    """
 
     source: int
     target: int
     segments: tuple[SubRoute, ...]
 
-    @property
+    @cached_property
     def hops(self) -> int:
         """Number of segments, i.e. charge-discharge cycles along the path."""
         return len(self.segments)
 
-    @property
+    @cached_property
     def delay(self) -> float:
-        """Propagation time in hours: the sum of all member arc delays."""
-        return sum(seg.delay for seg in self.segments)
+        """Propagation time in hours: the sum of all member arc delays.
 
-    @property
+        Summed left to right from 0.0, like the search's running delay;
+        ``sum()`` rounds differently from Python 3.12 on.
+        """
+        delay = 0.0
+        for seg in self.segments:
+            delay += seg.delay
+        return delay
+
+    @cached_property
     def bottleneck_flow(self) -> float:
         """Smallest vehicle flow among the segments, in vehicles per hour."""
         return min(seg.flow for seg in self.segments)

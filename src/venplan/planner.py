@@ -8,6 +8,11 @@ minimum total loss. A greedy fill in ascending per-unit-loss order solves
 either exactly; an LP route through the bounded simplex provides an
 independent cross-check on the same instances.
 
+A request's paths are priced as arrays in one pass (``economics_arrays``),
+and a plan builds its per-path ``assignments`` only when they are first
+read, so callers that need only the totals, such as sweeps, never create
+per-path objects.
+
 Modelling assumption: each path is priced as if it had its routes' packet
 rate to itself. Paths that share a route (even within one pair) are not
 coupled, so a plan may send more over a route than its vehicles carry;
@@ -22,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .energetics import EnergyParams, PathEconomics, path_economics
+from .energetics import EnergyParams, PathEconomics, economics_arrays, path_economics
 from .errors import SolverError, ValidationError
 from .paths import EnergyPath, enumerate_paths
 from .scenario import Scenario
@@ -85,29 +90,52 @@ class PathAssignment:
 
 @dataclass(frozen=True)
 class TransferPlan:
-    """Per-path assignments plus their exact aggregates."""
+    """Per-path assignments plus their exact aggregates.
+
+    A plan returned by :func:`solve` builds ``assignments`` on first access;
+    equality, hashing and ``repr`` read it like any other field.
+    """
 
     assignments: tuple[PathAssignment, ...]
     transferred: float  # kWh
     loss: float  # kWh
     status: str  # "optimal" | "infeasible"
 
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: ``assignments`` of
+        # a plan from ``_deferred_plan`` that has not been read yet.
+        pending = self.__dict__.get("_pending")
+        if name != "assignments" or pending is None:
+            raise AttributeError(name)
+        request, energies = pending
+        assignments = []
+        for path, energy in zip(request.paths, energies):
+            e = path_economics(path, request.params, request.penetration)
+            assignments.append(
+                PathAssignment(economics=e, energy=energy, rate=e.max_rate)
+            )
+        self.__dict__["assignments"] = tuple(assignments)
+        return self.assignments
 
-def _assemble_plan(
-    economics: Sequence[PathEconomics], energies: np.ndarray, status: str
+
+def _deferred_plan(
+    request: PlanRequest, energies: list[float], lams: list[float], status: str
 ) -> TransferPlan:
-    assignments = tuple(
-        PathAssignment(economics=e, energy=float(x), rate=e.max_rate)
-        for e, x in zip(economics, energies)
-    )
+    """Plan with totals summed now and assignments built on first read.
+
+    Totals are summed left to right in path order, each path's loss as its
+    loss factor times its energy, exactly as a sum over the assignments.
+    """
     transferred = 0.0
     loss = 0.0
-    for a in assignments:
-        transferred += a.energy
-        loss += a.loss
-    return TransferPlan(
-        assignments=assignments, transferred=transferred, loss=loss, status=status
+    for energy, lam in zip(energies, lams):
+        transferred += energy
+        loss += lam * energy
+    plan = object.__new__(TransferPlan)
+    plan.__dict__.update(
+        transferred=transferred, loss=loss, status=status, _pending=(request, energies)
     )
+    return plan
 
 
 def _check_instance(capacities, loss_factors) -> tuple[np.ndarray, np.ndarray]:
@@ -138,42 +166,44 @@ def knapsack_assign(
     """
     caps, lams = _check_instance(capacities, loss_factors)
     n = caps.size
-    tie_hops = [0] * n if hops is None else list(hops)
-    order = sorted(range(n), key=lambda j: (lams[j], tie_hops[j], j))
-    x = np.zeros(n)
+    tie_hops = np.zeros(n, dtype=np.int64) if hops is None else np.asarray(hops)
+    order = np.lexsort((np.arange(n), tie_hops, lams)).tolist()
+    cap = caps.tolist()
+    lam = lams.tolist()
+    x = [0.0] * n
     if objective == MAX_ENERGY:
         if not bound >= 0:
             raise ValidationError("loss cap must be nonnegative")
         budget = bound
         for j in order:
-            if lams[j] <= 0.0:
-                x[j] = caps[j]
+            if lam[j] <= 0.0:
+                x[j] = cap[j]
                 continue
             if budget <= 0.0:
                 break
-            cost = lams[j] * caps[j]
+            cost = lam[j] * cap[j]
             if cost <= budget:
-                x[j] = caps[j]
+                x[j] = cap[j]
                 budget -= cost
             else:
-                x[j] = budget / lams[j]
+                x[j] = budget / lam[j]
                 break
-        return x, OPTIMAL
+        return np.array(x), OPTIMAL
     if objective == MIN_LOSS:
         if not (bound >= 0 and math.isfinite(bound)):
             raise ValidationError("delivery floor must be finite and nonnegative")
         if bound <= 0.0:
-            return x, OPTIMAL
+            return np.array(x), OPTIMAL
         if float(caps.sum()) < bound:
             return caps.copy(), INFEASIBLE
         need = bound
         for j in order:
-            take = caps[j] if caps[j] < need else need
+            take = cap[j] if cap[j] < need else need
             x[j] = take
             need -= take
             if need <= 0.0:
                 break
-        return x, OPTIMAL
+        return np.array(x), OPTIMAL
     raise ValidationError(f"unknown objective {objective!r}")
 
 
@@ -227,22 +257,24 @@ def solve(request: PlanRequest, method: str = GREEDY) -> TransferPlan:
     minimizes total loss while meeting the delivery floor. When the floor
     exceeds the total path capacity the plan saturates every path and
     reports status "infeasible", which keeps sweeps informative.
+
+    The paths are priced together as arrays, exactly as :func:`path_economics`
+    prices each one. The plan's totals are exact in-order sums; its
+    ``assignments`` are built on first access.
     """
-    econ = [
-        path_economics(p, request.params, request.penetration) for p in request.paths
-    ]
     if request.objective == MAX_ENERGY:
         bound = request.loss_cap
     else:
         bound = request.delivery_floor
-    if not econ:
+    if not request.paths:
         status = INFEASIBLE if request.objective == MIN_LOSS and bound > 0 else OPTIMAL
         return TransferPlan((), 0.0, 0.0, status)
-    caps = [e.capacity for e in econ]
-    lams = [e.loss_factor for e in econ]
-    hops = [e.path.hops for e in econ]
+    _, caps, lams = economics_arrays(
+        request.paths, request.params, request.penetration
+    )
+    hops = [p.hops for p in request.paths]
     x, status = _assign(caps, lams, hops, request.objective, bound, method)
-    return _assemble_plan(econ, x, status)
+    return _deferred_plan(request, x.tolist(), lams.tolist(), status)
 
 
 @dataclass(frozen=True)

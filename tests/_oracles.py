@@ -4,13 +4,31 @@ The path oracle materializes every sub-route up front and recursively tries
 all concatenations; the LP oracle enumerates candidate vertices from all
 n-subsets of the active constraint set. Both are deliberately brute force
 and share no code with the implementations they check.
+
+The plan oracle is the per-path planner: it prices each path with the
+scalar ``path_economics``, fills in ``sorted((loss factor, hops, index))``
+order and sums the totals over eagerly built assignments. The library's
+array planner must reproduce it bit for bit.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from venplan import EnergyPath, PER_HOP, sub_route
+from venplan import (
+    GREEDY,
+    INFEASIBLE,
+    MAX_ENERGY,
+    MIN_LOSS,
+    OPTIMAL,
+    EnergyPath,
+    PathAssignment,
+    PER_HOP,
+    TransferPlan,
+    lp_assign,
+    path_economics,
+    sub_route,
+)
 
 
 def materialized_sub_routes(network, routes, mode):
@@ -113,3 +131,72 @@ def vertex_enumeration_lp(c, a_ub, b_ub, lower, upper, maximize=True, tol=1e-9):
     if best_x is None:
         return "infeasible", None, None
     return "optimal", best_x, best_val
+
+
+def reference_fill(capacities, loss_factors, objective, bound, hops=None):
+    """Greedy knapsack fill over paths sorted by (loss factor, hops, index)."""
+    caps = np.asarray(capacities, dtype=float)
+    lams = np.asarray(loss_factors, dtype=float)
+    n = caps.size
+    tie_hops = [0] * n if hops is None else list(hops)
+    order = sorted(range(n), key=lambda j: (lams[j], tie_hops[j], j))
+    x = np.zeros(n)
+    if objective == MAX_ENERGY:
+        budget = bound
+        for j in order:
+            if lams[j] <= 0.0:
+                x[j] = caps[j]
+                continue
+            if budget <= 0.0:
+                break
+            cost = lams[j] * caps[j]
+            if cost <= budget:
+                x[j] = caps[j]
+                budget -= cost
+            else:
+                x[j] = budget / lams[j]
+                break
+        return x, OPTIMAL
+    if bound <= 0.0:
+        return x, OPTIMAL
+    if float(caps.sum()) < bound:
+        return caps.copy(), INFEASIBLE
+    need = bound
+    for j in order:
+        take = caps[j] if caps[j] < need else need
+        x[j] = take
+        need -= take
+        if need <= 0.0:
+            break
+    return x, OPTIMAL
+
+
+def reference_plan(request, method=GREEDY):
+    """Plan ``request`` one path object at a time, as the scalar planner did."""
+    econ = [
+        path_economics(p, request.params, request.penetration) for p in request.paths
+    ]
+    if request.objective == MAX_ENERGY:
+        bound = request.loss_cap
+    else:
+        bound = request.delivery_floor
+    if not econ:
+        status = INFEASIBLE if request.objective == MIN_LOSS and bound > 0 else OPTIMAL
+        return TransferPlan((), 0.0, 0.0, status)
+    caps = [e.capacity for e in econ]
+    lams = [e.loss_factor for e in econ]
+    hops = [e.path.hops for e in econ]
+    if method == GREEDY:
+        x, status = reference_fill(caps, lams, request.objective, bound, hops)
+    else:
+        x, status = lp_assign(caps, lams, request.objective, bound)
+    assignments = tuple(
+        PathAssignment(economics=e, energy=float(v), rate=e.max_rate)
+        for e, v in zip(econ, x)
+    )
+    transferred = 0.0
+    loss = 0.0
+    for a in assignments:
+        transferred += a.energy
+        loss += a.loss
+    return TransferPlan(assignments, transferred, loss, status)

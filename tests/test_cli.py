@@ -278,6 +278,9 @@ class TestNonFiniteInput:
         proc = run_module(argv[0], str(scenario), *argv[1:])
         assert proc.returncode == code, proc.stderr
         assert "Traceback" not in proc.stderr
+        # nothing but the error line: no warning from numpy either
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 class TestEntryPoint:

@@ -1,12 +1,17 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from venplan import (
     EnergyParams,
+    EnumerationConfig,
+    GeneratorConfig,
     ValidationError,
+    enumerate_paths,
+    generate_scenario,
     loss_factor,
     max_rate,
     max_transferable,
@@ -14,6 +19,8 @@ from venplan import (
     path_loss,
     source_injection,
 )
+
+from venplan.energetics import economics_arrays
 
 from conftest import single_arc_path
 
@@ -215,3 +222,52 @@ class TestPathEconomics:
         half = path_economics(path, p, penetration=0.5)
         assert half.capacity == pytest.approx(full.capacity / 2, rel=1e-12)
         assert half.loss_factor == full.loss_factor
+
+
+class TestEconomicsArrays:
+    """The vector form equals ``path_economics`` value for value."""
+
+    def paths(self):
+        s = generate_scenario(
+            GeneratorConfig(
+                seed=3,
+                junction_count=12,
+                arc_count=30,
+                route_count=12,
+                pair_count=2,
+                enumeration=EnumerationConfig(max_hops=3, max_paths=None),
+            )
+        )
+        found = []
+        for source, target in s.pairs:
+            found += enumerate_paths(s.network, s.routes, source, target, s.enumeration)
+        assert len(found) > 500
+        return tuple(found)
+
+    def assert_matches_scalar(self, paths, p, penetration):
+        rates, caps, lams = economics_arrays(paths, p, penetration)
+        econ = [path_economics(path, p, penetration) for path in paths]
+        assert rates.tolist() == [e.max_rate for e in econ]
+        assert caps.tolist() == [e.capacity for e in econ]
+        assert lams.tolist() == [e.loss_factor for e in econ]
+
+    def test_equals_path_economics(self):
+        paths = self.paths()
+        delays = sorted(p.delay for p in paths)
+        # below every path's delay, between them, above all of them
+        windows = (0.5 * delays[0], delays[len(delays) // 2], 2 * delays[-1])
+        for z in (0.05, 0.5, 0.9, 1.0):
+            for window in windows:
+                for w in (0.1, 3.7):
+                    for penetration in (0.0, 0.001, 0.37, 1.0):
+                        self.assert_matches_scalar(
+                            paths, params(z=z, w=w, window=window), penetration
+                        )
+
+    def test_overflow_gives_inf_without_warning(self):
+        # pytest turns warnings into errors, so a numpy RuntimeWarning fails
+        paths = self.paths()
+        p = params(z=0.9, w=1e300, window=1e300)
+        _, caps, _ = economics_arrays(paths, p, 1.0)
+        assert np.all(np.isinf(caps))
+        self.assert_matches_scalar(paths, p, 1.0)

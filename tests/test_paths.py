@@ -147,6 +147,21 @@ class TestEnumerationProperties:
                             expected = brute_force_paths(net, routes, s, t, hops, mode)
                             assert found == expected, (seed, hops, mode, s, t)
 
+    def test_delay_is_a_left_to_right_fold(self):
+        # sum() rounds differently from Python 3.12 on; the path delay must
+        # not depend on the interpreter
+        for seed in range(1, 13):
+            scenario = generate_scenario(small_config(seed))
+            net, routes = scenario.network, scenario.routes
+            max_hops = scenario.enumeration.max_hops
+            for s in sorted(net.junctions):
+                for t in sorted(net.junctions - {s}):
+                    for path in brute_force_paths(net, routes, s, t, max_hops):
+                        fold = 0.0
+                        for seg in path.segments:
+                            fold += seg.delay
+                        assert path.delay == fold, (seed, s, t)
+
     def test_fewest_segments_slower_than_more_segments(self):
         # 1 -> 4 directly takes 20 h, two segments via 2 take 2 h and three
         # segments via 3 take 0.4 h: each hop budget cuts off a faster

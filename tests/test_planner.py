@@ -11,17 +11,25 @@ from venplan import (
     MIN_LOSS,
     OPTIMAL,
     SIMPLEX,
+    Arc,
     EnergyParams,
+    EnergyPath,
+    EnumerationConfig,
+    GeneratorConfig,
     PlanRequest,
     ValidationError,
+    VehicularRoute,
+    build_network,
     enumerate_paths,
+    generate_scenario,
     knapsack_assign,
     lp_assign,
     solve,
     solve_scenario,
+    sub_route,
 )
 
-from _oracles import vertex_enumeration_lp
+from _oracles import reference_fill, reference_plan, vertex_enumeration_lp
 from _properties import check_tradeoff_properties
 from conftest import single_arc_path
 
@@ -93,6 +101,36 @@ class TestKnapsackMinLoss:
         assert list(x) == [0.0, 5.0, 0.0]
         x, _ = knapsack_assign(caps, lams, MIN_LOSS, 5.0)
         assert list(x) == [5.0, 0.0, 0.0]
+        # equal loss factor and hops: input order
+        x, _ = knapsack_assign(caps, [0.2, 0.1, 0.1], MIN_LOSS, 7.0, hops=[1, 2, 2])
+        assert list(x) == [0.0, 5.0, 2.0]
+
+
+class TestKnapsackOrder:
+    """The fill order is (loss factor, hops, index), ties included."""
+
+    def test_matches_reference_fill_with_ties(self):
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            n = int(rng.integers(1, 12))
+            caps = rng.choice([0.0, 1.5, 2.0, 7.25], n)
+            lams = rng.choice([0.0, 0.1, 0.1, 0.25], n)  # ties and free paths
+            hops = rng.choice([1, 2, 2, 3], n)  # tied hops too
+            total_loss = float(lams @ caps)
+            for hop_arg in (hops, None):
+                for objective, bound in (
+                    (MAX_ENERGY, 0.0),
+                    (MAX_ENERGY, 0.5 * total_loss),
+                    (MAX_ENERGY, math.inf),
+                    (MIN_LOSS, 0.0),
+                    (MIN_LOSS, 0.5 * float(caps.sum())),
+                    (MIN_LOSS, float(caps.sum())),
+                    (MIN_LOSS, float(caps.sum()) + 1.0),
+                ):
+                    got = knapsack_assign(caps, lams, objective, bound, hop_arg)
+                    want = reference_fill(caps, lams, objective, bound, hop_arg)
+                    assert got[1] == want[1], (trial, objective, bound)
+                    assert got[0].tolist() == want[0].tolist(), (trial, objective)
 
 
 class TestSolverEquivalence:
@@ -203,6 +241,121 @@ class TestPlanRequests:
         plan = solve(request)
         assert plan.transferred == sum(a.energy for a in plan.assignments)
         assert plan.loss == sum(a.loss for a in plan.assignments)
+
+
+def assert_same_plan(plan, ref):
+    """Exact equality of totals, status and every assignment field."""
+    assert (plan.transferred, plan.loss, plan.status) == (
+        ref.transferred,
+        ref.loss,
+        ref.status,
+    )
+    assert len(plan.assignments) == len(ref.assignments)
+    for a, r in zip(plan.assignments, ref.assignments):
+        assert a.path == r.path
+        assert (a.energy, a.rate) == (r.energy, r.rate)
+        assert (
+            a.economics.capacity,
+            a.economics.max_rate,
+            a.economics.loss_factor,
+        ) == (r.economics.capacity, r.economics.max_rate, r.economics.loss_factor)
+    assert plan == ref
+
+
+class TestArrayPlannerMatchesScalarReference:
+    """``solve`` prices paths as arrays; the per-path planner is the reference."""
+
+    def pair_paths(self, seed):
+        scenario = generate_scenario(
+            GeneratorConfig(
+                seed=seed,
+                junction_count=20,
+                arc_count=50,
+                route_count=20,
+                pair_count=2,
+                enumeration=EnumerationConfig(max_hops=3, max_paths=None),
+            )
+        )
+        for source, target in scenario.pairs:
+            yield tuple(
+                enumerate_paths(
+                    scenario.network, scenario.routes, source, target,
+                    scenario.enumeration,
+                )
+            )
+
+    def requests(self, paths, z, window, penetration):
+        params = EnergyParams.with_round_trip(0.1, z, window)
+        ref = reference_plan(
+            PlanRequest(paths, params, MAX_ENERGY, penetration=penetration)
+        )
+        total_cap = float(np.sum([a.economics.capacity for a in ref.assignments]))
+        total_loss = ref.loss
+        for cap in (0.0, 0.5 * total_loss, math.inf):
+            yield PlanRequest(paths, params, MAX_ENERGY, loss_cap=cap,
+                              penetration=penetration)
+        for floor in (0.0, 0.5 * total_cap, total_cap, 2.0 * total_cap + 1.0):
+            yield PlanRequest(paths, params, MIN_LOSS, delivery_floor=floor,
+                              penetration=penetration)
+
+    def test_grid_on_generated_scenarios(self):
+        compared = 0
+        statuses = set()
+        for seed in (3, 4, 5, 6):
+            for paths in self.pair_paths(seed):
+                delays = sorted(p.delay for p in paths)
+                if not delays:
+                    continue
+                # below every path's delay, between them, above all of them
+                windows = (0.5 * delays[0], delays[len(delays) // 2], 2 * delays[-1])
+                for z in (0.05, 0.5, 0.9, 1.0):
+                    for window in windows:
+                        for penetration in (0.0, 1.0):
+                            for request in self.requests(paths, z, window, penetration):
+                                plan = solve(request)
+                                assert_same_plan(plan, reference_plan(request))
+                                statuses.add(plan.status)
+                                compared += 1
+        assert compared > 500
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_simplex_gets_the_same_instance(self):
+        for paths in self.pair_paths(6):
+            window = 2 * max(p.delay for p in paths)
+            for request in self.requests(paths, 0.9, window, 1.0):
+                plan = solve(request, SIMPLEX)
+                assert_same_plan(plan, reference_plan(request, SIMPLEX))
+
+
+class TestPlanEquality:
+    """Plans compare by their per-path content, not only their totals."""
+
+    def twin_paths(self):
+        # two routes over the same arc: identical economics, different paths
+        network = build_network([1, 2], [Arc(id=1, tail=1, head=2, delay=1.0)])
+        routes = [VehicularRoute(id=i, arcs=(1,), flow=100.0) for i in (1, 2)]
+        return [
+            EnergyPath(1, 2, (sub_route(network, r, 1, 1),)) for r in routes
+        ]
+
+    def test_equal_totals_different_energies_compare_unequal(self):
+        a, b = self.twin_paths()
+        params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
+
+        def plan(paths):
+            # the loss cap fills part of the first path in input order
+            return solve(PlanRequest(paths, params, MAX_ENERGY, loss_cap=0.5))
+
+        ab, ba = plan((a, b)), plan((b, a))
+        assert (ab.transferred, ab.loss, ab.status) == (
+            ba.transferred,
+            ba.loss,
+            ba.status,
+        )
+        assert ab != ba
+        assert ab == plan((a, b)) and hash(ab) == hash(plan((a, b)))
+        energies = {x.path: x.energy for x in ab.assignments}
+        assert energies != {x.path: x.energy for x in ba.assignments}
 
 
 class TestScenarioPipeline:
