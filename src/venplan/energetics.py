@@ -89,9 +89,24 @@ def max_transferable(path: EnergyPath, params: EnergyParams, rate: float) -> flo
     return slack * params.round_trip_efficiency**path.hops * rate
 
 
+def _retained(params: EnergyParams, hops: int) -> float:
+    """z**hops, the fraction of injected energy that arrives.
+
+    Raises ValidationError when it underflows to zero: nothing would arrive,
+    and the energy to inject per unit delivered would be unbounded.
+    """
+    retained = params.round_trip_efficiency**hops
+    if retained == 0.0:
+        raise ValidationError(
+            f"round-trip efficiency {params.round_trip_efficiency!r} leaves no "
+            f"energy after {hops} cycles"
+        )
+    return retained
+
+
 def loss_factor(params: EnergyParams, hops: int) -> float:
     """Energy lost per unit delivered over a path with ``hops`` cycles."""
-    return 1.0 / params.round_trip_efficiency**hops - 1.0
+    return 1.0 / _retained(params, hops) - 1.0
 
 
 def path_loss(path: EnergyPath, params: EnergyParams, energy: float) -> float:
@@ -108,7 +123,7 @@ def source_injection(path: EnergyPath, params: EnergyParams, energy: float) -> f
     """
     if energy < 0:
         raise ValueError("energy must be nonnegative")
-    return energy / params.round_trip_efficiency**path.hops
+    return energy / _retained(params, path.hops)
 
 
 @dataclass(frozen=True)

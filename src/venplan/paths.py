@@ -22,10 +22,13 @@ Two routing-information modes are supported:
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 from .network import RoadNetwork, SubRoute, VehicularRoute, sub_route
@@ -107,28 +110,111 @@ class PathViolation:
 
 
 class _RouteIndex:
-    """Per-call index: route geometry tables and entry points per junction,
-    from which ``bound_table`` builds the search's one lower-bound table.
+    """Per-call route index over flat numpy arrays of member arcs.
+
+    Every network junction gets a dense row, and every member arc of every
+    route one slot in three arrays: tail row, head row and delay. The slots
+    are laid out by position counted from the route's end: block ``q`` holds
+    the ``q``-th last arc of each route longer than ``q``, longest routes
+    first, so each block's routes are a prefix of the previous block's.
+    ``bound_table`` runs its backward passes over these blocks, all routes at
+    once. Ids only key Python dicts, so ids of any int size work.
+
+    The search reads Python tuples that are built on first use and then
+    shared for the rest of the call: a junction's sorted ``(route id,
+    1-based position)`` entries, a route's member arc heads and delays, and
+    each ``(route, n, m)`` slice.
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
+        self.network = network
         self.routes = {r.id: r for r in routes}
         if len(self.routes) != len(routes):
             raise ValidationError("duplicate route ids")
-        # per route: parallel tuples of member arc tails, heads, and delays
-        self.tails: dict[int, tuple[int, ...]] = {}
-        self.heads: dict[int, tuple[int, ...]] = {}
-        self.delays: dict[int, tuple[float, ...]] = {}
-        # junction -> ((route_id, 1-based position), ...) sorted for determinism
-        entries: dict[int, list[tuple[int, int]]] = {}
-        for route in routes:
-            members = [network.arc(a) for a in route.arcs]
-            self.tails[route.id] = tuple(a.tail for a in members)
-            self.heads[route.id] = tuple(a.head for a in members)
-            self.delays[route.id] = tuple(a.delay for a in members)
-            for pos, arc in enumerate(members, start=1):
-                entries.setdefault(arc.tail, []).append((route.id, pos))
-        self.entries = {j: tuple(sorted(v)) for j, v in entries.items()}
+        self.junction_ids = list(network.junctions)
+        self.rows = {j: row for row, j in enumerate(self.junction_ids)}
+        arcs = network.arcs.values()
+        arc_rows = {a: row for row, a in enumerate(network.arcs)}
+        arc_tails = np.fromiter((self.rows[a.tail] for a in arcs), np.intp, len(arcs))
+        arc_heads = np.fromiter((self.rows[a.head] for a in arcs), np.intp, len(arcs))
+        arc_delays = np.fromiter((a.delay for a in arcs), float, len(arcs))
+
+        # members in (route id, position) order, so that a stable sort by
+        # tail lists each junction's entries already sorted
+        self.route_ids = sorted(self.routes)
+        ordered = [self.routes[r].arcs for r in self.route_ids]
+        lengths = np.fromiter(map(len, ordered), np.intp, len(ordered))
+        try:
+            members = np.fromiter(
+                map(arc_rows.__getitem__, itertools.chain.from_iterable(ordered)),
+                np.intp,
+                int(lengths.sum()),
+            )
+        except KeyError:
+            for route in routes:  # name the first unknown arc in input order
+                for arc_id in route.arcs:
+                    network.arc(arc_id)
+            raise
+        ends = np.cumsum(lengths)
+        route_of = np.repeat(np.arange(len(ordered)), lengths)
+        positions = np.arange(1, members.size + 1) - (ends - lengths)[route_of]
+        tails = arc_tails[members]
+        by_tail = np.argsort(tails, kind="stable")
+        self._entry_routes = route_of[by_tail]
+        self._entry_positions = positions[by_tail]
+        counts = np.bincount(tails, minlength=len(self.junction_ids))
+        self._entry_starts = [0, *np.cumsum(counts).tolist()]
+
+        longest_first = np.argsort(-lengths, kind="stable")
+        last = ends[longest_first] - 1  # slot of each route's last arc
+        blocks = [
+            last[: np.count_nonzero(lengths > q)] - q
+            for q in range(int(lengths.max(initial=0)))
+        ]
+        by_end = members[np.concatenate(blocks)] if blocks else members
+        self._tails = arc_tails[by_end]
+        self._heads = arc_heads[by_end]
+        self._delays = arc_delays[by_end]
+        bounds = [0, *np.cumsum([b.size for b in blocks]).tolist()]
+        self._blocks = list(zip(bounds, bounds[1:]))
+
+        self._entries: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._geometry: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
+        self._slices: dict[tuple[int, int, int], SubRoute] = {}
+
+    def entries(self, junction: int) -> tuple[tuple[int, int], ...]:
+        """``(route id, 1-based position)`` of every member arc leaving
+        ``junction``, sorted."""
+        found = self._entries.get(junction)
+        if found is None:
+            row = self.rows[junction]
+            lo, hi = self._entry_starts[row], self._entry_starts[row + 1]
+            found = tuple(
+                zip(
+                    map(self.route_ids.__getitem__, self._entry_routes[lo:hi].tolist()),
+                    self._entry_positions[lo:hi].tolist(),
+                )
+            )
+            self._entries[junction] = found
+        return found
+
+    def geometry(self, route_id: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+        """Heads and delays of a route's member arcs, in travel order."""
+        found = self._geometry.get(route_id)
+        if found is None:
+            arcs = [self.network.arcs[a] for a in self.routes[route_id].arcs]
+            found = (tuple(a.head for a in arcs), tuple(a.delay for a in arcs))
+            self._geometry[route_id] = found
+        return found
+
+    def slice(self, route_id: int, n: int, m: int) -> SubRoute:
+        """The route's ``n``-th to ``m``-th arcs, one object per call."""
+        key = (route_id, n, m)
+        found = self._slices.get(key)
+        if found is None:
+            found = sub_route(self.network, self.routes[route_id], n, m)
+            self._slices[key] = found
+        return found
 
     def bound_table(
         self, target: int, mode: str, max_hops: int
@@ -138,35 +224,50 @@ class _RouteIndex:
         Layer ``k`` holds the least delay from each junction to ``target`` in
         at most ``k`` route slices: any contiguous stretch of one route in
         full-route mode, one arc in per-hop mode. Each layer comes from the
-        previous one by one backward pass over each route. A junction's entry
-        is its first layer ``k`` and that layer's delay; the target's is
-        ``(0, 0.0)``. Loop-freedom is ignored, so the entries are lower
-        bounds, and junctions absent from the result cannot reach the target
-        in ``max_hops`` slices at all.
+        previous one by one backward pass over every route, taken block by
+        block from the routes' ends: an arc's best is ``delay +
+        min(layer[head], best of the next arc)`` (per-hop mode drops the
+        second term), the same arithmetic as a scalar pass along each route,
+        and the layer keeps the least best at each tail, so the table equals
+        the scalar one bit for bit. A junction's entry is its first layer
+        ``k`` and that layer's delay; the target's is ``(0, 0.0)``.
+        Loop-freedom is ignored, so the entries are lower bounds, and
+        junctions absent from the result cannot reach the target in
+        ``max_hops`` slices at all.
         """
         per_hop = mode == PER_HOP
-        table = {target: (0, 0.0)}
-        layer = {target: 0.0}
+        target_row = self.rows[target]
+        layer = np.full(len(self.junction_ids), math.inf)
+        layer[target_row] = 0.0
+        first_hops = np.full(len(self.junction_ids), -1)
+        first_hops[target_row] = 0
+        first_delays = layer.copy()
+        best = np.empty(self._tails.size)  # least delay to the target per slot
         for k in range(1, max_hops + 1):
-            nxt = dict(layer)
-            for route_id in self.routes:
-                tails = self.tails[route_id]
-                heads = self.heads[route_id]
-                delays = self.delays[route_id]
-                best = math.inf  # least delay to the target from this arc's tail
-                for pos in range(len(tails) - 1, -1, -1):
-                    rest = layer.get(heads[pos], math.inf)
-                    if not per_hop and best < rest:
-                        rest = best  # the slice runs on past this arc's head
-                    best = delays[pos] + rest
-                    if best < nxt.get(tails[pos], math.inf):
-                        nxt[tails[pos]] = best
-            if nxt == layer:
+            previous = 0
+            for lo, hi in self._blocks:
+                rest = layer[self._heads[lo:hi]]
+                if not per_hop and lo:
+                    # the slice runs on past this arc's head; block q's routes
+                    # are the first hi - lo routes of block q - 1
+                    np.minimum(rest, best[previous : previous + hi - lo], out=rest)
+                np.add(self._delays[lo:hi], rest, out=best[lo:hi])
+                previous = lo
+            nxt = layer.copy()
+            np.minimum.at(nxt, self._tails, best)
+            if np.array_equal(nxt, layer):
                 break
-            for junction, delay in nxt.items():
-                table.setdefault(junction, (k, delay))
+            new = (first_hops < 0) & (nxt < math.inf)
+            first_hops[new] = k
+            first_delays[new] = nxt[new]
             layer = nxt
-        return table
+        rows = np.flatnonzero(first_hops >= 0)
+        return dict(
+            zip(
+                map(self.junction_ids.__getitem__, rows.tolist()),
+                zip(first_hops[rows].tolist(), first_delays[rows].tolist()),
+            )
+        )
 
 
 def enumerate_paths(
@@ -190,8 +291,14 @@ def enumerate_paths(
     completion in ``k`` segments, both ignoring loop constraints. Any
     completion with more segments sorts later whatever its delay, so the key
     is admissible and consistent in lexicographic order (the A* argument).
-    Segment transitions are generated lazily from the route index; the full
-    set of sub-routes is never materialized.
+
+    Each call builds its own route index: flat numpy arrays of the routes'
+    member arcs, from which the bound table is computed for all routes at
+    once. The search itself runs on Python tuples that the index builds on
+    first use: the entries of each popped junction and the arcs of each
+    route it touches. Segment transitions are generated lazily; the full set
+    of sub-routes is never materialized, and each ``(route, n, m)`` slice in
+    the output is one object shared by every path that uses it.
     """
     if source not in network.junctions:
         raise ValidationError(f"unknown source junction {source}")
@@ -210,7 +317,6 @@ def enumerate_paths(
     max_hops = config.max_hops
     max_paths = config.max_paths
     per_hop = config.mode == PER_HOP
-    entries = index.entries
 
     # Heap entries: (key, tiebreak, junction, delay so far, visited, chain)
     # where chain is a tuple of (route_id, n, m) triples. The key is
@@ -243,10 +349,7 @@ def enumerate_paths(
                 ):
                     return  # the heap may still produce something smaller
             key, _, chain = heapq.heappop(finished)
-            segments = tuple(
-                sub_route(network, index.routes[route_id], n, m)
-                for route_id, n, m in chain
-            )
+            segments = tuple(index.slice(*link) for link in chain)
             results.append(EnergyPath(source=source, target=target, segments=segments))
 
     while heap or finished:
@@ -265,13 +368,12 @@ def enumerate_paths(
         hops = len(chain)
         _, _, ids, spans = key
         last_route, _, last_end = chain[-1] if chain else (None, 0, 0)
-        for route_id, n in entries.get(junction, ()):
+        for route_id, n in index.entries(junction):
             if not per_hop and route_id == last_route and n == last_end + 1:
                 # Continuing the same route is strictly dominated by the
                 # merged segment, which was already generated.
                 continue
-            heads = index.heads[route_id]
-            delays = index.delays[route_id]
+            heads, delays = index.geometry(route_id)
             seg_delay = 0.0
             new_junctions: list[int] = []
             for m in range(n, len(heads) + 1):

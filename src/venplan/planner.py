@@ -194,7 +194,9 @@ def knapsack_assign(
             raise ValidationError("delivery floor must be finite and nonnegative")
         if bound <= 0.0:
             return np.array(x), OPTIMAL
-        if float(caps.sum()) < bound:
+        with np.errstate(over="ignore"):  # an infinite total meets any floor
+            total = float(caps.sum())
+        if total < bound:
             return caps.copy(), INFEASIBLE
         need = bound
         for j in order:

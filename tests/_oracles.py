@@ -5,12 +5,16 @@ all concatenations; the LP oracle enumerates candidate vertices from all
 n-subsets of the active constraint set. Both are deliberately brute force
 and share no code with the implementations they check.
 
+The bound-table oracle is the pure-Python table the search's array table
+must reproduce bit for bit: one scalar backward pass per route and layer.
+
 The plan oracle is the per-path planner: it prices each path with the
 scalar ``path_economics``, fills in ``sorted((loss factor, hops, index))``
 order and sums the totals over eagerly built assignments. The library's
 array planner must reproduce it bit for bit.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -83,6 +87,41 @@ def brute_force_paths(network, routes, source, target, max_hops, mode="full-rout
         )
     )
     return results
+
+
+def reference_bound_table(network, routes, target, mode, max_hops):
+    """Junction -> (fewest slices, least delay) to ``target``, route by route.
+
+    Layer k is the least delay in at most k slices (one arc each in per-hop
+    mode); each layer comes from the previous one by a backward pass over
+    every route, and a junction keeps its first layer and that layer's delay.
+    """
+    per_hop = mode == PER_HOP
+    geometry = []
+    for route in routes:
+        members = [network.arc(a) for a in route.arcs]
+        geometry.append(
+            ([a.tail for a in members], [a.head for a in members], [a.delay for a in members])
+        )
+    table = {target: (0, 0.0)}
+    layer = {target: 0.0}
+    for k in range(1, max_hops + 1):
+        nxt = dict(layer)
+        for tails, heads, delays in geometry:
+            best = math.inf
+            for pos in range(len(tails) - 1, -1, -1):
+                rest = layer.get(heads[pos], math.inf)
+                if not per_hop and best < rest:
+                    rest = best
+                best = delays[pos] + rest
+                if best < nxt.get(tails[pos], math.inf):
+                    nxt[tails[pos]] = best
+        if nxt == layer:
+            break
+        for junction, delay in nxt.items():
+            table.setdefault(junction, (k, delay))
+        layer = nxt
+    return table
 
 
 def vertex_enumeration_lp(c, a_ub, b_ub, lower, upper, maximize=True, tol=1e-9):

@@ -263,10 +263,13 @@ class TestNonFiniteInput:
             # finite inputs whose path capacity overflows to inf
             (["sweep", "--parameter", "w", "--values", "1e300",
               "--window", "1e300"], None, 4),
+            # a valid efficiency whose z**hops underflows to zero
+            (["sweep", "--parameter", "z", "--values", "1e-200"], None, 4),
         ],
         ids=["validate-nan-delay", "validate-inf-flow", "solve-nan-delay",
              "sweep-nan-value", "sweep-inf-value", "sweep-inf-window",
-             "sweep-inf-packet", "sweep-overflow-capacity"],
+             "sweep-inf-packet", "sweep-overflow-capacity",
+             "sweep-underflow-efficiency"],
     )
     def test_rejected_without_traceback(self, tmp_path, argv, spoil, code):
         scenario = FIXTURE
@@ -281,6 +284,18 @@ class TestNonFiniteInput:
         # nothing but the error line: no warning from numpy either
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+    def test_overflowing_total_capacity_meets_the_floor(self):
+        # the capacities are finite, their sum is not: the floor is still met
+        proc = run_module(
+            "sweep", FIXTURE, "--parameter", "w", "--values", "3e305",
+            "--window", "10", "--penetration", "1",
+            "--objective", "min-loss", "--delivery-floor", "1",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[1].split(",")[1] == "1.0"
 
 
 class TestEntryPoint:

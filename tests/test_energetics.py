@@ -215,6 +215,15 @@ class TestPathEconomics:
         assert loss_factor(params(z=1.0), 3) == 0.0
         assert loss_factor(params(z=0.999), 1) > 0.0
 
+    def test_underflowing_retention_rejected(self):
+        # 1e-200**2 underflows to 0.0: nothing would arrive
+        path, _, _ = single_arc_path([0.5, 0.5], [60.0, 30.0])
+        assert loss_factor(params(z=1e-200), 1) == 1e200 - 1.0
+        with pytest.raises(ValidationError, match="leaves no energy after 2 cycles"):
+            loss_factor(params(z=1e-200), 2)
+        with pytest.raises(ValidationError, match="leaves no energy after 2 cycles"):
+            source_injection(path, params(z=1e-200), 1.0)
+
     def test_penetration_enters_capacity(self):
         path, _, _ = single_arc_path([0.5], [100.0])
         p = params()

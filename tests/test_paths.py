@@ -1,7 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
+import venplan.paths
+import venplan.planner
+import venplan.scenario
+import venplan.sweep
 from venplan import (
     Arc,
     EnergyPath,
@@ -18,11 +23,38 @@ from venplan import (
     validate_path,
 )
 
-from _oracles import brute_force_paths
+from venplan.paths import _RouteIndex
+
+from _oracles import brute_force_paths, reference_bound_table
 
 
 def segment_shape(path):
     return tuple((s.route_id, s.start, s.end) for s in path.segments)
+
+
+def fewest_segments_slower_network():
+    """1 -> 4 directly takes 20 h, two segments via 2 take 2 h and three
+    segments via 3 take 0.4 h: each hop budget cuts off a faster completion.
+    """
+    arcs = [
+        Arc(1, 1, 4, 20.0, 5.0),
+        Arc(2, 1, 2, 1.0, 5.0),
+        Arc(3, 2, 4, 1.0, 5.0),
+        Arc(4, 1, 3, 0.1, 5.0),
+        Arc(5, 3, 2, 0.1, 5.0),
+        Arc(6, 2, 5, 0.1, 5.0),
+        Arc(7, 5, 4, 0.1, 5.0),
+    ]
+    net = build_network([1, 2, 3, 4, 5], arcs)
+    routes = [
+        VehicularRoute(1, (1,), 5.0),
+        VehicularRoute(2, (2,), 5.0),
+        VehicularRoute(3, (3,), 5.0),
+        VehicularRoute(4, (4,), 5.0),
+        VehicularRoute(5, (5, 6), 5.0),
+        VehicularRoute(6, (7,), 5.0),
+    ]
+    return net, routes
 
 
 def small_config(seed):
@@ -163,27 +195,9 @@ class TestEnumerationProperties:
                         assert path.delay == fold, (seed, s, t)
 
     def test_fewest_segments_slower_than_more_segments(self):
-        # 1 -> 4 directly takes 20 h, two segments via 2 take 2 h and three
-        # segments via 3 take 0.4 h: each hop budget cuts off a faster
-        # completion, which the search bound must account for.
-        arcs = [
-            Arc(1, 1, 4, 20.0, 5.0),
-            Arc(2, 1, 2, 1.0, 5.0),
-            Arc(3, 2, 4, 1.0, 5.0),
-            Arc(4, 1, 3, 0.1, 5.0),
-            Arc(5, 3, 2, 0.1, 5.0),
-            Arc(6, 2, 5, 0.1, 5.0),
-            Arc(7, 5, 4, 0.1, 5.0),
-        ]
-        net = build_network([1, 2, 3, 4, 5], arcs)
-        routes = [
-            VehicularRoute(1, (1,), 5.0),
-            VehicularRoute(2, (2,), 5.0),
-            VehicularRoute(3, (3,), 5.0),
-            VehicularRoute(4, (4,), 5.0),
-            VehicularRoute(5, (5, 6), 5.0),
-            VehicularRoute(6, (7,), 5.0),
-        ]
+        # the search bound must account for the faster completions that each
+        # hop budget cuts off
+        net, routes = fewest_segments_slower_network()
         for mode in (FULL_ROUTE, PER_HOP):
             for hops in (1, 2, 3):
                 config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
@@ -231,6 +245,139 @@ class TestEnumerationProperties:
                         )
                         if not chained:
                             assert path in full
+
+
+def table_bits(table):
+    """A bound table with each delay as its exact bit pattern."""
+    return {j: (type(k), k, d.hex()) for j, (k, d) in table.items()}
+
+
+class TestBoundTable:
+    """The array table equals the scalar reference exactly, float bits too."""
+
+    def check(self, net, routes):
+        index = _RouteIndex(net, routes)
+        for mode in (FULL_ROUTE, PER_HOP):
+            for max_hops in range(1, 7):
+                for target in sorted(net.junctions):
+                    found = index.bound_table(target, mode, max_hops)
+                    expected = reference_bound_table(net, routes, target, mode, max_hops)
+                    assert table_bits(found) == table_bits(expected), (
+                        mode, max_hops, target,
+                    )
+
+    def test_random_scenarios(self):
+        for seed in range(1, 13):
+            scenario = generate_scenario(small_config(seed))
+            self.check(scenario.network, scenario.routes)
+
+    def test_fewest_segments_slower_network(self):
+        self.check(*fewest_segments_slower_network())
+
+    def test_generated_city_with_long_routes(self):
+        config = GeneratorConfig(
+            seed=5, junction_count=40, arc_count=110, route_count=60, pair_count=1
+        )
+        scenario = generate_scenario(config)
+        assert max(len(r.arcs) for r in scenario.routes) >= 4
+        self.check(scenario.network, scenario.routes)
+
+
+def shift_ids(net, routes, shift):
+    """The same network and routes with every junction, arc and route id
+    moved by ``shift``."""
+    arcs = [
+        dataclasses.replace(a, id=a.id + shift, tail=a.tail + shift, head=a.head + shift)
+        for a in net.arcs.values()
+    ]
+    shifted_net = build_network([j + shift for j in net.junctions], arcs)
+    shifted_routes = [
+        VehicularRoute(r.id + shift, tuple(a + shift for a in r.arcs), r.flow)
+        for r in routes
+    ]
+    return shifted_net, shifted_routes
+
+
+def unshift_path(path, shift):
+    segments = tuple(
+        dataclasses.replace(
+            s,
+            route_id=s.route_id - shift,
+            arcs=tuple(a - shift for a in s.arcs),
+            entry=s.entry - shift,
+            exit=s.exit - shift,
+        )
+        for s in path.segments
+    )
+    return EnergyPath(path.source - shift, path.target - shift, segments)
+
+
+class TestRouteIndexEdges:
+    def test_no_routes_gives_empty_list(self, three_routes_scenario):
+        s = three_routes_scenario
+        assert enumerate_paths(s.network, [], 1, 4) == []
+        assert enumerate_paths(s.network, (), 1, 4, EnumerationConfig(mode=PER_HOP)) == []
+
+    def test_unknown_arc_id_rejected(self, three_routes_scenario):
+        s = three_routes_scenario
+        routes = [*s.routes, VehicularRoute(7, (2, 99), 5.0), VehicularRoute(8, (98,), 5.0)]
+        with pytest.raises(ValidationError, match="^unknown arc id 99$"):
+            enumerate_paths(s.network, routes, 1, 4)
+
+    def test_duplicate_route_ids_rejected(self, three_routes_scenario):
+        s = three_routes_scenario
+        routes = [*s.routes, VehicularRoute(2, (1,), 5.0)]
+        with pytest.raises(ValidationError, match="duplicate route ids"):
+            enumerate_paths(s.network, routes, 1, 4)
+
+    def test_target_on_no_route_gives_empty_list(self):
+        # junction 4 is reachable by road, but no route uses arc 3
+        arcs = [Arc(1, 1, 2, 1.0, 5.0), Arc(2, 2, 3, 1.0, 5.0), Arc(3, 3, 4, 1.0, 5.0)]
+        net = build_network([1, 2, 3, 4], arcs)
+        routes = [VehicularRoute(1, (1, 2), 5.0)]
+        for mode in (FULL_ROUTE, PER_HOP):
+            config = EnumerationConfig(mode=mode)
+            assert enumerate_paths(net, routes, 1, 4, config) == []
+            assert enumerate_paths(net, routes, 1, 3, config) != []
+
+    @pytest.mark.parametrize("shift", [2**70, -(2**70)])
+    def test_ids_beyond_int64(self, three_routes_scenario, shift):
+        s = three_routes_scenario
+        net, routes = shift_ids(s.network, s.routes, shift)
+        for mode in (FULL_ROUTE, PER_HOP):
+            config = EnumerationConfig(max_hops=4, max_paths=None, mode=mode)
+            expected = enumerate_paths(s.network, s.routes, 1, 4, config)
+            found = enumerate_paths(net, routes, 1 + shift, 4 + shift, config)
+            assert expected
+            assert [unshift_path(p, shift) for p in found] == expected, mode
+
+    def test_entries_sorted_by_route_then_position(self, three_routes_scenario):
+        s = three_routes_scenario
+        index = _RouteIndex(s.network, s.routes[::-1])
+        assert [index.entries(j) for j in (1, 2, 3, 4, 5)] == [
+            ((1, 1), (3, 1)),
+            ((2, 1), (3, 2)),
+            ((2, 2),),
+            (),
+            ((3, 3),),
+        ]
+
+    def test_paths_of_one_call_share_each_slice(self, three_routes_scenario):
+        s = three_routes_scenario
+        config = EnumerationConfig(max_hops=4, max_paths=None, mode=PER_HOP)
+        found = enumerate_paths(s.network, s.routes, 1, 4, config)
+        first = {}
+        for path in found:
+            for seg in path.segments:
+                assert first.setdefault((seg.route_id, seg.start, seg.end), seg) is seg
+        assert sum(len(p.segments) for p in found) > len(first)  # some are shared
+
+
+class TestEnumerateCallSites:
+    def test_callers_use_the_paths_function(self):
+        # the benchmark's traced run wraps these module globals by name
+        for module in (venplan.planner, venplan.sweep, venplan.scenario):
+            assert module.enumerate_paths is venplan.paths.enumerate_paths, module
 
 
 class TestValidatePath:

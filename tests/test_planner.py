@@ -94,6 +94,12 @@ class TestKnapsackMinLoss:
         assert status == INFEASIBLE
         assert list(x) == caps
 
+    def test_overflowing_total_capacity_meets_any_floor(self):
+        # each capacity is finite but their sum overflows to inf
+        x, status = knapsack_assign([1e308, 1e308], [0.11, 0.52], MIN_LOSS, 1.0)
+        assert status == OPTIMAL
+        assert x.tolist() == [1.0, 0.0]
+
     def test_ties_resolved_by_hops_then_order(self):
         caps = [5.0, 5.0, 5.0]
         lams = [0.2, 0.2, 0.2]
