@@ -9,6 +9,7 @@ the generation seed (when known), and the tool version.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -260,10 +261,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(
-            f"wrote scenario (seed {seed}, sha256 {scenario_hash(scenario)[:12]}) "
-            f"to {args.output}"
-        )
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()  # = scenario_hash(scenario)
+        print(f"wrote scenario (seed {seed}, sha256 {digest[:12]}) to {args.output}")
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -20,7 +20,9 @@ import json
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Optional
+from itertools import accumulate, chain
+from operator import attrgetter, itemgetter
+from typing import Any, Mapping, NoReturn, Optional
 
 from .energetics import EnergyParams
 from .errors import ScenarioFormatError, ValidationError
@@ -57,8 +59,9 @@ class Scenario:
             raise ValidationError("loss_cap must be nonnegative")
         if not (self.delivery_floor >= 0 and math.isfinite(self.delivery_floor)):
             raise ValidationError("delivery_floor must be finite and nonnegative")
-        for route in self.routes:
-            validate_route(self.network, route)
+        if not _routes_are_valid(self.network.arcs, self.routes):
+            for route in self.routes:  # name the first failing route
+                validate_route(self.network, route)
         route_ids = [r.id for r in self.routes]
         if len(set(route_ids)) != len(route_ids):
             raise ValidationError("duplicate route ids")
@@ -69,6 +72,34 @@ class Scenario:
                 raise ValidationError(f"pair target {t} is not a junction")
             if s == t:
                 raise ValidationError("pair source and target must differ")
+
+
+def _routes_are_valid(arcs: Mapping[int, Arc], routes: tuple[VehicularRoute, ...]) -> bool:
+    """Whether every route passes ``validate_route``, checked over all at once.
+
+    A route is valid when its arcs exist, each starts where the previous
+    one ends, its junctions (the first tail, then every head) are distinct,
+    and its flow is finite and nonnegative.
+    """
+    members = [route.arcs for route in routes]
+    lengths = list(map(len, members))
+    if 0 in lengths:
+        return False
+    try:
+        flat = list(map(arcs.__getitem__, chain.from_iterable(members)))
+    except KeyError:
+        return False
+    tails = list(map(attrgetter("tail"), flat))
+    heads = list(map(attrgetter("head"), flat))
+    start = 0
+    for end in accumulate(lengths):
+        if (
+            tails[start + 1 : end] != heads[start : end - 1]
+            or len({tails[start], *heads[start:end]}) <= end - start
+        ):
+            return False
+        start = end
+    return all(route.flow >= 0 and math.isfinite(route.flow) for route in routes)
 
 
 def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
@@ -96,8 +127,53 @@ def _expect(obj: Any, key: str, kind: type, where: str) -> Any:
     return value
 
 
+# Fields of the two bulk sections, in the order the error walk checks them.
+_ARC_FIELDS = (
+    ("id", int), ("tail", int), ("head", int),
+    ("delay", float), ("flow", float), ("length", float),
+)
+_ROUTE_FIELDS = (("arcs", list), ("id", int), ("flow", float))
+
+
+def _column(objs: list, key: str, kind: type) -> Optional[list]:
+    """Field ``key`` of every object, checked like ``_expect``; None if any fails.
+
+    JSON only yields exact ``int``/``float``/``list`` values, so comparing
+    types is the same test as ``_expect``'s (``bool`` is not ``int``).
+    """
+    try:
+        values = list(map(itemgetter(key), objs))
+    except (KeyError, TypeError):  # a missing key, or an object that is not one
+        return None
+    types = set(map(type, values))
+    if kind is not float:
+        return values if types <= {kind} else None
+    if not types <= {int, float}:
+        return None
+    if int in types:
+        try:
+            values = list(map(float, values))
+        except OverflowError:
+            return None
+    return values if all(map(math.isfinite, values)) else None
+
+
+def _raise_first_error(objs: list, where: str, fields: tuple) -> NoReturn:
+    """Raise the error a per-field walk of ``objs`` meets first."""
+    for i, obj in enumerate(objs):
+        for key, kind in fields:
+            value = _expect(obj, key, kind, f"{where}[{i}]")
+            if kind is list and any(type(v) is not int for v in value):
+                raise ScenarioFormatError(f"{where}[{i}].{key} must be integers")
+    raise AssertionError(f"{where}: the bulk check failed on valid fields")
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
+
+    The arc and route sections are checked column by column; only when a
+    check fails does a per-field walk run, in document order, to name the
+    first bad field. Integer literals in number fields become floats.
 
     Raises ScenarioFormatError for malformed documents (with the JSON
     location or field path) and ValidationError when a well-formed document
@@ -127,35 +203,18 @@ def parse_scenario(text: str) -> Scenario:
     for j in junctions:
         if isinstance(j, bool) or not isinstance(j, int):
             raise ScenarioFormatError("network.junctions must be integers")
-    arcs = []
-    for i, arc_obj in enumerate(_expect(network_obj, "arcs", list, "network")):
-        where = f"network.arcs[{i}]"
-        arcs.append(
-            Arc(
-                id=_expect(arc_obj, "id", int, where),
-                tail=_expect(arc_obj, "tail", int, where),
-                head=_expect(arc_obj, "head", int, where),
-                delay=_expect(arc_obj, "delay", float, where),
-                flow=_expect(arc_obj, "flow", float, where),
-                length=_expect(arc_obj, "length", float, where),
-            )
-        )
-    network = build_network(junctions, arcs)
+    arc_objs = _expect(network_obj, "arcs", list, "network")
+    arc_columns = [_column(arc_objs, key, kind) for key, kind in _ARC_FIELDS]
+    if None in arc_columns:
+        _raise_first_error(arc_objs, "network.arcs", _ARC_FIELDS)
+    network = build_network(junctions, map(Arc, *arc_columns))
 
-    routes = []
-    for i, route_obj in enumerate(_expect(doc, "routes", list, "scenario")):
-        where = f"routes[{i}]"
-        arc_ids = _expect(route_obj, "arcs", list, where)
-        for a in arc_ids:
-            if isinstance(a, bool) or not isinstance(a, int):
-                raise ScenarioFormatError(f"{where}.arcs must be integers")
-        routes.append(
-            VehicularRoute(
-                id=_expect(route_obj, "id", int, where),
-                arcs=tuple(arc_ids),
-                flow=_expect(route_obj, "flow", float, where),
-            )
-        )
+    route_objs = _expect(doc, "routes", list, "scenario")
+    route_columns = [_column(route_objs, key, kind) for key, kind in _ROUTE_FIELDS]
+    members, ids, flows = route_columns
+    if None in route_columns or not set(map(type, chain.from_iterable(members))) <= {int}:
+        _raise_first_error(route_objs, "routes", _ROUTE_FIELDS)
+    routes = tuple(map(VehicularRoute, ids, map(tuple, members), flows))
 
     pairs = []
     for i, pair in enumerate(_expect(doc, "pairs", list, "scenario")):
@@ -206,7 +265,7 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(
         network=network,
-        routes=tuple(routes),
+        routes=routes,
         pairs=tuple(pairs),
         params=params,
         penetration=_expect(doc, "penetration", float, "scenario"),
@@ -217,55 +276,96 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical JSON-ready form of a scenario."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "units": dict(UNITS),
-        "network": {
-            "junctions": sorted(scenario.network.junctions),
-            "arcs": [
-                {
-                    "id": arc.id,
-                    "tail": arc.tail,
-                    "head": arc.head,
-                    "delay": arc.delay,
-                    "flow": arc.flow,
-                    "length": arc.length,
-                }
-                for arc_id, arc in sorted(scenario.network.arcs.items())
-            ],
-        },
-        "routes": [
-            {"id": r.id, "arcs": list(r.arcs), "flow": r.flow}
-            for r in sorted(scenario.routes, key=lambda r: r.id)
-        ],
-        "pairs": [[s, t] for s, t in scenario.pairs],
-        "params": {
-            "packet_size": scenario.params.packet_size,
-            "charge_efficiency": scenario.params.charge_efficiency,
-            "discharge_efficiency": scenario.params.discharge_efficiency,
-            "window": scenario.params.window,
-        },
-        "penetration": scenario.penetration,
-        "enumeration": {
-            "max_hops": scenario.enumeration.max_hops,
-            "max_paths": scenario.enumeration.max_paths,
-            "mode": scenario.enumeration.mode,
-        },
-        "caps": {
-            "loss_cap": None if math.isinf(scenario.loss_cap) else scenario.loss_cap,
-            "delivery_floor": scenario.delivery_floor,
-        },
-        "seed": scenario.seed,
-    }
+# One record of each bulk section, laid out as ``json.dumps(indent=2,
+# sort_keys=True)`` lays it out: floats through ``%r``, the ``float.__repr__``
+# that ``json`` writes, and ids through ``str``. No route is empty.
+_ARC_RECORD = """\
+      {
+        "delay": %r,
+        "flow": %r,
+        "head": %s,
+        "id": %s,
+        "length": %r,
+        "tail": %s
+      }"""
+_ROUTE_RECORD = """\
+    {
+      "arcs": [
+        %s
+      ],
+      "flow": %r,
+      "id": %s
+    }"""
+_MEMBER_SEPARATOR = ",\n        "
+
+
+def _floats(items: list, name: str) -> list[float]:
+    return list(map(float, map(attrgetter(name), items)))
+
+
+def _section(records: list[str], indent: str) -> str:
+    return "[\n" + ",\n".join(records) + "\n" + indent + "]" if records else "[]"
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical text form; equal scenarios serialize byte-identically."""
-    text = json.dumps(
-        scenario_to_dict(scenario), indent=2, sort_keys=True, allow_nan=False
+    """Canonical text: ``json.dumps(indent=2, sort_keys=True)`` of the document.
+
+    Equal scenarios serialize byte-identically, so they hash identically:
+    every float field is written as a float (``1.0``, never ``1``), and an
+    unlimited loss cap as ``null``. The arc and route sections are written
+    record by record from fixed templates and spliced into the ``json``
+    text of the rest. Raises ValueError on a non-finite number.
+    """
+    network = scenario.network
+    arcs = list(map(network.arcs.__getitem__, sorted(network.arcs)))
+    routes = sorted(scenario.routes, key=attrgetter("id"))
+    delays, flows, lengths = (_floats(arcs, name) for name in ("delay", "flow", "length"))
+    route_flows = _floats(routes, "flow")
+    if not all(map(math.isfinite, chain(delays, flows, lengths, route_flows))):
+        raise ValueError("Out of range float values are not JSON compliant")
+    heads, ids, tails = (map(attrgetter(name), arcs) for name in ("head", "id", "tail"))
+    arc_records = list(
+        map(_ARC_RECORD.__mod__, zip(delays, flows, heads, ids, lengths, tails))
     )
+    members = [_MEMBER_SEPARATOR.join(map(str, route.arcs)) for route in routes]
+    route_ids = map(attrgetter("id"), routes)
+    route_records = list(map(_ROUTE_RECORD.__mod__, zip(members, route_flows, route_ids)))
+
+    params = scenario.params
+    text = json.dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "units": UNITS,
+            "network": {"arcs": [], "junctions": sorted(network.junctions)},
+            "routes": [],
+            "pairs": [[s, t] for s, t in scenario.pairs],
+            "params": {
+                "packet_size": float(params.packet_size),
+                "charge_efficiency": float(params.charge_efficiency),
+                "discharge_efficiency": float(params.discharge_efficiency),
+                "window": float(params.window),
+            },
+            "penetration": float(scenario.penetration),
+            "enumeration": {
+                "max_hops": scenario.enumeration.max_hops,
+                "max_paths": scenario.enumeration.max_paths,
+                "mode": scenario.enumeration.mode,
+            },
+            "caps": {
+                "loss_cap": (
+                    None if math.isinf(scenario.loss_cap) else float(scenario.loss_cap)
+                ),
+                "delivery_floor": float(scenario.delivery_floor),
+            },
+            "seed": scenario.seed,
+        },
+        indent=2,
+        sort_keys=True,
+        allow_nan=False,
+    )
+    # "arcs" and "routes" are each the only key of that name in the rest.
+    text = text.replace('"arcs": []', '"arcs": ' + _section(arc_records, "    "), 1)
+    text = text.replace('"routes": []', '"routes": ' + _section(route_records, "  "), 1)
     return text + "\n"
 
 

@@ -12,27 +12,46 @@ The plan oracle is the per-path planner: it prices each path with the
 scalar ``path_economics``, fills in ``sorted((loss factor, hops, index))``
 order and sums the totals over eagerly built assignments. The library's
 array planner must reproduce it bit for bit.
+
+The scenario oracles are the dict-based writer and the per-field parser:
+``reference_serialize`` runs ``json.dumps`` over a document dict, and
+``reference_parse`` checks every field with ``_expect`` in document order
+and every route with ``validate_route``, in the scenario invariants' order.
+The library's fixed-layout writer and bulk-checked parser must match them
+byte for byte and message for message.
 """
 
+import json
 import math
 from itertools import combinations
 
 import numpy as np
 
 from venplan import (
+    FULL_ROUTE,
     GREEDY,
     INFEASIBLE,
     MAX_ENERGY,
     MIN_LOSS,
     OPTIMAL,
+    Arc,
+    EnergyParams,
     EnergyPath,
+    EnumerationConfig,
     PathAssignment,
     PER_HOP,
+    Scenario,
+    ScenarioFormatError,
     TransferPlan,
+    ValidationError,
+    VehicularRoute,
+    build_network,
     lp_assign,
     path_economics,
     sub_route,
+    validate_route,
 )
+from venplan.scenario import SCHEMA_VERSION, UNITS
 
 
 def materialized_sub_routes(network, routes, mode):
@@ -239,3 +258,221 @@ def reference_plan(request, method=GREEDY):
         transferred += a.energy
         loss += a.loss
     return TransferPlan(assignments, transferred, loss, status)
+
+
+def scenario_to_dict(scenario):
+    """Canonical JSON-ready form of a scenario; float fields as floats."""
+    params = scenario.params
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "units": dict(UNITS),
+        "network": {
+            "junctions": sorted(scenario.network.junctions),
+            "arcs": [
+                {
+                    "id": arc.id,
+                    "tail": arc.tail,
+                    "head": arc.head,
+                    "delay": float(arc.delay),
+                    "flow": float(arc.flow),
+                    "length": float(arc.length),
+                }
+                for arc_id, arc in sorted(scenario.network.arcs.items())
+            ],
+        },
+        "routes": [
+            {"id": r.id, "arcs": list(r.arcs), "flow": float(r.flow)}
+            for r in sorted(scenario.routes, key=lambda r: r.id)
+        ],
+        "pairs": [[s, t] for s, t in scenario.pairs],
+        "params": {
+            "packet_size": float(params.packet_size),
+            "charge_efficiency": float(params.charge_efficiency),
+            "discharge_efficiency": float(params.discharge_efficiency),
+            "window": float(params.window),
+        },
+        "penetration": float(scenario.penetration),
+        "enumeration": {
+            "max_hops": scenario.enumeration.max_hops,
+            "max_paths": scenario.enumeration.max_paths,
+            "mode": scenario.enumeration.mode,
+        },
+        "caps": {
+            "loss_cap": (
+                None if math.isinf(scenario.loss_cap) else float(scenario.loss_cap)
+            ),
+            "delivery_floor": float(scenario.delivery_floor),
+        },
+        "seed": scenario.seed,
+    }
+
+
+def reference_serialize(scenario):
+    return json.dumps(
+        scenario_to_dict(scenario), indent=2, sort_keys=True, allow_nan=False
+    ) + "\n"
+
+
+def _expect(obj, key, kind, where):
+    if not isinstance(obj, dict):
+        raise ScenarioFormatError(f"{where} must be an object")
+    if key not in obj:
+        raise ScenarioFormatError(f"{where}.{key} is missing")
+    value = obj[key]
+    if kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioFormatError(f"{where}.{key} must be a number")
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ScenarioFormatError(f"{where}.{key} must be finite")
+        return number
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioFormatError(f"{where}.{key} must be an integer")
+        return value
+    if not isinstance(value, kind):
+        raise ScenarioFormatError(f"{where}.{key} must be a {kind.__name__}")
+    return value
+
+
+def _reference_invariants(network, routes, pairs, penetration, loss_cap, delivery_floor):
+    """The scenario invariants, one route at a time, in the library's order."""
+    if not 0 <= penetration <= 1:
+        raise ValidationError("penetration must be within [0, 1]")
+    if not loss_cap >= 0:
+        raise ValidationError("loss_cap must be nonnegative")
+    if not (delivery_floor >= 0 and math.isfinite(delivery_floor)):
+        raise ValidationError("delivery_floor must be finite and nonnegative")
+    for route in routes:
+        validate_route(network, route)
+    route_ids = [r.id for r in routes]
+    if len(set(route_ids)) != len(route_ids):
+        raise ValidationError("duplicate route ids")
+    for s, t in pairs:
+        if s not in network.junctions:
+            raise ValidationError(f"pair source {s} is not a junction")
+        if t not in network.junctions:
+            raise ValidationError(f"pair target {t} is not a junction")
+        if s == t:
+            raise ValidationError("pair source and target must differ")
+
+
+def reference_parse(text):
+    """Parse a scenario document one field at a time."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioFormatError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise ScenarioFormatError("top level must be an object")
+
+    version = _expect(doc, "schema_version", int, "scenario")
+    if version != SCHEMA_VERSION:
+        raise ScenarioFormatError(
+            f"unsupported schema_version {version}; expected {SCHEMA_VERSION}"
+        )
+    units = _expect(doc, "units", dict, "scenario")
+    for key, expected in UNITS.items():
+        if units.get(key) != expected:
+            raise ScenarioFormatError(f"units.{key} must be {expected!r}")
+
+    network_obj = _expect(doc, "network", dict, "scenario")
+    junctions = _expect(network_obj, "junctions", list, "network")
+    for j in junctions:
+        if isinstance(j, bool) or not isinstance(j, int):
+            raise ScenarioFormatError("network.junctions must be integers")
+    arcs = []
+    for i, arc_obj in enumerate(_expect(network_obj, "arcs", list, "network")):
+        where = f"network.arcs[{i}]"
+        arcs.append(
+            Arc(
+                id=_expect(arc_obj, "id", int, where),
+                tail=_expect(arc_obj, "tail", int, where),
+                head=_expect(arc_obj, "head", int, where),
+                delay=_expect(arc_obj, "delay", float, where),
+                flow=_expect(arc_obj, "flow", float, where),
+                length=_expect(arc_obj, "length", float, where),
+            )
+        )
+    network = build_network(junctions, arcs)
+
+    routes = []
+    for i, route_obj in enumerate(_expect(doc, "routes", list, "scenario")):
+        where = f"routes[{i}]"
+        arc_ids = _expect(route_obj, "arcs", list, where)
+        for a in arc_ids:
+            if isinstance(a, bool) or not isinstance(a, int):
+                raise ScenarioFormatError(f"{where}.arcs must be integers")
+        routes.append(
+            VehicularRoute(
+                id=_expect(route_obj, "id", int, where),
+                arcs=tuple(arc_ids),
+                flow=_expect(route_obj, "flow", float, where),
+            )
+        )
+
+    pairs = []
+    for i, pair in enumerate(_expect(doc, "pairs", list, "scenario")):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
+        ):
+            raise ScenarioFormatError(f"pairs[{i}] must be a [source, target] pair")
+        pairs.append((pair[0], pair[1]))
+
+    params_obj = _expect(doc, "params", dict, "scenario")
+    params = EnergyParams(
+        packet_size=_expect(params_obj, "packet_size", float, "params"),
+        charge_efficiency=_expect(params_obj, "charge_efficiency", float, "params"),
+        discharge_efficiency=_expect(
+            params_obj, "discharge_efficiency", float, "params"
+        ),
+        window=_expect(params_obj, "window", float, "params"),
+    )
+
+    enum_obj = _expect(doc, "enumeration", dict, "scenario")
+    raw_max_paths = enum_obj.get("max_paths")
+    if raw_max_paths is not None:
+        raw_max_paths = _expect(enum_obj, "max_paths", int, "enumeration")
+    mode = _expect(enum_obj, "mode", str, "enumeration")
+    if mode not in (FULL_ROUTE, PER_HOP):
+        raise ScenarioFormatError(f"enumeration.mode must be one of {FULL_ROUTE!r}, {PER_HOP!r}")
+    enumeration = EnumerationConfig(
+        max_hops=_expect(enum_obj, "max_hops", int, "enumeration"),
+        max_paths=raw_max_paths,
+        mode=mode,
+    )
+
+    caps = doc.get("caps", {})
+    if not isinstance(caps, dict):
+        raise ScenarioFormatError("caps must be an object")
+    raw_cap = caps.get("loss_cap")
+    loss_cap = math.inf if raw_cap is None else _expect(caps, "loss_cap", float, "caps")
+    raw_floor = caps.get("delivery_floor")
+    delivery_floor = (
+        0.0 if raw_floor is None else _expect(caps, "delivery_floor", float, "caps")
+    )
+
+    seed = doc.get("seed")
+    if seed is not None:
+        seed = _expect(doc, "seed", int, "scenario")
+
+    penetration = _expect(doc, "penetration", float, "scenario")
+    _reference_invariants(network, routes, pairs, penetration, loss_cap, delivery_floor)
+    return Scenario(
+        network=network,
+        routes=tuple(routes),
+        pairs=tuple(pairs),
+        params=params,
+        penetration=penetration,
+        enumeration=enumeration,
+        loss_cap=loss_cap,
+        delivery_floor=delivery_floor,
+        seed=seed,
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,18 @@ def single_arc_path(seg_delays, seg_flows):
         sub_route(network, routes[i], 1, 1) for i in range(n)
     )
     return EnergyPath(source=1, target=n + 1, segments=segments), network, routes
+
+
+def shift_ids(net, routes, shift):
+    """The same network and routes with every junction, arc and route id
+    moved by ``shift``."""
+    arcs = [
+        dataclasses.replace(a, id=a.id + shift, tail=a.tail + shift, head=a.head + shift)
+        for a in net.arcs.values()
+    ]
+    shifted_net = build_network([j + shift for j in net.junctions], arcs)
+    shifted_routes = [
+        VehicularRoute(r.id + shift, tuple(a + shift for a in r.arcs), r.flow)
+        for r in routes
+    ]
+    return shifted_net, shifted_routes

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import venplan
-from venplan import parse_scenario, run_sweep, SweepSpec
+import venplan.cli
+import venplan.scenario
+from venplan import parse_scenario, run_sweep, scenario_hash, serialize_scenario, SweepSpec
 from venplan.cli import main
 
 from conftest import THREE_ROUTES
@@ -202,6 +205,25 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
         scenario = parse_scenario(a.read_text())
         assert scenario.seed == 7
+
+    def test_printed_hash_is_the_written_files(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def counting(scenario):
+            written.append(scenario)
+            return serialize_scenario(scenario)
+
+        # scenario_hash reaches serialize_scenario through venplan.scenario
+        monkeypatch.setattr(venplan.cli, "serialize_scenario", counting)
+        monkeypatch.setattr(venplan.scenario, "serialize_scenario", counting)
+        out = tmp_path / "gen.json"
+        assert main(self.ARGS + ["--seed", "5", "-o", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert capsys.readouterr().out == (
+            f"wrote scenario (seed 5, sha256 {digest[:12]}) to {out}\n"
+        )
+        assert len(written) == 1
+        assert scenario_hash(written[0]) == digest
 
     def test_generated_scenario_validates(self, tmp_path, capsys):
         out = tmp_path / "gen.json"

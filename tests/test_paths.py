@@ -26,6 +26,7 @@ from venplan import (
 from venplan.paths import _RouteIndex
 
 from _oracles import brute_force_paths, reference_bound_table
+from conftest import shift_ids
 
 
 def segment_shape(path):
@@ -281,21 +282,6 @@ class TestBoundTable:
         scenario = generate_scenario(config)
         assert max(len(r.arcs) for r in scenario.routes) >= 4
         self.check(scenario.network, scenario.routes)
-
-
-def shift_ids(net, routes, shift):
-    """The same network and routes with every junction, arc and route id
-    moved by ``shift``."""
-    arcs = [
-        dataclasses.replace(a, id=a.id + shift, tail=a.tail + shift, head=a.head + shift)
-        for a in net.arcs.values()
-    ]
-    shifted_net = build_network([j + shift for j in net.junctions], arcs)
-    shifted_routes = [
-        VehicularRoute(r.id + shift, tuple(a + shift for a in r.arcs), r.flow)
-        for r in routes
-    ]
-    return shifted_net, shifted_routes
 
 
 def unshift_path(path, shift):
