@@ -4,9 +4,11 @@ The library models a road network whose vehicle routes can ferry small
 energy packets between junctions equipped for wireless charge and
 discharge. It enumerates the energy paths connecting a source junction to a
 target, prices each path's deliverable energy and conversion loss, and
-solves two linear programs: maximize delivered energy under a loss budget,
-or meet a delivery floor at minimum loss. A scenario format, a seeded
-generator, and a sweep harness support repeatable experiments.
+plans each pair for one of two objectives: maximize delivered energy under
+a loss budget, or meet a delivery floor at minimum loss. Both are
+fractional knapsacks, which one greedy fill solves exactly. A scenario
+format, a seeded generator, and a sweep harness support repeatable
+experiments.
 """
 
 from ._version import __version__
@@ -22,7 +24,6 @@ from .network import (
     SubRoute,
     VehicularRoute,
     build_network,
-    route_junctions,
     sub_route,
     validate_route,
 )
@@ -31,9 +32,7 @@ from .paths import (
     PER_HOP,
     EnergyPath,
     EnumerationConfig,
-    PathViolation,
     enumerate_paths,
-    validate_path,
 )
 from .energetics import (
     EnergyParams,
@@ -42,22 +41,19 @@ from .energetics import (
     max_rate,
     max_transferable,
     path_economics,
-    path_loss,
-    source_injection,
 )
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, solve_lp
 from .planner import (
     GREEDY,
+    INFEASIBLE,
     MAX_ENERGY,
     MIN_LOSS,
-    SIMPLEX,
+    OPTIMAL,
     PairPlan,
     PathAssignment,
     PlanRequest,
     ScenarioSolution,
     TransferPlan,
     knapsack_assign,
-    lp_assign,
     solve,
     solve_scenario,
 )
@@ -75,7 +71,6 @@ from .sweep import (
     SweepResult,
     SweepSpec,
     find_crossover,
-    read_sweep_csv,
     run_sweep,
     sweep_metadata,
     sweep_to_csv,
@@ -92,31 +87,22 @@ __all__ = [
     "SubRoute",
     "VehicularRoute",
     "build_network",
-    "route_junctions",
     "sub_route",
     "validate_route",
     "FULL_ROUTE",
     "PER_HOP",
     "EnergyPath",
     "EnumerationConfig",
-    "PathViolation",
     "enumerate_paths",
-    "validate_path",
     "EnergyParams",
     "PathEconomics",
     "loss_factor",
     "max_rate",
     "max_transferable",
     "path_economics",
-    "path_loss",
-    "source_injection",
-    "LPResult",
-    "solve_lp",
     "OPTIMAL",
     "INFEASIBLE",
-    "UNBOUNDED",
     "GREEDY",
-    "SIMPLEX",
     "MAX_ENERGY",
     "MIN_LOSS",
     "PairPlan",
@@ -125,7 +111,6 @@ __all__ = [
     "ScenarioSolution",
     "TransferPlan",
     "knapsack_assign",
-    "lp_assign",
     "solve",
     "solve_scenario",
     "GeneratorConfig",
@@ -139,7 +124,6 @@ __all__ = [
     "SweepResult",
     "SweepSpec",
     "find_crossover",
-    "read_sweep_csv",
     "run_sweep",
     "sweep_metadata",
     "sweep_to_csv",

@@ -1,8 +1,9 @@
 """Command-line interface: validate, enumerate, solve, sweep, generate.
 
-Exit codes: 0 on success, 2 for command-line usage errors (argparse), 3 for
-scenario file/parse problems, 4 for semantic validation failures, and 5 for
-solver failures. Every machine-readable output records the scenario hash,
+Exit codes: 0 on success, 2 for command-line usage errors (argparse's, an
+output file that cannot be written, or ``--meta`` without ``--output``), 3
+for scenario file/parse problems, 4 for semantic validation failures, and 5
+for solver failures. Every machine-readable output records the scenario hash,
 the generation seed (when known), and the tool version.
 """
 
@@ -19,14 +20,7 @@ from typing import Optional, Sequence
 from ._version import __version__
 from .errors import ScenarioFormatError, SolverError, ValidationError
 from .paths import FULL_ROUTE, PER_HOP, EnergyPath, EnumerationConfig, enumerate_paths
-from .planner import (
-    GREEDY,
-    MAX_ENERGY,
-    MIN_LOSS,
-    SIMPLEX,
-    ScenarioSolution,
-    solve_scenario,
-)
+from .planner import GREEDY, MAX_ENERGY, MIN_LOSS, ScenarioSolution, solve_scenario
 from .scenario import (
     GeneratorConfig,
     Scenario,
@@ -44,11 +38,16 @@ from .sweep import (
 )
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_VALIDATION = 4
 EXIT_SOLVER = 5
 
 SEED_ENV_VAR = "VENPLAN_SEED"
+
+
+class _UsageError(Exception):
+    """A command line that cannot be carried out; exits 2, like argparse."""
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -95,7 +94,7 @@ def _path_to_dict(path: EnergyPath) -> dict:
 
 def _solution_to_dict(scenario: Scenario, solution: ScenarioSolution) -> dict:
     return {
-        "provenance": _provenance(scenario, solution.method),
+        "provenance": _provenance(scenario, GREEDY),
         "objective": solution.objective,
         "transferred_kwh": solution.transferred,
         "loss_kwh": solution.loss,
@@ -121,10 +120,16 @@ def _solution_to_dict(scenario: Scenario, solution: ScenarioSolution) -> dict:
     }
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -180,7 +185,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solution = solve_scenario(
         scenario,
         objective=args.objective,
-        method=args.solver,
         loss_cap=args.loss_cap,
         delivery_floor=args.delivery_floor,
     )
@@ -200,6 +204,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.meta and not args.output:
+        raise _UsageError("--meta requires --output")
     scenario = _load_scenario(args.scenario)
     try:
         values = tuple(float(v) for v in args.values.split(","))
@@ -217,14 +223,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         scenario,
         spec,
         objective=args.objective,
-        method=args.solver,
         loss_cap=args.loss_cap,
         delivery_floor=args.delivery_floor,
     )
     text = sweep_to_csv(result)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
         meta_path = args.meta or args.output + ".meta.json"
         _write_json(meta_path, sweep_metadata(result))
         print(f"wrote {len(result.points)} sweep rows to {args.output} "
@@ -259,8 +263,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     scenario = generate_scenario(config)
     text = serialize_scenario(scenario)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()  # = scenario_hash(scenario)
         print(f"wrote scenario (seed {seed}, sha256 {digest[:12]}) to {args.output}")
     else:
@@ -295,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--objective", choices=[MAX_ENERGY, MIN_LOSS], default=MAX_ENERGY
     )
-    p_solve.add_argument("--solver", choices=[GREEDY, SIMPLEX], default=GREEDY)
     p_solve.add_argument("--loss-cap", type=float, default=None,
                          help="kWh; overrides the scenario's cap; inf allowed")
     p_solve.add_argument("--delivery-floor", type=float, default=None,
@@ -313,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--objective", choices=[MAX_ENERGY, MIN_LOSS], default=MAX_ENERGY
     )
-    p_sweep.add_argument("--solver", choices=[GREEDY, SIMPLEX], default=GREEDY)
     p_sweep.add_argument("--efficiency", type=float, default=0.9,
                          help="nominal round-trip efficiency z")
     p_sweep.add_argument("--window", type=float, default=5.0,
@@ -325,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--loss-cap", type=float, default=math.inf)
     p_sweep.add_argument("--delivery-floor", type=float, default=0.0)
     p_sweep.add_argument("-o", "--output", help="CSV output path (stdout if absent)")
-    p_sweep.add_argument("--meta", help="metadata sidecar path "
+    p_sweep.add_argument("--meta", help="metadata sidecar path, with -o only "
                                         "(default: OUTPUT.meta.json)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -362,6 +363,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE) from None
 
 
 if __name__ == "__main__":

@@ -109,23 +109,6 @@ def loss_factor(params: EnergyParams, hops: int) -> float:
     return 1.0 / _retained(params, hops) - 1.0
 
 
-def path_loss(path: EnergyPath, params: EnergyParams, energy: float) -> float:
-    """kWh lost to charge-discharge cycles while delivering ``energy`` kWh."""
-    if energy < 0:
-        raise ValueError("energy must be nonnegative")
-    return loss_factor(params, path.hops) * energy
-
-
-def source_injection(path: EnergyPath, params: EnergyParams, energy: float) -> float:
-    """kWh that must be injected at the source to deliver ``energy`` kWh.
-
-    Equals the delivered energy plus the path loss.
-    """
-    if energy < 0:
-        raise ValueError("energy must be nonnegative")
-    return energy / _retained(params, path.hops)
-
-
 @dataclass(frozen=True)
 class PathEconomics:
     """Per-path planning coefficients derived from one parameter set."""

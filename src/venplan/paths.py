@@ -70,17 +70,6 @@ class EnergyPath:
         """Smallest vehicle flow among the segments, in vehicles per hour."""
         return min(seg.flow for seg in self.segments)
 
-    def junction_sequence(self, network: RoadNetwork) -> tuple[int, ...]:
-        """All junctions visited, shared segment boundaries counted once."""
-        if not self.segments:
-            return (self.source,)
-        seq = [self.segments[0].entry]
-        for seg in self.segments:
-            for arc_id in seg.arcs:
-                seq.append(network.arc(arc_id).head)
-        return tuple(seq)
-
-
 @dataclass(frozen=True)
 class EnumerationConfig:
     """Bounds and routing-information mode for path enumeration.
@@ -99,14 +88,6 @@ class EnumerationConfig:
             raise ValidationError("max_paths must be at least 1")
         if self.mode not in (FULL_ROUTE, PER_HOP):
             raise ValidationError(f"unknown enumeration mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class PathViolation:
-    """Names the first condition an invalid path breaks."""
-
-    condition: str  # "segment" | "source" | "target" | "chaining" | "loop"
-    detail: str
 
 
 class _RouteIndex:
@@ -409,45 +390,3 @@ def enumerate_paths(
                 if head == target or per_hop:
                     break  # past the target every slice revisits it
     return results
-
-
-def validate_path(
-    path: EnergyPath, network: RoadNetwork, routes: Sequence[VehicularRoute]
-) -> Optional[PathViolation]:
-    """Check a path's construction conditions; None means the path is valid.
-
-    Conditions, in the order they are reported: every segment is a genuine
-    slice of a declared route; the first segment starts at the path source;
-    the last segment ends at the target; each segment starts where the
-    previous one ended; no junction is visited twice.
-    """
-    route_map = {r.id: r for r in routes}
-    for seg in path.segments:
-        route = route_map.get(seg.route_id)
-        if route is None:
-            return PathViolation("segment", f"unknown route id {seg.route_id}")
-        if not 1 <= seg.start <= seg.end <= len(route.arcs):
-            return PathViolation(
-                "segment",
-                f"indices ({seg.start}, {seg.end}) out of range for route {seg.route_id}",
-            )
-        expected = sub_route(network, route, seg.start, seg.end)
-        if seg != expected:
-            return PathViolation(
-                "segment",
-                f"segment ({seg.route_id}, {seg.start}, {seg.end}) does not match its route",
-            )
-    if not path.segments or path.segments[0].entry != path.source:
-        return PathViolation("source", f"first segment does not start at {path.source}")
-    if path.segments[-1].exit != path.target:
-        return PathViolation("target", f"last segment does not end at {path.target}")
-    for i in range(len(path.segments) - 1):
-        if path.segments[i].exit != path.segments[i + 1].entry:
-            return PathViolation(
-                "chaining",
-                f"segment {i + 2} does not start where segment {i + 1} ends",
-            )
-    seq = path.junction_sequence(network)
-    if len(set(seq)) != len(seq):
-        return PathViolation("loop", "path visits a junction twice")
-    return None

@@ -5,8 +5,8 @@ feasible energies, so both planning problems reduce to one-constraint
 fractional knapsacks over the per-path delivered energies: maximize total
 delivered energy subject to a loss budget, or meet a delivery floor at
 minimum total loss. A greedy fill in ascending per-unit-loss order solves
-either exactly; an LP route through the bounded simplex provides an
-independent cross-check on the same instances.
+either exactly, so it is the only solver; the tests check it against a
+general LP solver and a vertex-enumeration oracle.
 
 A request's paths are priced as arrays in one pass (``economics_arrays``),
 and a plan builds its per-path ``assignments`` only when they are first
@@ -28,15 +28,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energetics import EnergyParams, PathEconomics, economics_arrays, path_economics
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .paths import EnergyPath, enumerate_paths
 from .scenario import Scenario
-from .simplex import INFEASIBLE, OPTIMAL, solve_lp
 
 MAX_ENERGY = "max-energy"
 MIN_LOSS = "min-loss"
-GREEDY = "greedy"
-SIMPLEX = "simplex"
+GREEDY = "greedy"  # the solver that output provenance records
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -209,51 +209,8 @@ def knapsack_assign(
     raise ValidationError(f"unknown objective {objective!r}")
 
 
-def lp_assign(
-    capacities, loss_factors, objective: str, bound: float
-) -> tuple[np.ndarray, str]:
-    """Solve the same instance through the bounded-variable simplex."""
-    caps, lams = _check_instance(capacities, loss_factors)
-    n = caps.size
-    if objective == MAX_ENERGY:
-        if not bound >= 0:
-            raise ValidationError("loss cap must be nonnegative")
-        rows = None
-        rhs = None
-        if math.isfinite(bound):
-            rows = lams.reshape(1, -1)
-            rhs = [bound]
-        result = solve_lp(np.ones(n), rows, rhs, lower=0.0, upper=caps, maximize=True)
-        if result.status != OPTIMAL:
-            raise SolverError(f"max-energy LP unexpectedly {result.status}")
-        return result.x, OPTIMAL
-    if objective == MIN_LOSS:
-        if not (bound >= 0 and math.isfinite(bound)):
-            raise ValidationError("delivery floor must be finite and nonnegative")
-        rows = None
-        rhs = None
-        if bound > 0:
-            rows = -np.ones((1, n))
-            rhs = [-bound]
-        result = solve_lp(lams, rows, rhs, lower=0.0, upper=caps, maximize=False)
-        if result.status == INFEASIBLE:
-            return caps.copy(), INFEASIBLE
-        if result.status != OPTIMAL:
-            raise SolverError(f"min-loss LP unexpectedly {result.status}")
-        return result.x, OPTIMAL
-    raise ValidationError(f"unknown objective {objective!r}")
-
-
-def _assign(caps, lams, hops, objective, bound, method):
-    if method == GREEDY:
-        return knapsack_assign(caps, lams, objective, bound, hops)
-    if method == SIMPLEX:
-        return lp_assign(caps, lams, objective, bound)
-    raise ValidationError(f"unknown method {method!r}")
-
-
-def solve(request: PlanRequest, method: str = GREEDY) -> TransferPlan:
-    """Plan one request for its objective with the given method.
+def solve(request: PlanRequest) -> TransferPlan:
+    """Plan one request for its objective with the greedy fill.
 
     Max-energy maximizes delivered energy subject to the loss cap; min-loss
     minimizes total loss while meeting the delivery floor. When the floor
@@ -275,7 +232,7 @@ def solve(request: PlanRequest, method: str = GREEDY) -> TransferPlan:
         request.paths, request.params, request.penetration
     )
     hops = [p.hops for p in request.paths]
-    x, status = _assign(caps, lams, hops, request.objective, bound, method)
+    x, status = knapsack_assign(caps, lams, request.objective, bound, hops)
     return _deferred_plan(request, x.tolist(), lams.tolist(), status)
 
 
@@ -297,13 +254,11 @@ class ScenarioSolution:
     transferred: float  # kWh
     loss: float  # kWh
     objective: str
-    method: str
 
 
 def solve_scenario(
     scenario: Scenario,
     objective: str = MAX_ENERGY,
-    method: str = GREEDY,
     loss_cap: Optional[float] = None,
     delivery_floor: Optional[float] = None,
 ) -> ScenarioSolution:
@@ -330,7 +285,7 @@ def solve_scenario(
             delivery_floor=floor,
             penetration=scenario.penetration,
         )
-        plan = solve(request, method)
+        plan = solve(request)
         pair_plans.append(
             PairPlan(source=source, target=target, paths=tuple(paths), plan=plan)
         )
@@ -341,5 +296,4 @@ def solve_scenario(
         transferred=transferred,
         loss=loss,
         objective=objective,
-        method=method,
     )

@@ -69,7 +69,6 @@ class SweepResult:
 
     spec: SweepSpec
     objective: str
-    method: str
     points: tuple[SweepPoint, ...]
     scenario_digest: str
     seed: Optional[int]
@@ -106,8 +105,11 @@ def run_sweep(
     """Re-solve every scenario pair at each swept value.
 
     Point totals are the exact sums of the per-pair breakdown entries, in
-    pair order.
+    pair order. ``method`` accepts only ``GREEDY``, the one solver; the
+    keyword stays only because the benchmark's sweep workload passes it.
     """
+    if method != GREEDY:
+        raise ValidationError(f"unknown method {method!r}; the solver is {GREEDY!r}")
     pair_paths: list[tuple[int, int, tuple[EnergyPath, ...]]] = []
     for source, target in scenario.pairs:
         paths = enumerate_paths(
@@ -130,7 +132,7 @@ def run_sweep(
                 delivery_floor=delivery_floor,
                 penetration=penetration,
             )
-            plan = solve(request, method)
+            plan = solve(request)
             breakdown.append((source, target, plan.transferred, plan.loss))
             transferred += plan.transferred
             loss += plan.loss
@@ -145,7 +147,6 @@ def run_sweep(
     return SweepResult(
         spec=spec,
         objective=objective,
-        method=method,
         points=tuple(points),
         scenario_digest=scenario_hash(scenario),
         seed=scenario.seed,
@@ -167,21 +168,13 @@ def sweep_to_csv(result: SweepResult) -> str:
     return buffer.getvalue()
 
 
-def read_sweep_csv(text: str) -> list[tuple[float, float, float]]:
-    """Parse rows written by :func:`sweep_to_csv` back into floats."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise ValidationError(f"unexpected CSV header {rows[0] if rows else None!r}")
-    return [(float(v), float(x), float(l)) for v, x, l in rows[1:]]
-
-
 def sweep_metadata(result: SweepResult) -> dict:
     """Provenance sidecar content for a sweep run."""
     return {
         "parameter": result.spec.parameter,
         "values": list(result.spec.values),
         "objective": result.objective,
-        "solver": result.method,
+        "solver": GREEDY,
         "scenario_sha256": result.scenario_digest,
         "seed": result.seed,
         "tool_version": result.tool_version,

@@ -3,7 +3,9 @@
 The path oracle materializes every sub-route up front and recursively tries
 all concatenations; the LP oracle enumerates candidate vertices from all
 n-subsets of the active constraint set. Both are deliberately brute force
-and share no code with the implementations they check.
+and share no code with the implementations they check. ``lp_assign`` solves
+the planner's knapsack instances as general LPs through the bounded simplex
+in ``_simplex``, independently of the greedy fill.
 
 The bound-table oracle is the pure-Python table the search's array table
 must reproduce bit for bit: one scalar backward pass per route and layer.
@@ -19,17 +21,25 @@ The scenario oracles are the dict-based writer and the per-field parser:
 and every route with ``validate_route``, in the scenario invariants' order.
 The library's fixed-layout writer and bulk-checked parser must match them
 byte for byte and message for message.
+
+The remaining helpers check or re-read library output: ``validate_path``
+names the first construction rule a path breaks, ``path_loss`` and
+``source_injection`` account one path's energy, and ``read_sweep_csv``
+parses a sweep CSV back into floats.
 """
 
+import csv
+import io
 import json
 import math
+from dataclasses import dataclass
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
 from venplan import (
     FULL_ROUTE,
-    GREEDY,
     INFEASIBLE,
     MAX_ENERGY,
     MIN_LOSS,
@@ -45,13 +55,19 @@ from venplan import (
     TransferPlan,
     ValidationError,
     VehicularRoute,
+    SolverError,
     build_network,
-    lp_assign,
+    loss_factor,
     path_economics,
     sub_route,
     validate_route,
 )
+from venplan.energetics import _retained
+from venplan.planner import _check_instance
 from venplan.scenario import SCHEMA_VERSION, UNITS
+from venplan.sweep import CSV_COLUMNS
+
+from _simplex import solve_lp
 
 
 def materialized_sub_routes(network, routes, mode):
@@ -229,8 +245,44 @@ def reference_fill(capacities, loss_factors, objective, bound, hops=None):
     return x, OPTIMAL
 
 
-def reference_plan(request, method=GREEDY):
-    """Plan ``request`` one path object at a time, as the scalar planner did."""
+def lp_assign(capacities, loss_factors, objective, bound):
+    """Solve a knapsack instance of :func:`venplan.knapsack_assign` as an LP."""
+    caps, lams = _check_instance(capacities, loss_factors)
+    n = caps.size
+    if objective == MAX_ENERGY:
+        if not bound >= 0:
+            raise ValidationError("loss cap must be nonnegative")
+        rows = None
+        rhs = None
+        if math.isfinite(bound):
+            rows = lams.reshape(1, -1)
+            rhs = [bound]
+        result = solve_lp(np.ones(n), rows, rhs, lower=0.0, upper=caps, maximize=True)
+        if result.status != OPTIMAL:
+            raise SolverError(f"max-energy LP unexpectedly {result.status}")
+        return result.x, OPTIMAL
+    if objective == MIN_LOSS:
+        if not (bound >= 0 and math.isfinite(bound)):
+            raise ValidationError("delivery floor must be finite and nonnegative")
+        rows = None
+        rhs = None
+        if bound > 0:
+            rows = -np.ones((1, n))
+            rhs = [-bound]
+        result = solve_lp(lams, rows, rhs, lower=0.0, upper=caps, maximize=False)
+        if result.status == INFEASIBLE:
+            return caps.copy(), INFEASIBLE
+        if result.status != OPTIMAL:
+            raise SolverError(f"min-loss LP unexpectedly {result.status}")
+        return result.x, OPTIMAL
+    raise ValidationError(f"unknown objective {objective!r}")
+
+
+def reference_plan(request, lp=False):
+    """Plan ``request`` one path object at a time, as the scalar planner did.
+
+    ``lp=True`` fills with :func:`lp_assign` instead of the greedy fill.
+    """
     econ = [
         path_economics(p, request.params, request.penetration) for p in request.paths
     ]
@@ -244,10 +296,10 @@ def reference_plan(request, method=GREEDY):
     caps = [e.capacity for e in econ]
     lams = [e.loss_factor for e in econ]
     hops = [e.path.hops for e in econ]
-    if method == GREEDY:
-        x, status = reference_fill(caps, lams, request.objective, bound, hops)
-    else:
+    if lp:
         x, status = lp_assign(caps, lams, request.objective, bound)
+    else:
+        x, status = reference_fill(caps, lams, request.objective, bound, hops)
     assignments = tuple(
         PathAssignment(economics=e, energy=float(v), rate=e.max_rate)
         for e, v in zip(econ, x)
@@ -476,3 +528,87 @@ def reference_parse(text):
         delivery_floor=delivery_floor,
         seed=seed,
     )
+
+
+@dataclass(frozen=True)
+class PathViolation:
+    """Names the first condition an invalid path breaks."""
+
+    condition: str  # "segment" | "source" | "target" | "chaining" | "loop"
+    detail: str
+
+
+def junction_sequence(path, network):
+    """All junctions a path visits, shared segment boundaries counted once."""
+    if not path.segments:
+        return (path.source,)
+    seq = [path.segments[0].entry]
+    for seg in path.segments:
+        for arc_id in seg.arcs:
+            seq.append(network.arc(arc_id).head)
+    return tuple(seq)
+
+
+def validate_path(path, network, routes) -> Optional[PathViolation]:
+    """Check a path's construction conditions; None means the path is valid.
+
+    Conditions, in the order they are reported: every segment is a genuine
+    slice of a declared route; the first segment starts at the path source;
+    the last segment ends at the target; each segment starts where the
+    previous one ended; no junction is visited twice.
+    """
+    route_map = {r.id: r for r in routes}
+    for seg in path.segments:
+        route = route_map.get(seg.route_id)
+        if route is None:
+            return PathViolation("segment", f"unknown route id {seg.route_id}")
+        if not 1 <= seg.start <= seg.end <= len(route.arcs):
+            return PathViolation(
+                "segment",
+                f"indices ({seg.start}, {seg.end}) out of range for route {seg.route_id}",
+            )
+        expected = sub_route(network, route, seg.start, seg.end)
+        if seg != expected:
+            return PathViolation(
+                "segment",
+                f"segment ({seg.route_id}, {seg.start}, {seg.end}) does not match its route",
+            )
+    if not path.segments or path.segments[0].entry != path.source:
+        return PathViolation("source", f"first segment does not start at {path.source}")
+    if path.segments[-1].exit != path.target:
+        return PathViolation("target", f"last segment does not end at {path.target}")
+    for i in range(len(path.segments) - 1):
+        if path.segments[i].exit != path.segments[i + 1].entry:
+            return PathViolation(
+                "chaining",
+                f"segment {i + 2} does not start where segment {i + 1} ends",
+            )
+    seq = junction_sequence(path, network)
+    if len(set(seq)) != len(seq):
+        return PathViolation("loop", "path visits a junction twice")
+    return None
+
+
+def path_loss(path, params, energy):
+    """kWh lost to charge-discharge cycles while delivering ``energy`` kWh."""
+    if energy < 0:
+        raise ValueError("energy must be nonnegative")
+    return loss_factor(params, path.hops) * energy
+
+
+def source_injection(path, params, energy):
+    """kWh that must be injected at the source to deliver ``energy`` kWh.
+
+    Equals the delivered energy plus the path loss.
+    """
+    if energy < 0:
+        raise ValueError("energy must be nonnegative")
+    return energy / _retained(params, path.hops)
+
+
+def read_sweep_csv(text):
+    """Parse rows written by :func:`venplan.sweep_to_csv` back into floats."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or tuple(rows[0]) != CSV_COLUMNS:
+        raise ValidationError(f"unexpected CSV header {rows[0] if rows else None!r}")
+    return [(float(v), float(x), float(l)) for v, x, l in rows[1:]]

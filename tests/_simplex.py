@@ -3,9 +3,12 @@
 Solves max (or min) of c @ x subject to a_ub @ x <= b_ub and
 lower <= x <= upper. Nonbasic variables rest at one of their bounds, so box
 constraints never enter the tableau, and Bland's smallest-index rule guards
-against cycling. Built for the small, dense planning problems in this
-package, where determinism matters more than speed: the basis is refactored
-from scratch every iteration.
+against cycling. Determinism matters more than speed here: the basis is
+refactored from scratch every iteration.
+
+The tests' LP oracle: it solves the planner's knapsack instances as general
+LPs (``_oracles.lp_assign``), independently of the greedy fill, and is itself
+checked against a vertex-enumeration oracle and against HiGHS.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError
+from venplan import INFEASIBLE, OPTIMAL, SolverError
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
@@ -26,8 +29,6 @@ _AT_UPPER = 1
 _FREE = 2
 _BASIC = 3
 
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 

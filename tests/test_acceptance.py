@@ -8,10 +8,10 @@ Criteria, tolerances, and time budgets:
 2. Enumeration completeness: on 50 seeded random scenarios (<= 8 junctions,
    <= 6 routes, hop cap <= 4, no result cap) the enumerated sets equal
    brute-force concatenation sets exactly, in under 30 s total.
-3. Solver equivalence: on 200 seeded random instances (<= 100 paths) greedy
-   and simplex optima agree within 1e-9 relative for both objectives; on
-   instances with <= 4 paths both also match a vertex-enumeration oracle
-   within 1e-9. Under 60 s total.
+3. Solver equivalence: on 200 seeded random instances (<= 100 paths) the
+   greedy fill and the tests' simplex LP oracle agree within 1e-9 relative
+   for both objectives; on instances with <= 4 paths both also match a
+   vertex-enumeration oracle within 1e-9. Under 60 s total.
 4. Loss-dominance and monotonicity: when every path retains at most half
    its energy, 1000 sampled feasible plans all lose at least what they
    deliver; the max-energy optimum is nondecreasing in the loss cap and
@@ -49,18 +49,21 @@ from venplan import (
     find_crossover,
     generate_scenario,
     knapsack_assign,
-    lp_assign,
     parse_scenario,
-    path_loss,
     run_sweep,
     serialize_scenario,
     solve,
     solve_scenario,
-    source_injection,
 )
 from venplan.energetics import EnergyParams
 
-from _oracles import brute_force_paths, vertex_enumeration_lp
+from _oracles import (
+    brute_force_paths,
+    lp_assign,
+    path_loss,
+    source_injection,
+    vertex_enumeration_lp,
+)
 from _properties import check_tradeoff_properties
 from conftest import single_arc_path
 

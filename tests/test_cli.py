@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import venplan
 import venplan.cli
@@ -129,9 +132,15 @@ class TestSolve:
         ) == 0
         assert "infeasible" in capsys.readouterr().out
 
-    def test_simplex_solver_agrees(self, capsys):
-        assert main(["solve", FIXTURE, "--solver", "simplex"]) == 0
-        assert "32.4675" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "command",
+        [["solve"], ["sweep", "--parameter", "z", "--values", "0.9"]],
+        ids=["solve", "sweep"],
+    )
+    def test_solver_option_removed(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command[0], FIXTURE, *command[1:], "--solver", "simplex"])
+        assert exc.value.code == 2
 
     def test_loss_cap_flag(self, capsys):
         assert main(["solve", FIXTURE, "--loss-cap", "0"]) == 0
@@ -183,6 +192,16 @@ class TestSweep:
         assert main(
             ["sweep", FIXTURE, "--parameter", "z", "--values", "abc"]
         ) == 4
+
+    def test_meta_requires_output(self, tmp_path, capsys):
+        meta = tmp_path / "sweep.meta.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", FIXTURE, "--parameter", "z", "--values", "0.9",
+                  "--meta", str(meta)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --meta requires --output\n")
+        assert not meta.exists()
 
     def test_deterministic_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
@@ -259,6 +278,121 @@ class TestGenerate:
             4, 20, "full-route"
         )
         assert parse_scenario(uncapped.read_text()).enumeration.max_paths is None
+
+
+# One short run of each command that writes an output file.
+WRITERS = {
+    "enumerate": ["enumerate", FIXTURE],
+    "solve": ["solve", FIXTURE],
+    "sweep": ["sweep", FIXTURE, "--parameter", "z", "--values", "0.9"],
+    "generate": ["generate", "--seed", "1", "--junctions", "12", "--arcs", "25",
+                 "--routes", "8", "--pairs", "2"],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, command, kind):
+        target = tmp_path / "missing" / "out" if kind == "missing-directory" else tmp_path
+        with pytest.raises(SystemExit) as exc:
+            main(WRITERS[command] + ["-o", str(target)])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {str(target)!r}: ")
+
+    def test_unwritable_sweep_metadata(self, tmp_path, capsys):
+        meta = tmp_path / "missing" / "sweep.meta.json"
+        with pytest.raises(SystemExit) as exc:
+            main(WRITERS["sweep"] + ["-o", str(tmp_path / "sweep.csv"),
+                                     "--meta", str(meta)])
+        assert exc.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: cannot write {str(meta)!r}: ")
+
+
+NUMBERS = st.sampled_from(
+    ["-1", "0", "1", "2", "3", "0.5", "nan", "inf", "-inf", "1e400", "1e-200", "abc", ""]
+)
+# Output paths by kind, resolved inside the test's directory.
+PATHS = ["file", "missing-directory", "directory"]
+MODES = st.sampled_from(["full-route", "per-hop", "bogus"])
+OBJECTIVES = st.sampled_from(["max-energy", "min-loss", "bogus"])
+FUZZ_FLAGS = {
+    "enumerate": {
+        "--source": NUMBERS, "--target": NUMBERS, "--max-hops": NUMBERS,
+        "--max-paths": NUMBERS, "--mode": MODES,
+    },
+    "solve": {
+        "--objective": OBJECTIVES, "--loss-cap": NUMBERS, "--delivery-floor": NUMBERS,
+    },
+    "sweep": {
+        "--parameter": st.sampled_from(["z", "T", "w", "penetration", "bogus"]),
+        "--values": st.sampled_from(
+            ["0.5,0.9", "0.9,0.5", "0.1,0.2,inf", "nan", "1e400", "1e-200", "-1",
+             "0", "abc", ""]
+        ),
+        "--objective": OBJECTIVES,
+        "--efficiency": NUMBERS, "--window": NUMBERS, "--packet-size": NUMBERS,
+        "--penetration": NUMBERS, "--loss-cap": NUMBERS, "--delivery-floor": NUMBERS,
+        "--meta": st.sampled_from(PATHS),
+    },
+    "generate": {
+        "--seed": NUMBERS, "--junctions": NUMBERS, "--arcs": NUMBERS,
+        "--routes": NUMBERS, "--pairs": NUMBERS, "--max-route-length": NUMBERS,
+        "--max-hops": NUMBERS, "--max-paths": NUMBERS, "--mode": MODES,
+        "--penetration": NUMBERS,
+    },
+}
+
+
+@st.composite
+def argument_vectors(draw):
+    """``validate`` on the fixture, or a writer with overridden flags."""
+    command = draw(st.sampled_from(["validate"] + sorted(WRITERS)))
+    if command == "validate":
+        return ["validate", FIXTURE]
+    argv = list(WRITERS[command])
+    flags = FUZZ_FLAGS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4)):
+        argv += [flag, draw(flags[flag])]
+    output = draw(st.sampled_from([None] + PATHS))
+    if output is not None:
+        argv += ["-o", output]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestArgumentVectorFuzz:
+    """Every argument vector ends in a documented exit code, never a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=argument_vectors())
+    def test_documented_exit_codes_only(self, fuzz_dir, argv):
+        paths = {
+            "file": str(fuzz_dir / "out"),
+            "missing-directory": str(fuzz_dir / "missing" / "out"),
+            "directory": str(fuzz_dir),
+        }
+        argv = [paths.get(a, a) if i and argv[i - 1] in ("-o", "--meta") else a
+                for i, a in enumerate(argv)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                code = exc.code
+            else:
+                assert code in (0, 3, 4, 5), argv
+        if code:
+            assert "error: " in err.getvalue(), argv
 
 
 def _nan_arc_delay(doc):

@@ -16,12 +16,11 @@ from venplan import (
     max_rate,
     max_transferable,
     path_economics,
-    path_loss,
-    source_injection,
 )
 
 from venplan.energetics import economics_arrays
 
+from _oracles import path_loss, source_injection
 from conftest import single_arc_path
 
 

@@ -8,10 +8,10 @@ from venplan import (
     ValidationError,
     VehicularRoute,
     build_network,
-    route_junctions,
     sub_route,
     validate_route,
 )
+from venplan.network import route_junctions
 
 from conftest import chain_network
 

@@ -20,12 +20,11 @@ from venplan import (
     enumerate_paths,
     generate_scenario,
     sub_route,
-    validate_path,
 )
 
 from venplan.paths import _RouteIndex
 
-from _oracles import brute_force_paths, reference_bound_table
+from _oracles import brute_force_paths, reference_bound_table, validate_path
 from conftest import shift_ids
 
 

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from venplan import (
-    GREEDY,
     INFEASIBLE,
     MAX_ENERGY,
     MIN_LOSS,
     OPTIMAL,
-    SIMPLEX,
     Arc,
     EnergyParams,
     EnergyPath,
@@ -23,13 +21,12 @@ from venplan import (
     enumerate_paths,
     generate_scenario,
     knapsack_assign,
-    lp_assign,
     solve,
     solve_scenario,
     sub_route,
 )
 
-from _oracles import reference_fill, reference_plan, vertex_enumeration_lp
+from _oracles import lp_assign, reference_fill, reference_plan, vertex_enumeration_lp
 from _properties import check_tradeoff_properties
 from conftest import single_arc_path
 
@@ -329,8 +326,11 @@ class TestArrayPlannerMatchesScalarReference:
         for paths in self.pair_paths(6):
             window = 2 * max(p.delay for p in paths)
             for request in self.requests(paths, 0.9, window, 1.0):
-                plan = solve(request, SIMPLEX)
-                assert_same_plan(plan, reference_plan(request, SIMPLEX))
+                plan = solve(request)
+                lp = reference_plan(request, lp=True)
+                assert plan.status == lp.status
+                assert plan.transferred == pytest.approx(lp.transferred, rel=1e-9)
+                assert plan.loss == pytest.approx(lp.loss, rel=1e-9, abs=1e-12)
 
 
 class TestPlanEquality:
@@ -383,10 +383,20 @@ class TestScenarioPipeline:
             assert a.energy == pytest.approx(a.economics.capacity, rel=1e-12)
 
     def test_methods_agree_on_fixture(self, three_routes_scenario):
-        greedy = solve_scenario(three_routes_scenario, method=GREEDY)
-        lp = solve_scenario(three_routes_scenario, method=SIMPLEX)
-        assert greedy.transferred == pytest.approx(lp.transferred, rel=1e-9)
-        assert greedy.loss == pytest.approx(lp.loss, rel=1e-9)
+        s = three_routes_scenario
+        greedy = solve_scenario(s)
+        lp = [
+            reference_plan(
+                PlanRequest(pair.paths, s.params, MAX_ENERGY,
+                            loss_cap=s.loss_cap, penetration=s.penetration),
+                lp=True,
+            )
+            for pair in greedy.pairs
+        ]
+        assert greedy.transferred == pytest.approx(
+            sum(p.transferred for p in lp), rel=1e-9
+        )
+        assert greedy.loss == pytest.approx(sum(p.loss for p in lp), rel=1e-9)
 
     def test_min_loss_floor_on_fixture(self, three_routes_scenario):
         solution = solve_scenario(

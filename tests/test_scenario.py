@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import venplan.cli
+import venplan.energetics
+import venplan.planner
 import venplan.scenario
 import venplan.sweep
 from venplan import (
@@ -587,3 +589,30 @@ class TestTracedCallSites:
             "venplan.scenario.build_network",
             "venplan.cli.scenario_hash",
         ]
+
+    def test_planner_globals_are_the_defining_functions(self):
+        planner = venplan.planner
+        for name in ("solve", "knapsack_assign", "solve_scenario"):
+            assert getattr(planner, name).__module__ == "venplan.planner", name
+        assert venplan.sweep.solve is planner.solve
+        assert venplan.cli.solve_scenario is planner.solve_scenario
+        assert planner.path_economics is venplan.energetics.path_economics
+
+    def test_solve_assigns_through_the_planner_global(
+        self, monkeypatch, tmp_path, three_routes_scenario
+    ):
+        calls = []
+        real = venplan.planner.knapsack_assign
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(venplan.planner, "knapsack_assign", counting)
+        venplan.planner.solve_scenario(three_routes_scenario)
+        assert len(calls) == len(three_routes_scenario.pairs)
+        spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.9))
+        venplan.sweep.run_sweep(three_routes_scenario, spec)
+        assert len(calls) == 3 * len(three_routes_scenario.pairs)
+        assert main(["solve", str(THREE_ROUTES), "-o", str(tmp_path / "plan.json")]) == 0
+        assert len(calls) == 4 * len(three_routes_scenario.pairs)

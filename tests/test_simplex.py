@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from venplan import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from venplan import INFEASIBLE, OPTIMAL
 
 from _oracles import vertex_enumeration_lp
+from _simplex import UNBOUNDED, solve_lp
 
 
 class TestBasics:

@@ -3,16 +3,18 @@ import dataclasses
 import pytest
 
 from venplan import (
+    GREEDY,
     EnumerationConfig,
     SweepSpec,
     ValidationError,
     find_crossover,
-    read_sweep_csv,
     run_sweep,
     scenario_hash,
     sweep_metadata,
     sweep_to_csv,
 )
+
+from _oracles import read_sweep_csv
 
 
 class TestSweepSpec:
@@ -73,6 +75,12 @@ class TestRunSweep:
         assert meta["scenario_sha256"] == result.scenario_digest
         assert meta["solver"] == "greedy"
         assert meta["tool_version"] == result.tool_version
+
+    def test_greedy_is_the_only_method(self, three_routes_scenario):
+        greedy = self.run(three_routes_scenario, "z", (0.5, 0.9), method=GREEDY)
+        assert greedy == self.run(three_routes_scenario, "z", (0.5, 0.9))
+        with pytest.raises(ValidationError, match="unknown method 'simplex'"):
+            self.run(three_routes_scenario, "z", (0.5, 0.9), method="simplex")
 
 
 class TestCsv:
