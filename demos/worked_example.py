@@ -59,10 +59,11 @@ for loss_cap in (float("inf"), 2.0, 0.0):
         f"\nmax-energy with loss cap {loss_cap:g} kWh -> "
         f"delivered {plan.transferred:g} kWh, lost {plan.loss:g} kWh"
     )
-    for a in plan.assignments:
-        if a.energy:
-            print(f"  {a.energy:g} kWh over the {a.path.hops}-hop path "
-                  f"(loss {a.loss:g} kWh)")
+    for path, energy in zip(request.paths, plan.energies):
+        if energy:
+            econ = path_economics(path, params, scenario.penetration)
+            print(f"  {energy:g} kWh over the {path.hops}-hop path "
+                  f"(loss {econ.loss_factor * energy:g} kWh)")
 
 # --- meet a delivery floor at minimum loss ----------------------------------
 request = PlanRequest(
@@ -72,6 +73,6 @@ request = PlanRequest(
 plan = solve(request)
 print(f"\nmin-loss delivering at least 10 kWh -> lost {plan.loss:g} kWh "
       f"({plan.status})")
-for a in plan.assignments:
-    if a.energy:
-        print(f"  {a.energy:g} kWh over the {a.path.hops}-hop path")
+for path, energy in zip(request.paths, plan.energies):
+    if energy:
+        print(f"  {energy:g} kWh over the {path.hops}-hop path")

@@ -10,6 +10,7 @@ the generation seed (when known), and the tool version.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -112,7 +113,7 @@ def _solution_to_dict(scenario: Scenario, solution: ScenarioSolution) -> dict:
                         "rate_kwh_per_hour": a.rate,
                         "loss_kwh": a.loss,
                     }
-                    for a in pair.plan.assignments
+                    for a in pair.assignments
                 ],
             }
             for pair in solution.pairs
@@ -120,16 +121,35 @@ def _solution_to_dict(scenario: Scenario, solution: ScenarioSolution) -> dict:
     }
 
 
-def _write_text(path: str, text: str) -> None:
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outputs(*outputs: tuple[str, str]) -> None:
+    """Write each (path, text) in place, or none if one cannot be opened.
+
+    Every path is opened before any is written, in append mode so that an
+    existing file keeps its bytes until it is written; the files this call
+    created are removed again when a later output fails to open.
+    """
+    handles: list = []
+    created: list[str] = []
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with contextlib.ExitStack() as stack:  # closing, and so flushing, is in the try
+            for path, _ in outputs:
+                new = not os.path.lexists(path)
+                handles.append(stack.enter_context(open(path, "a", encoding="utf-8", newline="")))
+                if new:
+                    created.append(path)
+            for handle, (path, text) in zip(handles, outputs):
+                if os.path.isfile(path):
+                    handle.truncate(0)
+                handle.write(text)
     except OSError as exc:
+        if len(handles) < len(outputs):
+            for done in created:
+                os.remove(done)
         raise _UsageError(f"cannot write {path!r}: {exc.strerror}") from None
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -174,9 +194,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         report.append({"source": source, "target": target,
                        "paths": [_path_to_dict(p) for p in paths]})
     if args.output:
-        _write_json(
-            args.output, {"provenance": _provenance(scenario), "pairs": report}
-        )
+        document = {"provenance": _provenance(scenario), "pairs": report}
+        _write_outputs((args.output, _json_text(document)))
     return EXIT_OK
 
 
@@ -199,7 +218,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"loss {solution.loss:g} kWh across {len(solution.pairs)} pairs"
     )
     if args.output:
-        _write_json(args.output, _solution_to_dict(scenario, solution))
+        _write_outputs((args.output, _json_text(_solution_to_dict(scenario, solution))))
     return EXIT_OK
 
 
@@ -228,9 +247,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     text = sweep_to_csv(result)
     if args.output:
-        _write_text(args.output, text)
         meta_path = args.meta or args.output + ".meta.json"
-        _write_json(meta_path, sweep_metadata(result))
+        metadata = _json_text(sweep_metadata(result))
+        _write_outputs((args.output, text), (meta_path, metadata))
         print(f"wrote {len(result.points)} sweep rows to {args.output} "
               f"(metadata: {meta_path})")
     else:
@@ -263,7 +282,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     scenario = generate_scenario(config)
     text = serialize_scenario(scenario)
     if args.output:
-        _write_text(args.output, text)
+        _write_outputs((args.output, text))
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()  # = scenario_hash(scenario)
         print(f"wrote scenario (seed {seed}, sha256 {digest[:12]}) to {args.output}")
     else:

@@ -8,10 +8,11 @@ minimum total loss. A greedy fill in ascending per-unit-loss order solves
 either exactly, so it is the only solver; the tests check it against a
 general LP solver and a vertex-enumeration oracle.
 
-A request's paths are priced as arrays in one pass (``economics_arrays``),
-and a plan builds its per-path ``assignments`` only when they are first
-read, so callers that need only the totals, such as sweeps, never create
-per-path objects.
+A plan is plain data: the energy each path delivers, in the request's path
+order, plus the two totals and a status. :func:`solve` prices a request's
+paths as arrays in one pass (``economics_arrays``) and creates no per-path
+objects, which keeps sweeps cheap; :func:`solve_scenario` pairs each energy
+with its path's economics in ``PairPlan.assignments`` for reports.
 
 Modelling assumption: each path is priced as if it had its routes' packet
 rate to itself. Paths that share a route (even within one pair) are not
@@ -73,15 +74,18 @@ class PlanRequest:
 
 @dataclass(frozen=True)
 class PathAssignment:
-    """Energy and rate assigned to one path."""
+    """Energy assigned to one path, sent at the path's maximum rate."""
 
     economics: PathEconomics
     energy: float  # kWh delivered over this path
-    rate: float  # kWh per hour
 
     @property
     def path(self) -> EnergyPath:
         return self.economics.path
+
+    @property
+    def rate(self) -> float:  # kWh per hour
+        return self.economics.max_rate
 
     @property
     def loss(self) -> float:
@@ -90,64 +94,31 @@ class PathAssignment:
 
 @dataclass(frozen=True)
 class TransferPlan:
-    """Per-path assignments plus their exact aggregates.
+    """Per-path delivered energies, in request path order, and their totals.
 
-    A plan returned by :func:`solve` builds ``assignments`` on first access;
-    equality, hashing and ``repr`` read it like any other field.
+    ``transferred`` and ``loss`` are summed left to right in path order, each
+    path's loss as its loss factor times its energy.
     """
 
-    assignments: tuple[PathAssignment, ...]
+    energies: tuple[float, ...]  # kWh
     transferred: float  # kWh
     loss: float  # kWh
     status: str  # "optimal" | "infeasible"
 
-    def __getattr__(self, name: str):
-        # Reached only for attributes the instance lacks: ``assignments`` of
-        # a plan from ``_deferred_plan`` that has not been read yet.
-        pending = self.__dict__.get("_pending")
-        if name != "assignments" or pending is None:
-            raise AttributeError(name)
-        request, energies = pending
-        assignments = []
-        for path, energy in zip(request.paths, energies):
-            e = path_economics(path, request.params, request.penetration)
-            assignments.append(
-                PathAssignment(economics=e, energy=energy, rate=e.max_rate)
-            )
-        self.__dict__["assignments"] = tuple(assignments)
-        return self.assignments
 
-
-def _deferred_plan(
-    request: PlanRequest, energies: list[float], lams: list[float], status: str
-) -> TransferPlan:
-    """Plan with totals summed now and assignments built on first read.
-
-    Totals are summed left to right in path order, each path's loss as its
-    loss factor times its energy, exactly as a sum over the assignments.
-    """
-    transferred = 0.0
-    loss = 0.0
-    for energy, lam in zip(energies, lams):
-        transferred += energy
-        loss += lam * energy
-    plan = object.__new__(TransferPlan)
-    plan.__dict__.update(
-        transferred=transferred, loss=loss, status=status, _pending=(request, energies)
-    )
-    return plan
-
-
-def _check_instance(capacities, loss_factors) -> tuple[np.ndarray, np.ndarray]:
+def _check_instance(capacities, loss_factors, hops=None) -> tuple[np.ndarray, ...]:
     caps = np.asarray(capacities, dtype=float)
     lams = np.asarray(loss_factors, dtype=float)
     if caps.shape != lams.shape or caps.ndim != 1:
         raise ValidationError("capacities and loss factors must be equal-length vectors")
+    tie_hops = np.zeros(caps.size, dtype=np.int64) if hops is None else np.asarray(hops)
+    if tie_hops.shape != caps.shape:
+        raise ValidationError("hops must have one entry per capacity")
     if not (np.all(np.isfinite(caps)) and np.all(np.isfinite(lams))):
         raise ValidationError("capacities and loss factors must be finite")
     if np.any(caps < 0) or np.any(lams < 0):
         raise ValidationError("capacities and loss factors must be nonnegative")
-    return caps, lams
+    return caps, lams, tie_hops
 
 
 def knapsack_assign(
@@ -164,9 +135,8 @@ def knapsack_assign(
     Returns the energy vector and a plan status; an unreachable floor yields
     the fully saturated vector with status "infeasible".
     """
-    caps, lams = _check_instance(capacities, loss_factors)
+    caps, lams, tie_hops = _check_instance(capacities, loss_factors, hops)
     n = caps.size
-    tie_hops = np.zeros(n, dtype=np.int64) if hops is None else np.asarray(hops)
     order = np.lexsort((np.arange(n), tie_hops, lams)).tolist()
     cap = caps.tolist()
     lam = lams.tolist()
@@ -218,32 +188,40 @@ def solve(request: PlanRequest) -> TransferPlan:
     reports status "infeasible", which keeps sweeps informative.
 
     The paths are priced together as arrays, exactly as :func:`path_economics`
-    prices each one. The plan's totals are exact in-order sums; its
-    ``assignments`` are built on first access.
+    prices each one, and the plan's totals are exact in-order sums.
     """
     if request.objective == MAX_ENERGY:
         bound = request.loss_cap
     else:
         bound = request.delivery_floor
-    if not request.paths:
-        status = INFEASIBLE if request.objective == MIN_LOSS and bound > 0 else OPTIMAL
-        return TransferPlan((), 0.0, 0.0, status)
-    _, caps, lams = economics_arrays(
-        request.paths, request.params, request.penetration
-    )
+    _, caps, lams = economics_arrays(request.paths, request.params, request.penetration)
     hops = [p.hops for p in request.paths]
     x, status = knapsack_assign(caps, lams, request.objective, bound, hops)
-    return _deferred_plan(request, x.tolist(), lams.tolist(), status)
+    energies = tuple(x.tolist())
+    transferred = 0.0
+    loss = 0.0
+    for energy, lam in zip(energies, lams.tolist()):
+        transferred += energy
+        loss += lam * energy
+    return TransferPlan(energies, transferred, loss, status)
 
 
 @dataclass(frozen=True)
 class PairPlan:
-    """Plan and enumerated paths for one (source, target) pair."""
+    """Plan and per-path assignments of one pair.
+
+    ``assignments`` pairs each enumerated path, in order, with its economics
+    and its energy in ``plan``.
+    """
 
     source: int
     target: int
-    paths: tuple[EnergyPath, ...]
     plan: TransferPlan
+    assignments: tuple[PathAssignment, ...]
+
+    @property
+    def paths(self) -> tuple[EnergyPath, ...]:
+        return tuple(a.path for a in self.assignments)
 
 
 @dataclass(frozen=True)
@@ -266,7 +244,8 @@ def solve_scenario(
 
     Paths are enumerated over the declared routes; the scenario's
     penetration scales flows when rates and capacities are computed. Caps
-    default to the scenario's own; explicit arguments override them.
+    default to the scenario's own; explicit arguments override them. Each
+    pair's assignments price its paths one by one with :func:`path_economics`.
     """
     cap = scenario.loss_cap if loss_cap is None else loss_cap
     floor = scenario.delivery_floor if delivery_floor is None else delivery_floor
@@ -286,9 +265,9 @@ def solve_scenario(
             penetration=scenario.penetration,
         )
         plan = solve(request)
-        pair_plans.append(
-            PairPlan(source=source, target=target, paths=tuple(paths), plan=plan)
-        )
+        economics = [path_economics(p, scenario.params, scenario.penetration) for p in paths]
+        assignments = tuple(map(PathAssignment, economics, plan.energies))
+        pair_plans.append(PairPlan(source, target, plan, assignments))
         transferred += plan.transferred
         loss += plan.loss
     return ScenarioSolution(

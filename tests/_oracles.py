@@ -12,8 +12,8 @@ must reproduce bit for bit: one scalar backward pass per route and layer.
 
 The plan oracle is the per-path planner: it prices each path with the
 scalar ``path_economics``, fills in ``sorted((loss factor, hops, index))``
-order and sums the totals over eagerly built assignments. The library's
-array planner must reproduce it bit for bit.
+order and sums the totals path by path. The library's array planner must
+reproduce its energies, totals and status bit for bit.
 
 The scenario oracles are the dict-based writer and the per-field parser:
 ``reference_serialize`` runs ``json.dumps`` over a document dict, and
@@ -48,7 +48,6 @@ from venplan import (
     EnergyParams,
     EnergyPath,
     EnumerationConfig,
-    PathAssignment,
     PER_HOP,
     Scenario,
     ScenarioFormatError,
@@ -247,7 +246,7 @@ def reference_fill(capacities, loss_factors, objective, bound, hops=None):
 
 def lp_assign(capacities, loss_factors, objective, bound):
     """Solve a knapsack instance of :func:`venplan.knapsack_assign` as an LP."""
-    caps, lams = _check_instance(capacities, loss_factors)
+    caps, lams, _ = _check_instance(capacities, loss_factors)
     n = caps.size
     if objective == MAX_ENERGY:
         if not bound >= 0:
@@ -300,16 +299,13 @@ def reference_plan(request, lp=False):
         x, status = lp_assign(caps, lams, request.objective, bound)
     else:
         x, status = reference_fill(caps, lams, request.objective, bound, hops)
-    assignments = tuple(
-        PathAssignment(economics=e, energy=float(v), rate=e.max_rate)
-        for e, v in zip(econ, x)
-    )
+    energies = tuple(float(v) for v in x)
     transferred = 0.0
     loss = 0.0
-    for a in assignments:
-        transferred += a.energy
-        loss += a.loss
-    return TransferPlan(assignments, transferred, loss, status)
+    for e, energy in zip(econ, energies):
+        transferred += energy
+        loss += e.loss_factor * energy
+    return TransferPlan(energies, transferred, loss, status)
 
 
 def scenario_to_dict(scenario):

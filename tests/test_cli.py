@@ -4,8 +4,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -303,14 +305,90 @@ class TestUnwritableOutput:
         assert lines[0].startswith(f"error: cannot write {str(target)!r}: ")
 
     def test_unwritable_sweep_metadata(self, tmp_path, capsys):
-        meta = tmp_path / "missing" / "sweep.meta.json"
-        with pytest.raises(SystemExit) as exc:
-            main(WRITERS["sweep"] + ["-o", str(tmp_path / "sweep.csv"),
-                                     "--meta", str(meta)])
-        assert exc.value.code == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"error: cannot write {str(meta)!r}: ")
+        csv_path = tmp_path / "sweep.csv"
+        for meta in (tmp_path / "missing" / "sweep.meta.json", tmp_path):
+            for before in (None, b"old,rows\r\n"):
+                if before is not None:
+                    csv_path.write_bytes(before)
+                with pytest.raises(SystemExit) as exc:
+                    main(WRITERS["sweep"] + ["-o", str(csv_path), "--meta", str(meta)])
+                assert exc.value.code == 2
+                lines = capsys.readouterr().err.splitlines()
+                assert len(lines) == 1
+                assert lines[0].startswith(f"error: cannot write {str(meta)!r}: ")
+                # the CSV is written only together with its sidecar
+                if before is None:
+                    assert not csv_path.exists()
+                else:
+                    assert csv_path.read_bytes() == before
+                    csv_path.unlink()
+                assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_sweep_csv_leaves_the_sidecar(self, tmp_path, capsys):
+        csv_path = tmp_path / "missing" / "sweep.csv"
+        meta = tmp_path / "sweep.meta.json"
+        for before in (None, b'{"old": true}\n'):
+            if before is not None:
+                meta.write_bytes(before)
+            with pytest.raises(SystemExit) as exc:
+                main(WRITERS["sweep"] + ["-o", str(csv_path), "--meta", str(meta)])
+            assert exc.value.code == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith(f"error: cannot write {str(csv_path)!r}: ")
+            if before is None:
+                assert list(tmp_path.iterdir()) == []
+            else:
+                assert meta.read_bytes() == before
+
+
+class TestOutputTargets:
+    """Outputs are written in place, through whatever the path names."""
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_existing_file_keeps_mode_and_links(self, tmp_path, capsys, command):
+        fresh = tmp_path / "fresh"
+        assert main(WRITERS[command] + ["-o", str(fresh)]) == 0
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * 100_000)  # longer than any output
+        out.chmod(0o640)
+        alias = tmp_path / "alias"
+        os.link(out, alias)
+        assert main(WRITERS[command] + ["-o", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert alias.read_bytes() == fresh.read_bytes()
+        assert out.stat().st_mode & 0o777 == 0o640
+
+    def test_existing_sweep_sidecar_is_overwritten(self, tmp_path, capsys):
+        fresh = tmp_path / "fresh.csv"
+        assert main(WRITERS["sweep"] + ["-o", str(fresh)]) == 0
+        out = tmp_path / "out.csv"
+        meta = tmp_path / "out.csv.meta.json"
+        meta.write_bytes(b"x" * 100_000)
+        meta.chmod(0o640)
+        assert main(WRITERS["sweep"] + ["-o", str(out)]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert meta.read_bytes() == Path(str(fresh) + ".meta.json").read_bytes()
+        assert meta.stat().st_mode & 0o777 == 0o640
+
+    @pytest.mark.parametrize("command", sorted(WRITERS))
+    def test_fifo_is_written_through(self, tmp_path, capsys, command):
+        fresh = tmp_path / "fresh"
+        assert main(WRITERS[command] + ["-o", str(fresh)]) == 0
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        # the sweep's sidecar goes to a regular file beside the FIFO
+        meta = ["--meta", str(tmp_path / "meta.json")] if command == "sweep" else []
+        assert main(WRITERS[command] + ["-o", str(fifo)] + meta) == 0
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [fresh.read_bytes()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
 
 NUMBERS = st.sampled_from(

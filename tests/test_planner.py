@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,12 +17,14 @@ from venplan import (
     EnumerationConfig,
     GeneratorConfig,
     PlanRequest,
+    TransferPlan,
     ValidationError,
     VehicularRoute,
     build_network,
     enumerate_paths,
     generate_scenario,
     knapsack_assign,
+    path_economics,
     solve,
     solve_scenario,
     sub_route,
@@ -107,6 +111,13 @@ class TestKnapsackMinLoss:
         # equal loss factor and hops: input order
         x, _ = knapsack_assign(caps, [0.2, 0.1, 0.1], MIN_LOSS, 7.0, hops=[1, 2, 2])
         assert list(x) == [0.0, 5.0, 2.0]
+
+
+class TestKnapsackInput:
+    def test_hops_of_another_shape_rejected(self):
+        for hops in ([1], [1, 2, 3], [[1, 2]]):
+            with pytest.raises(ValidationError, match="hops"):
+                knapsack_assign([1.0, 2.0], [0.1, 0.2], MAX_ENERGY, 1.0, hops=hops)
 
 
 class TestKnapsackOrder:
@@ -207,9 +218,14 @@ class TestPlanRequests:
 
     def test_empty_request_yields_zero_plan(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        plan = solve(PlanRequest(paths=(), params=params, objective=MAX_ENERGY))
-        assert plan.transferred == 0.0 and plan.loss == 0.0
-        assert plan.status == OPTIMAL
+        for objective, bounds in (
+            (MAX_ENERGY, {"loss_cap": 0.0}),
+            (MAX_ENERGY, {"loss_cap": math.inf}),
+            (MAX_ENERGY, {"loss_cap": 2.0}),
+            (MIN_LOSS, {"delivery_floor": 0.0}),
+        ):
+            plan = solve(PlanRequest((), params, objective, **bounds))
+            assert plan == TransferPlan((), 0.0, 0.0, OPTIMAL), (objective, bounds)
 
     def test_empty_min_loss_with_floor_is_infeasible(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
@@ -233,35 +249,34 @@ class TestPlanRequests:
         with pytest.raises(ValidationError):
             self.make_request(MIN_LOSS, delivery_floor=math.inf)
 
-    def test_rates_pinned_at_maximum(self):
-        request = self.make_request(MAX_ENERGY)
-        plan = solve(request)
-        for a in plan.assignments:
-            assert a.rate == a.economics.max_rate
+    def test_rates_pinned_at_maximum(self, three_routes_scenario):
+        s = three_routes_scenario
+        for pair in solve_scenario(s).pairs:
+            for a in pair.assignments:
+                # a.rate is a.economics.max_rate, so the path's own economics pin it
+                assert a.economics == path_economics(a.path, s.params, s.penetration)
 
-    def test_totals_recompute_from_assignments(self):
-        request = self.make_request(MAX_ENERGY)
-        plan = solve(request)
-        assert plan.transferred == sum(a.energy for a in plan.assignments)
-        assert plan.loss == sum(a.loss for a in plan.assignments)
+    def test_totals_recompute_from_assignments(self, three_routes_scenario):
+        plan = solve(self.make_request(MAX_ENERGY))
+        assert plan.transferred == sum(plan.energies)
+        solution = solve_scenario(
+            three_routes_scenario, objective=MIN_LOSS, delivery_floor=10.0
+        )
+        for pair in solution.pairs:
+            plan = pair.plan
+            assert tuple(a.energy for a in pair.assignments) == plan.energies
+            assert plan.transferred == sum(a.energy for a in pair.assignments)
+            assert plan.loss == sum(a.loss for a in pair.assignments)
 
 
 def assert_same_plan(plan, ref):
-    """Exact equality of totals, status and every assignment field."""
+    """Exact equality of every energy, both totals and the status."""
+    assert plan.energies == ref.energies
     assert (plan.transferred, plan.loss, plan.status) == (
         ref.transferred,
         ref.loss,
         ref.status,
     )
-    assert len(plan.assignments) == len(ref.assignments)
-    for a, r in zip(plan.assignments, ref.assignments):
-        assert a.path == r.path
-        assert (a.energy, a.rate) == (r.energy, r.rate)
-        assert (
-            a.economics.capacity,
-            a.economics.max_rate,
-            a.economics.loss_factor,
-        ) == (r.economics.capacity, r.economics.max_rate, r.economics.loss_factor)
     assert plan == ref
 
 
@@ -292,7 +307,7 @@ class TestArrayPlannerMatchesScalarReference:
         ref = reference_plan(
             PlanRequest(paths, params, MAX_ENERGY, penetration=penetration)
         )
-        total_cap = float(np.sum([a.economics.capacity for a in ref.assignments]))
+        total_cap = float(np.sum(ref.energies))  # an uncapped plan saturates every path
         total_loss = ref.loss
         for cap in (0.0, 0.5 * total_loss, math.inf):
             yield PlanRequest(paths, params, MAX_ENERGY, loss_cap=cap,
@@ -334,7 +349,7 @@ class TestArrayPlannerMatchesScalarReference:
 
 
 class TestPlanEquality:
-    """Plans compare by their per-path content, not only their totals."""
+    """Plans compare by their energy vectors, not only their totals."""
 
     def twin_paths(self):
         # two routes over the same arc: identical economics, different paths
@@ -353,23 +368,68 @@ class TestPlanEquality:
             return solve(PlanRequest(paths, params, MAX_ENERGY, loss_cap=0.5))
 
         ab, ba = plan((a, b)), plan((b, a))
-        assert (ab.transferred, ab.loss, ab.status) == (
-            ba.transferred,
-            ba.loss,
-            ba.status,
+        assert ab.energies[0] > 0.0 == ab.energies[1]
+        swapped = dataclasses.replace(ab, energies=ab.energies[::-1])
+        assert (swapped.transferred, swapped.loss, swapped.status) == (
+            ab.transferred,
+            ab.loss,
+            ab.status,
         )
-        assert ab != ba
+        assert swapped != ab
         assert ab == plan((a, b)) and hash(ab) == hash(plan((a, b)))
-        energies = {x.path: x.energy for x in ab.assignments}
-        assert energies != {x.path: x.energy for x in ba.assignments}
+        # energies are positional: each order fills its own first path
+        assert ab == ba
+        assert dict(zip((a, b), ab.energies)) != dict(zip((b, a), ba.energies))
+
+
+class TestPlainDataPlans:
+    """Plans hold only their fields, so copies and pickles are ordinary."""
+
+    def request(self, scenario):
+        source, target = scenario.pairs[0]
+        paths = enumerate_paths(
+            scenario.network, scenario.routes, source, target, scenario.enumeration
+        )
+        return PlanRequest(tuple(paths), scenario.params, MAX_ENERGY, loss_cap=2.0,
+                           penetration=scenario.penetration)
+
+    def test_instance_dict_is_the_fields(self, three_routes_scenario):
+        solution = solve_scenario(three_routes_scenario)
+        pair = solution.pairs[0]
+        plans = [solve(self.request(three_routes_scenario)), solution, pair, pair.plan]
+        for obj in plans + list(pair.assignments):
+            names = [f.name for f in dataclasses.fields(obj)]
+            assert list(vars(obj)) == names, type(obj).__name__
+
+    def test_pickled_plan_carries_no_paths(self, three_routes_scenario):
+        request = self.request(three_routes_scenario)
+        plan = solve(request)
+        assert len(plan.energies) == len(request.paths) > 0
+        assert b"EnergyPath" not in pickle.dumps(plan)
+
+    def test_round_trips_compare_equal(self, three_routes_scenario):
+        solution = solve_scenario(three_routes_scenario, loss_cap=2.0)
+        pair = solution.pairs[0]
+        for obj in (pair.plan, pair, solution):
+            for clone in (
+                pickle.loads(pickle.dumps(obj)),
+                copy.deepcopy(obj),
+                dataclasses.replace(obj),
+            ):
+                assert clone == obj and vars(clone) == vars(obj)
+                try:
+                    digest = hash(obj)
+                except TypeError:
+                    continue
+                assert hash(clone) == digest
 
 
 class TestScenarioPipeline:
     def test_saturated_plan_on_fixture(self, three_routes_scenario):
         solution = solve_scenario(three_routes_scenario, objective=MAX_ENERGY)
-        plan = solution.pairs[0].plan
-        by_hops = {a.path.hops: [] for a in plan.assignments}
-        for a in plan.assignments:
+        assignments = solution.pairs[0].assignments
+        by_hops = {a.path.hops: [] for a in assignments}
+        for a in assignments:
             by_hops[a.path.hops].append(a)
         # direct route: (5 - 1.75) * 0.9 * 3.0
         assert by_hops[1][0].energy == pytest.approx(8.775, rel=1e-9)
@@ -379,7 +439,7 @@ class TestScenarioPipeline:
             pytest.approx(15.795, rel=1e-9),  # (5 - 1.75) * 0.81 * 6.0
         ]
         assert solution.transferred == pytest.approx(32.4675, rel=1e-9)
-        for a in plan.assignments:
+        for a in assignments:
             assert a.energy == pytest.approx(a.economics.capacity, rel=1e-12)
 
     def test_methods_agree_on_fixture(self, three_routes_scenario):
@@ -407,8 +467,9 @@ class TestScenarioPipeline:
         assert plan.transferred == pytest.approx(10.0, rel=1e-9)
         # cheapest loss first: the single-hop path saturates at 8.775 kWh,
         # the remainder rides the cheaper two-hop path
-        energies = {a.path.hops: [] for a in plan.assignments}
-        for a in plan.assignments:
+        assignments = solution.pairs[0].assignments
+        energies = {a.path.hops: [] for a in assignments}
+        for a in assignments:
             energies[a.path.hops].append(a.energy)
         assert max(energies[1]) == pytest.approx(8.775, rel=1e-9)
 

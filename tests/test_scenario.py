@@ -616,3 +616,20 @@ class TestTracedCallSites:
         assert len(calls) == 3 * len(three_routes_scenario.pairs)
         assert main(["solve", str(THREE_ROUTES), "-o", str(tmp_path / "plan.json")]) == 0
         assert len(calls) == 4 * len(three_routes_scenario.pairs)
+
+    def test_only_scenario_solves_price_paths_one_by_one(
+        self, monkeypatch, three_routes_scenario
+    ):
+        calls = []
+        real = venplan.planner.path_economics
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(venplan.planner, "path_economics", counting)
+        solution = venplan.planner.solve_scenario(three_routes_scenario)
+        assert len(calls) == sum(len(pair.paths) for pair in solution.pairs) > 0
+        spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.9))
+        venplan.sweep.run_sweep(three_routes_scenario, spec)
+        assert len(calls) == sum(len(pair.paths) for pair in solution.pairs)
