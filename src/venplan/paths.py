@@ -99,12 +99,14 @@ class _RouteIndex:
     the ``q``-th last arc of each route longer than ``q``, longest routes
     first, so each block's routes are a prefix of the previous block's.
     ``bound_table`` runs its backward passes over these blocks, all routes at
-    once. Ids only key Python dicts, so ids of any int size work.
+    once, and the running minimum that gives each position its reach. Ids
+    only key Python dicts, so ids of any int size work.
 
     The search reads Python tuples that are built on first use and then
     shared for the rest of the call: a junction's sorted ``(route id,
-    1-based position)`` entries, a route's member arc heads and delays, and
-    each ``(route, n, m)`` slice.
+    1-based position, reach slot)`` entries, a route's member arc heads and
+    delays, and each ``(route, n, m)`` slice. Reach slots run route by route
+    in id order, one per position plus one end-of-route sentinel.
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
@@ -143,6 +145,10 @@ class _RouteIndex:
         by_tail = np.argsort(tails, kind="stable")
         self._entry_routes = route_of[by_tail]
         self._entry_positions = positions[by_tail]
+        # reach slots follow the members' order with one out-of-budget
+        # sentinel after each route: member i of route r has slot i + r
+        self._entry_slots = by_tail + self._entry_routes
+        self._reach_size = members.size + len(ordered)
         counts = np.bincount(tails, minlength=len(self.junction_ids))
         self._entry_starts = [0, *np.cumsum(counts).tolist()]
 
@@ -152,20 +158,22 @@ class _RouteIndex:
             last[: np.count_nonzero(lengths > q)] - q
             for q in range(int(lengths.max(initial=0)))
         ]
-        by_end = members[np.concatenate(blocks)] if blocks else members
+        end_slots = np.concatenate(blocks) if blocks else members
+        self._reach_slots = end_slots + route_of[end_slots]
+        by_end = members[end_slots]
         self._tails = arc_tails[by_end]
         self._heads = arc_heads[by_end]
         self._delays = arc_delays[by_end]
         bounds = [0, *np.cumsum([b.size for b in blocks]).tolist()]
         self._blocks = list(zip(bounds, bounds[1:]))
 
-        self._entries: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._entries: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._geometry: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
-        self._slices: dict[tuple[int, int, int], SubRoute] = {}
+        self._slices: dict[tuple[int, tuple[int, int]], SubRoute] = {}
 
-    def entries(self, junction: int) -> tuple[tuple[int, int], ...]:
-        """``(route id, 1-based position)`` of every member arc leaving
-        ``junction``, sorted."""
+    def entries(self, junction: int) -> tuple[tuple[int, int, int], ...]:
+        """``(route id, 1-based position, reach slot)`` of every member arc
+        leaving ``junction``, sorted."""
         found = self._entries.get(junction)
         if found is None:
             row = self.rows[junction]
@@ -174,6 +182,7 @@ class _RouteIndex:
                 zip(
                     map(self.route_ids.__getitem__, self._entry_routes[lo:hi].tolist()),
                     self._entry_positions[lo:hi].tolist(),
+                    self._entry_slots[lo:hi].tolist(),
                 )
             )
             self._entries[junction] = found
@@ -188,19 +197,21 @@ class _RouteIndex:
             self._geometry[route_id] = found
         return found
 
-    def slice(self, route_id: int, n: int, m: int) -> SubRoute:
-        """The route's ``n``-th to ``m``-th arcs, one object per call."""
-        key = (route_id, n, m)
+    def slice(self, route_id: int, span: tuple[int, int]) -> SubRoute:
+        """The route's ``n``-th to ``m``-th arcs for ``span = (n, m)``, one
+        object per call."""
+        key = (route_id, span)
         found = self._slices.get(key)
         if found is None:
-            found = sub_route(self.network, self.routes[route_id], n, m)
+            found = sub_route(self.network, self.routes[route_id], *span)
             self._slices[key] = found
         return found
 
     def bound_table(
         self, target: int, mode: str, max_hops: int
-    ) -> dict[int, tuple[int, float]]:
-        """Map each junction to (fewest slices, least delay) left to ``target``.
+    ) -> tuple[dict[int, tuple[int, float]], memoryview]:
+        """Map each junction to (fewest slices, least delay) left to ``target``,
+        and give each route position its reach.
 
         Layer ``k`` holds the least delay from each junction to ``target`` in
         at most ``k`` route slices: any contiguous stretch of one route in
@@ -215,6 +226,16 @@ class _RouteIndex:
         Loop-freedom is ignored, so the entries are lower bounds, and
         junctions absent from the result cannot reach the target in
         ``max_hops`` slices at all.
+
+        A route position's reach is the least table ``k`` over the heads at
+        that position and every later one on the route, with absent heads
+        counting as the junction count, more than any table entry. It comes
+        from one pass over the same blocks, a running minimum from the
+        routes' ends. The reach view holds each route's positions in order
+        at its entries' reach slots, followed by the junction count as an
+        end-of-route sentinel, so a search with a budget below the junction
+        count can walk a route until the reach exceeds the budget without
+        checking the route's length.
         """
         per_hop = mode == PER_HOP
         target_row = self.rows[target]
@@ -243,12 +264,25 @@ class _RouteIndex:
             first_delays[new] = nxt[new]
             layer = nxt
         rows = np.flatnonzero(first_hops >= 0)
-        return dict(
+        table = dict(
             zip(
                 map(self.junction_ids.__getitem__, rows.tolist()),
                 zip(first_hops[rows].tolist(), first_delays[rows].tolist()),
             )
         )
+        out = len(self.junction_ids)
+        hops = np.where(first_hops >= 0, first_hops, out).astype(np.min_scalar_type(out))
+        slot_reach = hops[self._heads]
+        previous = 0
+        for lo, hi in self._blocks[1:]:
+            later = slot_reach[previous : previous + hi - lo]
+            np.minimum(slot_reach[lo:hi], later, out=slot_reach[lo:hi])
+            previous = lo
+        reach = np.full(self._reach_size, out, slot_reach.dtype)
+        reach[self._reach_slots] = slot_reach
+        # the search reads only the slots of the entries it lists; a view
+        # reads each as a Python int without converting the whole array
+        return table, reach.data
 
 
 def enumerate_paths(
@@ -273,13 +307,26 @@ def enumerate_paths(
     completion with more segments sorts later whatever its delay, so the key
     is admissible and consistent in lexicographic order (the A* argument).
 
+    The same table bounds the successors. A state with ``hops`` segments
+    leaves a child a budget of ``max_hops - hops - 1`` further segments, and
+    a route position's reach is the least ``k`` over the heads at and after
+    it on the route. A popped state examines only its junction's entries
+    whose reach is within the budget, listed once per (junction, budget) in
+    a call, and walks each route only up to the last position whose reach
+    is within the budget: every head past it would fail the hop prune. So
+    the pruning drops only work whose result the search would discard, and
+    the pushes, pops and output are those of a search without it.
+
     Each call builds its own route index: flat numpy arrays of the routes'
-    member arcs, from which the bound table is computed for all routes at
-    once. The search itself runs on Python tuples that the index builds on
-    first use: the entries of each popped junction and the arcs of each
-    route it touches. Segment transitions are generated lazily; the full set
-    of sub-routes is never materialized, and each ``(route, n, m)`` slice in
-    the output is one object shared by every path that uses it.
+    member arcs, from which the bound table and the reach are computed for
+    all routes at once. The search itself runs on Python tuples that the
+    index builds on first use: the entries of each popped junction and the
+    arcs of each route it touches. Segment transitions are generated
+    lazily; the full set of sub-routes is never materialized, and each
+    ``(route, n, m)`` slice in the output is one object shared by every path
+    that uses it. Heap entries carry only the key, the junction, the delay
+    so far and the visited set; a finished path's segments are built from
+    the route ids and spans in its key.
     """
     if source not in network.junctions:
         raise ValidationError(f"unknown source junction {source}")
@@ -291,17 +338,19 @@ def enumerate_paths(
         config = EnumerationConfig()
 
     index = _RouteIndex(network, routes)
-    bound = index.bound_table(target, config.mode, config.max_hops)
+    # a loop-free path has at most one segment per junction after the source,
+    # so the cap drops only states that cannot finish; it also keeps every
+    # budget below the reach's out-of-budget value
+    max_hops = min(config.max_hops, len(index.junction_ids) - 1)
+    bound, reach = index.bound_table(target, config.mode, max_hops)
     if source not in bound:
         return []
 
-    max_hops = config.max_hops
     max_paths = config.max_paths
     per_hop = config.mode == PER_HOP
 
-    # Heap entries: (key, tiebreak, junction, delay so far, visited, chain)
-    # where chain is a tuple of (route_id, n, m) triples. The key is
-    # (hops + k, delay + d, route ids, (n, m) pairs) with (k, d) the bound
+    # Heap entries: (key, tiebreak, junction, delay so far, visited). The key
+    # is (hops + k, delay + d, route ids, (n, m) pairs) with (k, d) the bound
     # table's entry; it grows along any extension, up to float rounding in d.
     # The counter never decides the order (keys are unique per state), it
     # only keeps heap entries totally comparable.
@@ -312,9 +361,10 @@ def enumerate_paths(
     # the bound's rounding noise, then releasing in exact key order.
     start_key = (*bound[source], (), ())
     counter = 0
-    heap: list[tuple] = [(start_key, 0, source, 0.0, frozenset((source,)), ())]
+    heap: list[tuple] = [(start_key, 0, source, 0.0, frozenset((source,)))]
     finished: list[tuple] = []  # exact keys, via heapq
     results: list[EnergyPath] = []
+    walks: dict[tuple[int, int], list[tuple]] = {}
 
     def release_safe() -> None:
         while finished:
@@ -329,9 +379,37 @@ def enumerate_paths(
                     top_hops == f_hops and top_delay <= f_delay + margin
                 ):
                     return  # the heap may still produce something smaller
-            key, _, chain = heapq.heappop(finished)
-            segments = tuple(index.slice(*link) for link in chain)
+            (_, _, ids, spans), _ = heapq.heappop(finished)
+            segments = tuple(map(index.slice, ids, spans))
             results.append(EnergyPath(source=source, target=target, segments=segments))
+
+    def walks_from(junction: int, budget: int) -> list[tuple]:
+        """``(route id, n, steps)`` for each entry at ``junction`` whose reach
+        is within ``budget``, with one ``(m, head, slice delay, entry)`` step
+        per slice end ``m`` that a walk from it can use: up to the last
+        position whose reach is within ``budget``, the target, or in per-hop
+        mode the first arc. ``entry`` is the head's bound table entry, or
+        None where the head needs more than ``budget`` segments."""
+        found = []
+        for route_id, n, slot in index.entries(junction):
+            if reach[slot] > budget:
+                continue
+            heads, delays = index.geometry(route_id)
+            steps = []
+            seg_delay = 0.0
+            for m in itertools.count(n):
+                head = heads[m - 1]
+                seg_delay += delays[m - 1]
+                entry = bound.get(head)
+                steps.append(
+                    (m, head, seg_delay, entry if entry and entry[0] <= budget else None)
+                )
+                # past the target every slice revisits it; the route's
+                # sentinel ends the walk at the route's end at the latest
+                if head == target or per_hop or reach[slot + m - n + 1] > budget:
+                    break
+            found.append((route_id, n, steps))
+        return found
 
     while heap or finished:
         release_safe()
@@ -339,36 +417,33 @@ def enumerate_paths(
             break
         if not heap:
             continue
-        key, _, junction, delay_so_far, visited, chain = heapq.heappop(heap)
+        key, _, junction, delay_so_far, visited = heapq.heappop(heap)
         if junction == target:
             counter += 1
-            heapq.heappush(finished, (key, counter, chain))
+            heapq.heappush(finished, (key, counter))
             continue
-        # below max_hops: the prune kept hops + k <= max_hops, and k >= 1 off
-        # the target
-        hops = len(chain)
         _, _, ids, spans = key
-        last_route, _, last_end = chain[-1] if chain else (None, 0, 0)
-        for route_id, n in index.entries(junction):
+        hops = len(ids)
+        # segments a child may still add after its own; at least 0 here,
+        # since the prune kept hops + k <= max_hops and k >= 1 off the target
+        budget = max_hops - hops - 1
+        found = walks.get((junction, budget))
+        if found is None:
+            found = walks[junction, budget] = walks_from(junction, budget)
+        last_route, last_end = (ids[-1], spans[-1][1]) if ids else (None, 0)
+        for route_id, n, steps in found:
             if not per_hop and route_id == last_route and n == last_end + 1:
                 # Continuing the same route is strictly dominated by the
                 # merged segment, which was already generated.
                 continue
-            heads, delays = index.geometry(route_id)
-            seg_delay = 0.0
             new_junctions: list[int] = []
-            for m in range(n, len(heads) + 1):
-                head = heads[m - 1]
+            for m, head, seg_delay, entry in steps:
                 if head in visited or head in new_junctions:
                     break  # extending further would revisit it anyway
                 new_junctions.append(head)
-                seg_delay += delays[m - 1]
-                # a head absent from the table is out of reach in max_hops
-                k, d = bound.get(head, (max_hops, 0.0))
-                if hops + 1 + k > max_hops:
-                    if per_hop:
-                        break
-                    continue  # a longer slice may still work
+                if entry is None:
+                    continue  # out of reach in budget; a longer slice may work
+                k, d = entry
                 child_key = (
                     hops + 1 + k,
                     delay_so_far + seg_delay + d,
@@ -384,9 +459,6 @@ def enumerate_paths(
                         head,
                         delay_so_far + seg_delay,
                         visited | set(new_junctions),
-                        chain + ((route_id, n, m),),
                     ),
                 )
-                if head == target or per_hop:
-                    break  # past the target every slice revisits it
     return results

@@ -19,6 +19,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
@@ -414,6 +415,13 @@ class GeneratorConfig:
             raise ValidationError("arc_count exceeds the number of distinct arcs")
         if self.route_count < 1 or self.pair_count < 1:
             raise ValidationError("route_count and pair_count must be positive")
+        if max(self.junction_count, self.arc_count, self.route_count) > sys.maxsize:
+            # no list holds more items
+            raise ValidationError(
+                "junction_count, arc_count and route_count must not exceed sys.maxsize"
+            )
+        if self.pair_count > self.junction_count * (self.junction_count - 1):
+            raise ValidationError("pair_count exceeds the number of distinct pairs")
         if not self.max_route_length > 0:
             raise ValidationError("max_route_length must be positive")
         for name in ("delay_range", "flow_range", "length_range"):

@@ -158,6 +158,24 @@ def reference_bound_table(network, routes, target, mode, max_hops):
     return table
 
 
+def reference_reach(network, routes, table):
+    """Route id -> reach of each position: the least table ``k`` over the
+    heads at that position and every later one, a head absent from the
+    table counting as the junction count."""
+    out = len(network.junctions)
+    reach = {}
+    for route in routes:
+        least = out
+        values = []
+        for arc_id in reversed(route.arcs):
+            k = table.get(network.arc(arc_id).head, (out,))[0]
+            if k < least:
+                least = k
+            values.append(least)
+        reach[route.id] = tuple(reversed(values))
+    return reach
+
+
 def vertex_enumeration_lp(c, a_ub, b_ub, lower, upper, maximize=True, tol=1e-9):
     """Optimum over the vertices of {a_ub x <= b_ub, lower <= x <= upper}.
 

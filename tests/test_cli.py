@@ -100,6 +100,19 @@ class TestEnumerate:
     def test_source_without_target_rejected(self, capsys):
         assert main(["enumerate", FIXTURE, "--source", "1"]) == 4
 
+    @pytest.mark.parametrize("mode", ["full-route", "per-hop"])
+    def test_hop_cap_beyond_int64(self, tmp_path, mode):
+        # no loop-free path has as many segments as the network has junctions
+        junctions = len(parse_scenario(THREE_ROUTES.read_text()).network.junctions)
+        pairs = {}
+        for max_hops in (2**63, junctions):
+            out = tmp_path / f"{max_hops}.json"
+            argv = ["enumerate", FIXTURE, "--max-hops", str(max_hops), "--mode", mode]
+            assert main([*argv, "-o", str(out)]) == 0
+            pairs[max_hops] = json.loads(out.read_text())["pairs"]
+        assert pairs[2**63] == pairs[junctions]
+        assert pairs[junctions][0]["paths"]
+
 
 class TestSolve:
     def test_max_energy_summary(self, capsys):
@@ -269,6 +282,14 @@ class TestGenerate:
                      "--arcs", "3"]) == 4
         assert "connect the network" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--routes", "sys.maxsize"), ("--pairs", "distinct pairs")],
+    )
+    def test_counts_that_cannot_be_generated_rejected(self, capsys, flag, message):
+        assert main(self.ARGS + ["--seed", "1", flag, "9223372036854775808"]) == 4
+        assert message in capsys.readouterr().err
+
     def test_max_paths_zero_removes_the_cap(self, tmp_path):
         capped = tmp_path / "capped.json"
         uncapped = tmp_path / "uncapped.json"
@@ -392,7 +413,8 @@ class TestOutputTargets:
 
 
 NUMBERS = st.sampled_from(
-    ["-1", "0", "1", "2", "3", "0.5", "nan", "inf", "-inf", "1e400", "1e-200", "abc", ""]
+    ["-1", "0", "1", "2", "3", "0.5", "nan", "inf", "-inf", "1e400", "1e-200", "abc", "",
+     "9223372036854775808"]
 )
 # Output paths by kind, resolved inside the test's directory.
 PATHS = ["file", "missing-directory", "directory"]

@@ -24,7 +24,12 @@ from venplan import (
 
 from venplan.paths import _RouteIndex
 
-from _oracles import brute_force_paths, reference_bound_table, validate_path
+from _oracles import (
+    brute_force_paths,
+    reference_bound_table,
+    reference_reach,
+    validate_path,
+)
 from conftest import shift_ids
 
 
@@ -53,6 +58,45 @@ def fewest_segments_slower_network():
         VehicularRoute(4, (4,), 5.0),
         VehicularRoute(5, (5, 6), 5.0),
         VehicularRoute(6, (7,), 5.0),
+    ]
+    return net, routes
+
+
+def stop_point_network():
+    """Routes whose walks stop short of their ends, from source 1 to 9.
+
+    * Route 1 runs 1 -> 2 -> 3 -> 4 -> 5 -> 2: its last head within one more
+      segment of 9 is 3 (route 2 runs 3 -> 9); 4 and 5 need three and the
+      final head revisits 2.
+    * Route 3 runs 1 -> 6 -> 7 -> 8 -> 9: in one segment only its last head
+      reaches 9.
+    * Route 4 runs 1 -> 11 -> 12 -> 9; at 11 the only other entry, route 5,
+      leads to the dead end 13, so the only continuation that can still
+      reach 9 continues route 4 and is skipped.
+    """
+    arcs = [
+        Arc(1, 1, 2, 0.3, 5.0),
+        Arc(2, 2, 3, 0.2, 5.0),
+        Arc(3, 3, 4, 0.1, 5.0),
+        Arc(4, 4, 5, 0.1, 5.0),
+        Arc(5, 5, 2, 0.1, 5.0),
+        Arc(6, 3, 9, 0.4, 5.0),
+        Arc(7, 1, 6, 0.5, 5.0),
+        Arc(8, 6, 7, 0.5, 5.0),
+        Arc(9, 7, 8, 0.5, 5.0),
+        Arc(10, 8, 9, 0.5, 5.0),
+        Arc(11, 1, 11, 0.2, 5.0),
+        Arc(12, 11, 12, 0.2, 5.0),
+        Arc(13, 12, 9, 0.2, 5.0),
+        Arc(14, 11, 13, 0.1, 5.0),
+    ]
+    net = build_network([1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13], arcs)
+    routes = [
+        VehicularRoute(1, (1, 2, 3, 4, 5), 5.0),
+        VehicularRoute(2, (6,), 5.0),
+        VehicularRoute(3, (7, 8, 9, 10), 5.0),
+        VehicularRoute(4, (11, 12, 13), 5.0),
+        VehicularRoute(5, (14,), 5.0),
     ]
     return net, routes
 
@@ -206,6 +250,22 @@ class TestEnumerationProperties:
                 assert found[0].delay == 20.0, (mode, hops)
             assert min(found, key=lambda p: p.delay).hops == 3, mode
 
+    def test_walks_stop_where_the_target_is_out_of_reach(self):
+        net, routes = stop_point_network()
+        for mode in (FULL_ROUTE, PER_HOP):
+            for hops in (1, 2, 3, 4):
+                config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
+                for source in (1, 2, 3, 11):
+                    found = enumerate_paths(net, routes, source, 9, config)
+                    expected = brute_force_paths(net, routes, source, 9, hops, mode)
+                    assert found == expected, (mode, hops, source)
+        config = EnumerationConfig(max_hops=4, max_paths=None)
+        assert [segment_shape(p) for p in enumerate_paths(net, routes, 1, 9, config)] == [
+            ((4, 1, 3),),
+            ((3, 1, 4),),
+            ((1, 1, 2), (2, 1, 1)),
+        ]
+
     def test_soundness_on_random_scenarios(self):
         for seed in (21, 22, 23):
             scenario = generate_scenario(small_config(seed))
@@ -257,14 +317,29 @@ class TestBoundTable:
 
     def check(self, net, routes):
         index = _RouteIndex(net, routes)
+        lengths = {r.id: len(r.arcs) for r in routes}
+        out = len(net.junctions)
         for mode in (FULL_ROUTE, PER_HOP):
             for max_hops in range(1, 7):
                 for target in sorted(net.junctions):
-                    found = index.bound_table(target, mode, max_hops)
+                    found, reach = index.bound_table(target, mode, max_hops)
                     expected = reference_bound_table(net, routes, target, mode, max_hops)
-                    assert table_bits(found) == table_bits(expected), (
-                        mode, max_hops, target,
-                    )
+                    where = (mode, max_hops, target)
+                    assert table_bits(found) == table_bits(expected), where
+                    # every member arc is an entry at its tail
+                    found_reach = {}
+                    for junction in net.junctions:
+                        for route_id, n, slot in index.entries(junction):
+                            found_reach[route_id, n] = reach[slot]
+                            sentinel = reach[slot + lengths[route_id] - n + 1]
+                            assert sentinel == out, where
+                    expected_reach = {
+                        (route_id, n): k
+                        for route_id, ks in reference_reach(net, routes, expected).items()
+                        for n, k in enumerate(ks, 1)
+                    }
+                    assert found_reach == expected_reach, where
+                    assert len(reach) == len(found_reach) + len(routes), where
 
     def test_random_scenarios(self):
         for seed in range(1, 13):
@@ -273,6 +348,9 @@ class TestBoundTable:
 
     def test_fewest_segments_slower_network(self):
         self.check(*fewest_segments_slower_network())
+
+    def test_stop_point_network(self):
+        self.check(*stop_point_network())
 
     def test_generated_city_with_long_routes(self):
         config = GeneratorConfig(
@@ -336,16 +414,34 @@ class TestRouteIndexEdges:
             assert expected
             assert [unshift_path(p, shift) for p in found] == expected, mode
 
+    def test_hop_cap_beyond_int64(self, three_routes_scenario):
+        s = three_routes_scenario
+        for mode in (FULL_ROUTE, PER_HOP):
+            found = enumerate_paths(
+                s.network, s.routes, 1, 4,
+                EnumerationConfig(max_hops=2**63, max_paths=None, mode=mode),
+            )
+            expected = enumerate_paths(
+                s.network, s.routes, 1, 4,
+                EnumerationConfig(
+                    max_hops=len(s.network.junctions), max_paths=None, mode=mode
+                ),
+            )
+            assert found == expected and found, mode
+
     def test_entries_sorted_by_route_then_position(self, three_routes_scenario):
         s = three_routes_scenario
         index = _RouteIndex(s.network, s.routes[::-1])
-        assert [index.entries(j) for j in (1, 2, 3, 4, 5)] == [
-            ((1, 1), (3, 1)),
-            ((2, 1), (3, 2)),
-            ((2, 2),),
-            (),
-            ((3, 3),),
+        entries = [index.entries(j) for j in (1, 2, 3, 4, 5)]
+        assert [[e[:2] for e in found] for found in entries] == [
+            [(1, 1), (3, 1)],
+            [(2, 1), (3, 2)],
+            [(2, 2)],
+            [],
+            [(3, 3)],
         ]
+        # reach slots run route by route with one sentinel after each route
+        assert [[e[2] for e in found] for found in entries] == [[0, 5], [2, 6], [3], [], [7]]
 
     def test_paths_of_one_call_share_each_slice(self, three_routes_scenario):
         s = three_routes_scenario

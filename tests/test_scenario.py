@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -233,6 +234,10 @@ class TestGenerator:
             GeneratorConfig(seed=1, junction_count=3, arc_count=7)
         with pytest.raises(ValidationError, match="route cap"):
             GeneratorConfig(seed=1, length_range=(250.0, 300.0))
+        with pytest.raises(ValidationError, match="distinct pairs"):
+            GeneratorConfig(seed=1, junction_count=3, arc_count=4, pair_count=7)
+        with pytest.raises(ValidationError, match="sys.maxsize"):
+            GeneratorConfig(seed=1, route_count=sys.maxsize + 1)
         with pytest.raises(TypeError):  # the seed has no default
             GeneratorConfig()  # type: ignore[call-arg]
 
