@@ -11,7 +11,7 @@ Run from the repository root:  python3 demos/worked_example.py
 from venplan import (
     MAX_ENERGY,
     MIN_LOSS,
-    PlanRequest,
+    RouteIndex,
     enumerate_paths,
     parse_scenario,
     path_economics,
@@ -28,7 +28,8 @@ print(f"moving energy {source} -> {target}, window {params.window} h, "
       f"round-trip efficiency {params.round_trip_efficiency}")
 
 # --- enumerate the energy paths -------------------------------------------
-paths = enumerate_paths(network, routes, source, target, scenario.enumeration)
+index = RouteIndex(network, routes)  # one index serves every pair on these routes
+paths = enumerate_paths(index, source, target, scenario.enumeration)
 print(f"\n{len(paths)} energy paths, cheapest cycle count first:")
 for path in paths:
     chain = " + ".join(
@@ -50,29 +51,25 @@ for path in paths:
 
 # --- maximize delivery under a loss budget ----------------------------------
 for loss_cap in (float("inf"), 2.0, 0.0):
-    request = PlanRequest(
-        paths=tuple(paths), params=params, objective=MAX_ENERGY,
-        loss_cap=loss_cap, penetration=scenario.penetration,
+    plan = solve(
+        paths, params, MAX_ENERGY, loss_cap=loss_cap, penetration=scenario.penetration
     )
-    plan = solve(request)
     print(
         f"\nmax-energy with loss cap {loss_cap:g} kWh -> "
         f"delivered {plan.transferred:g} kWh, lost {plan.loss:g} kWh"
     )
-    for path, energy in zip(request.paths, plan.energies):
+    for path, energy in zip(paths, plan.energies):
         if energy:
             econ = path_economics(path, params, scenario.penetration)
             print(f"  {energy:g} kWh over the {path.hops}-hop path "
                   f"(loss {econ.loss_factor * energy:g} kWh)")
 
 # --- meet a delivery floor at minimum loss ----------------------------------
-request = PlanRequest(
-    paths=tuple(paths), params=params, objective=MIN_LOSS,
-    delivery_floor=10.0, penetration=scenario.penetration,
+plan = solve(
+    paths, params, MIN_LOSS, delivery_floor=10.0, penetration=scenario.penetration
 )
-plan = solve(request)
 print(f"\nmin-loss delivering at least 10 kWh -> lost {plan.loss:g} kWh "
       f"({plan.status})")
-for path, energy in zip(request.paths, plan.energies):
+for path, energy in zip(paths, plan.energies):
     if energy:
         print(f"  {energy:g} kWh over the {path.hops}-hop path")

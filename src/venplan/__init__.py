@@ -32,6 +32,7 @@ from .paths import (
     PER_HOP,
     EnergyPath,
     EnumerationConfig,
+    RouteIndex,
     enumerate_paths,
 )
 from .energetics import (
@@ -50,7 +51,6 @@ from .planner import (
     OPTIMAL,
     PairPlan,
     PathAssignment,
-    PlanRequest,
     ScenarioSolution,
     TransferPlan,
     knapsack_assign,
@@ -93,6 +93,7 @@ __all__ = [
     "PER_HOP",
     "EnergyPath",
     "EnumerationConfig",
+    "RouteIndex",
     "enumerate_paths",
     "EnergyParams",
     "PathEconomics",
@@ -107,7 +108,6 @@ __all__ = [
     "MIN_LOSS",
     "PairPlan",
     "PathAssignment",
-    "PlanRequest",
     "ScenarioSolution",
     "TransferPlan",
     "knapsack_assign",

@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 2 for command-line usage errors (argparse's, an
 output file that cannot be written, or ``--meta`` without ``--output``), 3
-for scenario file/parse problems, 4 for semantic validation failures, and 5
-for solver failures. Every machine-readable output records the scenario hash,
-the generation seed (when known), and the tool version.
+for scenario file/parse problems, 4 for semantic validation failures and
+inputs too large for memory, and 5 for solver failures. Every
+machine-readable output records the scenario hash, the generation seed (when
+known), and the tool version.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .errors import ScenarioFormatError, SolverError, ValidationError
-from .paths import FULL_ROUTE, PER_HOP, EnergyPath, EnumerationConfig, enumerate_paths
+from .paths import (
+    FULL_ROUTE, PER_HOP, EnergyPath, EnumerationConfig, RouteIndex, enumerate_paths,
+)
 from .planner import GREEDY, MAX_ENERGY, MIN_LOSS, ScenarioSolution, solve_scenario
 from .scenario import (
     GeneratorConfig,
@@ -180,11 +183,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         pairs = [(args.source, args.target)]
     else:
         pairs = list(scenario.pairs)
+    index = RouteIndex(scenario.network, scenario.routes)
     report = []
     for source, target in pairs:
-        paths = enumerate_paths(
-            scenario.network, scenario.routes, source, target, config
-        )
+        paths = enumerate_paths(index, source, target, config)
         print(f"{source} -> {target}: {len(paths)} paths")
         for path in paths:
             segs = ", ".join(
@@ -385,6 +387,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+    except MemoryError:
+        pass  # report after the handler, once the traceback has freed its frames
+    print("error: out of memory; the input is too large to process", file=sys.stderr)
+    return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

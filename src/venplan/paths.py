@@ -90,8 +90,12 @@ class EnumerationConfig:
             raise ValidationError(f"unknown enumeration mode {self.mode!r}")
 
 
-class _RouteIndex:
-    """Per-call route index over flat numpy arrays of member arcs.
+class RouteIndex:
+    """Index of a route set over flat numpy arrays of member arcs.
+
+    It depends on the network and the routes only, not on a source or a
+    target, so one index serves every pair searched over the same routes:
+    build it once per route set and pass it to :func:`enumerate_paths`.
 
     Every network junction gets a dense row, and every member arc of every
     route one slot in three arrays: tail row, head row and delay. The slots
@@ -103,10 +107,11 @@ class _RouteIndex:
     only key Python dicts, so ids of any int size work.
 
     The search reads Python tuples that are built on first use and then
-    shared for the rest of the call: a junction's sorted ``(route id,
-    1-based position, reach slot)`` entries, a route's member arc heads and
-    delays, and each ``(route, n, m)`` slice. Reach slots run route by route
-    in id order, one per position plus one end-of-route sentinel.
+    kept for the index's lifetime, since none depends on the target: a
+    junction's sorted ``(route id, 1-based position, reach slot)`` entries,
+    a route's member arc heads and delays, and each ``(route, n, m)`` slice.
+    Reach slots run route by route in id order, one per position plus one
+    end-of-route sentinel.
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
@@ -199,7 +204,7 @@ class _RouteIndex:
 
     def slice(self, route_id: int, span: tuple[int, int]) -> SubRoute:
         """The route's ``n``-th to ``m``-th arcs for ``span = (n, m)``, one
-        object per call."""
+        object per index."""
         key = (route_id, span)
         found = self._slices.get(key)
         if found is None:
@@ -286,13 +291,12 @@ class _RouteIndex:
 
 
 def enumerate_paths(
-    network: RoadNetwork,
-    routes: Sequence[VehicularRoute],
+    index: RouteIndex,
     source: int,
     target: int,
     config: Optional[EnumerationConfig] = None,
 ) -> list[EnergyPath]:
-    """Enumerate energy paths from ``source`` to ``target``.
+    """Enumerate energy paths from ``source`` to ``target`` over the index's routes.
 
     Returns up to ``config.max_paths`` distinct valid paths of at most
     ``config.max_hops`` segments, in ascending (hop count, total delay,
@@ -317,27 +321,26 @@ def enumerate_paths(
     the pruning drops only work whose result the search would discard, and
     the pushes, pops and output are those of a search without it.
 
-    Each call builds its own route index: flat numpy arrays of the routes'
-    member arcs, from which the bound table and the reach are computed for
-    all routes at once. The search itself runs on Python tuples that the
-    index builds on first use: the entries of each popped junction and the
-    arcs of each route it touches. Segment transitions are generated
-    lazily; the full set of sub-routes is never materialized, and each
-    ``(route, n, m)`` slice in the output is one object shared by every path
-    that uses it. Heap entries carry only the key, the junction, the delay
-    so far and the visited set; a finished path's segments are built from
-    the route ids and spans in its key.
+    The bound table and the reach are computed for each call from the
+    index's flat arrays, for all routes at once. The search itself runs on
+    Python tuples that the index builds on first use and keeps for later
+    calls: the entries of each popped junction and the arcs of each route it
+    touches. Segment transitions are generated lazily; the full set of
+    sub-routes is never materialized, and each ``(route, n, m)`` slice in
+    the output is one object shared by every path that uses it. Heap entries
+    carry only the key, the junction, the delay so far and the visited set;
+    a finished path's segments are built from the route ids and spans in
+    its key.
     """
-    if source not in network.junctions:
+    if source not in index.network.junctions:
         raise ValidationError(f"unknown source junction {source}")
-    if target not in network.junctions:
+    if target not in index.network.junctions:
         raise ValidationError(f"unknown target junction {target}")
     if source == target:
         raise ValidationError("source and target must differ")
     if config is None:
         config = EnumerationConfig()
 
-    index = _RouteIndex(network, routes)
     # a loop-free path has at most one segment per junction after the source,
     # so the cap drops only states that cannot finish; it also keeps every
     # budget below the reach's out-of-budget value

@@ -8,11 +8,12 @@ minimum total loss. A greedy fill in ascending per-unit-loss order solves
 either exactly, so it is the only solver; the tests check it against a
 general LP solver and a vertex-enumeration oracle.
 
-A plan is plain data: the energy each path delivers, in the request's path
-order, plus the two totals and a status. :func:`solve` prices a request's
-paths as arrays in one pass (``economics_arrays``) and creates no per-path
-objects, which keeps sweeps cheap; :func:`solve_scenario` pairs each energy
-with its path's economics in ``PairPlan.assignments`` for reports.
+A plan is plain data: the energy each path delivers, in the order the paths
+were given, plus the two totals and a status. :func:`solve` prices one
+pair's paths as arrays in one pass (``economics_arrays``) and creates no
+per-path objects, which keeps sweeps cheap; :func:`solve_scenario` pairs
+each energy with its path's economics in ``PairPlan.assignments`` for
+reports.
 
 Modelling assumption: each path is priced as if it had its routes' packet
 rate to itself. Paths that share a route (even within one pair) are not
@@ -30,7 +31,7 @@ import numpy as np
 
 from .energetics import EnergyParams, PathEconomics, economics_arrays, path_economics
 from .errors import ValidationError
-from .paths import EnergyPath, enumerate_paths
+from .paths import EnergyPath, RouteIndex, enumerate_paths
 from .scenario import Scenario
 
 MAX_ENERGY = "max-energy"
@@ -38,38 +39,6 @@ MIN_LOSS = "min-loss"
 GREEDY = "greedy"  # the solver that output provenance records
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class PlanRequest:
-    """One (source, target) planning instance.
-
-    ``loss_cap`` applies to the max-energy objective and may be infinite;
-    ``delivery_floor`` applies to min-loss and must be finite.
-    """
-
-    paths: tuple[EnergyPath, ...]
-    params: EnergyParams
-    objective: str
-    loss_cap: float = math.inf  # kWh
-    delivery_floor: float = 0.0  # kWh
-    penetration: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", tuple(self.paths))
-        if self.objective not in (MAX_ENERGY, MIN_LOSS):
-            raise ValidationError(f"unknown objective {self.objective!r}")
-        if self.objective == MAX_ENERGY and not self.loss_cap >= 0:
-            raise ValidationError("loss_cap must be nonnegative")
-        if self.objective == MIN_LOSS and not (
-            self.delivery_floor >= 0 and math.isfinite(self.delivery_floor)
-        ):
-            raise ValidationError("delivery_floor must be finite and nonnegative")
-        if not 0 <= self.penetration <= 1:
-            raise ValidationError("penetration must be within [0, 1]")
-        endpoints = {(p.source, p.target) for p in self.paths}
-        if len(endpoints) > 1:
-            raise ValidationError("paths of one request must share one (s, t) pair")
 
 
 @dataclass(frozen=True)
@@ -94,7 +63,7 @@ class PathAssignment:
 
 @dataclass(frozen=True)
 class TransferPlan:
-    """Per-path delivered energies, in request path order, and their totals.
+    """Per-path delivered energies, in the given path order, and their totals.
 
     ``transferred`` and ``loss`` are summed left to right in path order, each
     path's loss as its loss factor times its energy.
@@ -179,24 +148,32 @@ def knapsack_assign(
     raise ValidationError(f"unknown objective {objective!r}")
 
 
-def solve(request: PlanRequest) -> TransferPlan:
-    """Plan one request for its objective with the greedy fill.
+def solve(
+    paths: Sequence[EnergyPath],
+    params: EnergyParams,
+    objective: str,
+    loss_cap: float = math.inf,
+    delivery_floor: float = 0.0,
+    penetration: float = 1.0,
+) -> TransferPlan:
+    """Plan one pair's paths for ``objective`` with the greedy fill.
 
-    Max-energy maximizes delivered energy subject to the loss cap; min-loss
-    minimizes total loss while meeting the delivery floor. When the floor
-    exceeds the total path capacity the plan saturates every path and
-    reports status "infeasible", which keeps sweeps informative.
+    Max-energy maximizes delivered energy subject to ``loss_cap`` (kWh, may
+    be infinite); min-loss minimizes total loss while meeting
+    ``delivery_floor`` (kWh, finite). When the floor exceeds the total path
+    capacity the plan saturates every path and reports status "infeasible",
+    which keeps sweeps informative. :func:`knapsack_assign` checks the
+    objective and the bound it uses.
 
     The paths are priced together as arrays, exactly as :func:`path_economics`
     prices each one, and the plan's totals are exact in-order sums.
     """
-    if request.objective == MAX_ENERGY:
-        bound = request.loss_cap
-    else:
-        bound = request.delivery_floor
-    _, caps, lams = economics_arrays(request.paths, request.params, request.penetration)
-    hops = [p.hops for p in request.paths]
-    x, status = knapsack_assign(caps, lams, request.objective, bound, hops)
+    if not 0 <= penetration <= 1:
+        raise ValidationError("penetration must be within [0, 1]")
+    bound = loss_cap if objective == MAX_ENERGY else delivery_floor
+    _, caps, lams = economics_arrays(paths, params, penetration)
+    hops = [p.hops for p in paths]
+    x, status = knapsack_assign(caps, lams, objective, bound, hops)
     energies = tuple(x.tolist())
     transferred = 0.0
     loss = 0.0
@@ -252,19 +229,10 @@ def solve_scenario(
     pair_plans = []
     transferred = 0.0
     loss = 0.0
+    index = RouteIndex(scenario.network, scenario.routes)
     for source, target in scenario.pairs:
-        paths = enumerate_paths(
-            scenario.network, scenario.routes, source, target, scenario.enumeration
-        )
-        request = PlanRequest(
-            paths=tuple(paths),
-            params=scenario.params,
-            objective=objective,
-            loss_cap=cap,
-            delivery_floor=floor,
-            penetration=scenario.penetration,
-        )
-        plan = solve(request)
+        paths = enumerate_paths(index, source, target, scenario.enumeration)
+        plan = solve(paths, scenario.params, objective, cap, floor, scenario.penetration)
         economics = [path_economics(p, scenario.params, scenario.penetration) for p in paths]
         assignments = tuple(map(PathAssignment, economics, plan.energies))
         pair_plans.append(PairPlan(source, target, plan, assignments))

@@ -28,7 +28,7 @@ from typing import Any, Mapping, NoReturn, Optional
 from .energetics import EnergyParams
 from .errors import ScenarioFormatError, ValidationError
 from .network import Arc, RoadNetwork, VehicularRoute, build_network, validate_route
-from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, enumerate_paths
+from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths
 
 SCHEMA_VERSION = 1
 UNITS = {
@@ -375,10 +375,13 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(serialize_scenario(scenario).encode("utf-8")).hexdigest()
 
 
-def _nominal_params() -> EnergyParams:
-    return EnergyParams(
-        packet_size=0.1, charge_efficiency=0.9, discharge_efficiency=1.0, window=5.0
-    )
+# Fixed for generated scenarios; ``dataclasses.replace`` changes a generated
+# scenario's params, loss cap or delivery floor.
+FLOW_RANGE = (50.0, 1000.0)  # vehicles per hour
+LENGTH_RANGE = (5.0, 60.0)  # km
+NOMINAL_PARAMS = EnergyParams(
+    packet_size=0.1, charge_efficiency=0.9, discharge_efficiency=1.0, window=5.0
+)
 
 
 def _default_enumeration() -> EnumerationConfig:
@@ -396,13 +399,8 @@ class GeneratorConfig:
     pair_count: int = 5
     max_route_length: float = 200.0  # km
     delay_range: tuple[float, float] = (0.1, 2.0)  # hours
-    flow_range: tuple[float, float] = (50.0, 1000.0)  # vehicles per hour
-    length_range: tuple[float, float] = (5.0, 60.0)  # km
-    params: EnergyParams = field(default_factory=_nominal_params)
     penetration: float = 0.001
     enumeration: EnumerationConfig = field(default_factory=_default_enumeration)
-    loss_cap: float = math.inf
-    delivery_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.junction_count < 2:
@@ -424,11 +422,10 @@ class GeneratorConfig:
             raise ValidationError("pair_count exceeds the number of distinct pairs")
         if not self.max_route_length > 0:
             raise ValidationError("max_route_length must be positive")
-        for name in ("delay_range", "flow_range", "length_range"):
-            lo, hi = getattr(self, name)
-            if not 0 <= lo <= hi:
-                raise ValidationError(f"{name} must satisfy 0 <= low <= high")
-        if self.length_range[0] > self.max_route_length:
+        lo, hi = self.delay_range
+        if not 0 <= lo <= hi:
+            raise ValidationError("delay_range must satisfy 0 <= low <= high")
+        if LENGTH_RANGE[0] > self.max_route_length:
             raise ValidationError("shortest possible arc already exceeds the route cap")
 
 
@@ -492,8 +489,8 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
             tail=tail,
             head=head,
             delay=rng.uniform(*config.delay_range),
-            flow=rng.uniform(*config.flow_range),
-            length=rng.uniform(*config.length_range),
+            flow=rng.uniform(*FLOW_RANGE),
+            length=rng.uniform(*LENGTH_RANGE),
         )
         for i, (tail, head) in enumerate(endpoints, start=1)
     ]
@@ -512,11 +509,12 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
         if not walk:
             raise ValidationError(
                 "could not grow a route within the length cap; "
-                "check length_range against max_route_length"
+                f"arcs are {LENGTH_RANGE[0]:g} to {LENGTH_RANGE[1]:g} km long"
             )
         flow = min(network.arc(a).flow for a in walk)
         routes.append(VehicularRoute(id=route_id, arcs=tuple(walk), flow=flow))
 
+    index = RouteIndex(network, routes)
     probe = replace(config.enumeration, max_paths=1)
     sources = sorted({network.arc(a).tail for r in routes for a in r.arcs})
     targets = sorted({network.arc(a).head for r in routes for a in r.arcs})
@@ -533,7 +531,7 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
         t = rng.choice(targets)
         if s == t or (s, t) in chosen:
             continue
-        if enumerate_paths(network, routes, s, t, probe):
+        if enumerate_paths(index, s, t, probe):
             pairs.append((s, t))
             chosen.add((s, t))
 
@@ -541,10 +539,8 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
         network=network,
         routes=tuple(routes),
         pairs=tuple(pairs),
-        params=config.params,
+        params=NOMINAL_PARAMS,
         penetration=config.penetration,
         enumeration=config.enumeration,
-        loss_cap=config.loss_cap,
-        delivery_floor=config.delivery_floor,
         seed=config.seed,
     )

@@ -2,8 +2,9 @@
 
 One parameter varies per sweep (round-trip efficiency, window, packet size,
 or penetration) while the others sit at fixed nominal values. Paths are
-enumerated once per pair and reused across sweep values, since the path set
-depends only on the network and routes.
+enumerated once per pair, over one route index for the scenario, and reused
+across sweep values, since the path set depends only on the network and
+routes.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Optional
 from ._version import __version__
 from .energetics import EnergyParams
 from .errors import ValidationError
-from .paths import EnergyPath, enumerate_paths
-from .planner import GREEDY, MAX_ENERGY, PlanRequest, solve
+from .paths import EnergyPath, RouteIndex, enumerate_paths
+from .planner import GREEDY, MAX_ENERGY, solve
 from .scenario import Scenario, scenario_hash
 
 SWEEP_PARAMETERS = ("z", "T", "w", "penetration")
@@ -110,12 +111,11 @@ def run_sweep(
     """
     if method != GREEDY:
         raise ValidationError(f"unknown method {method!r}; the solver is {GREEDY!r}")
-    pair_paths: list[tuple[int, int, tuple[EnergyPath, ...]]] = []
-    for source, target in scenario.pairs:
-        paths = enumerate_paths(
-            scenario.network, scenario.routes, source, target, scenario.enumeration
-        )
-        pair_paths.append((source, target, tuple(paths)))
+    index = RouteIndex(scenario.network, scenario.routes)
+    pair_paths: list[tuple[int, int, list[EnergyPath]]] = [
+        (source, target, enumerate_paths(index, source, target, scenario.enumeration))
+        for source, target in scenario.pairs
+    ]
 
     points = []
     for value in spec.values:
@@ -124,15 +124,7 @@ def run_sweep(
         transferred = 0.0
         loss = 0.0
         for source, target, paths in pair_paths:
-            request = PlanRequest(
-                paths=paths,
-                params=params,
-                objective=objective,
-                loss_cap=loss_cap,
-                delivery_floor=delivery_floor,
-                penetration=penetration,
-            )
-            plan = solve(request)
+            plan = solve(paths, params, objective, loss_cap, delivery_floor, penetration)
             breakdown.append((source, target, plan.transferred, plan.loss))
             transferred += plan.transferred
             loss += plan.loss

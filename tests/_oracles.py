@@ -295,28 +295,27 @@ def lp_assign(capacities, loss_factors, objective, bound):
     raise ValidationError(f"unknown objective {objective!r}")
 
 
-def reference_plan(request, lp=False):
-    """Plan ``request`` one path object at a time, as the scalar planner did.
+def reference_plan(
+    paths, params, objective, loss_cap=math.inf, delivery_floor=0.0, penetration=1.0,
+    lp=False,
+):
+    """Plan ``paths`` one path object at a time, as the scalar planner did;
+    the arguments are :func:`venplan.solve`'s.
 
     ``lp=True`` fills with :func:`lp_assign` instead of the greedy fill.
     """
-    econ = [
-        path_economics(p, request.params, request.penetration) for p in request.paths
-    ]
-    if request.objective == MAX_ENERGY:
-        bound = request.loss_cap
-    else:
-        bound = request.delivery_floor
+    econ = [path_economics(p, params, penetration) for p in paths]
+    bound = loss_cap if objective == MAX_ENERGY else delivery_floor
     if not econ:
-        status = INFEASIBLE if request.objective == MIN_LOSS and bound > 0 else OPTIMAL
+        status = INFEASIBLE if objective == MIN_LOSS and bound > 0 else OPTIMAL
         return TransferPlan((), 0.0, 0.0, status)
     caps = [e.capacity for e in econ]
     lams = [e.loss_factor for e in econ]
     hops = [e.path.hops for e in econ]
     if lp:
-        x, status = lp_assign(caps, lams, request.objective, bound)
+        x, status = lp_assign(caps, lams, objective, bound)
     else:
-        x, status = reference_fill(caps, lams, request.objective, bound, hops)
+        x, status = reference_fill(caps, lams, objective, bound, hops)
     energies = tuple(float(v) for v in x)
     transferred = 0.0
     loss = 0.0

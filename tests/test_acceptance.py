@@ -43,7 +43,7 @@ from venplan import (
     MAX_ENERGY,
     MIN_LOSS,
     OPTIMAL,
-    PlanRequest,
+    RouteIndex,
     SweepSpec,
     enumerate_paths,
     find_crossover,
@@ -92,7 +92,7 @@ def test_criterion_1_worked_example(three_routes_scenario):
     failures = []
     s = three_routes_scenario
     started = time.perf_counter()
-    paths = enumerate_paths(s.network, s.routes, 1, 4, s.enumeration)
+    paths = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)
     elapsed = time.perf_counter() - started
     expected = [
         ((3, 1, 3),),
@@ -102,7 +102,7 @@ def test_criterion_1_worked_example(three_routes_scenario):
     got = [tuple((g.route_id, g.start, g.end) for g in p.segments) for p in paths]
     if got != expected:
         failures.append(f"paths {got} != {expected}")
-    rerun = enumerate_paths(s.network, s.routes, 1, 4, s.enumeration)
+    rerun = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)
     if rerun != paths:
         failures.append("enumeration is not deterministic")
     if elapsed >= 1.0:
@@ -119,11 +119,12 @@ def test_criterion_2_enumeration_completeness():
         net, routes = scenario.network, scenario.routes
         hops = scenario.enumeration.max_hops
         config = EnumerationConfig(max_hops=hops, max_paths=None)
+        index = RouteIndex(net, routes)
         for s in sorted(net.junctions):
             for t in sorted(net.junctions):
                 if s == t:
                     continue
-                found = enumerate_paths(net, routes, s, t, config)
+                found = enumerate_paths(index, s, t, config)
                 expected = brute_force_paths(net, routes, s, t, hops)
                 pair_checks += 1
                 if found != expected:
@@ -339,17 +340,16 @@ def test_criterion_8_scale_smoke():
     if not max_energy.transferred > 0:
         failures.append("no energy transferred at scale")
 
-    requests = [
-        PlanRequest(
-            paths=pair.paths,
-            params=scenario.params,
-            objective=MIN_LOSS,
+    min_loss = [
+        solve(
+            pair.paths,
+            scenario.params,
+            MIN_LOSS,
             delivery_floor=pair.plan.transferred / 2,
             penetration=scenario.penetration,
         )
         for pair in max_energy.pairs
     ]
-    min_loss = [solve(request) for request in requests]
     if any(plan.status != OPTIMAL for plan in min_loss):
         failures.append("min-loss at half capacity unexpectedly infeasible")
 

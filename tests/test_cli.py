@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import pytest
@@ -25,16 +26,21 @@ from conftest import THREE_ROUTES
 FIXTURE = str(THREE_ROUTES)
 
 
-def run_module(*argv):
-    """Run ``python -m venplan.cli`` on the package these tests import."""
+def run_python(*argv):
+    """Run ``python ARGV`` with the package these tests import on its path."""
     src = str(Path(venplan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "venplan.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_module(*argv):
+    """Run ``python -m venplan.cli`` on the package these tests import."""
+    return run_python("-m", "venplan.cli", *argv)
 
 
 class TestValidate:
@@ -301,6 +307,57 @@ class TestGenerate:
             4, 20, "full-route"
         )
         assert parse_scenario(uncapped.read_text()).enumeration.max_paths is None
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "command", ["validate", "enumerate", "solve", "sweep", "generate"]
+    )
+    def test_memory_error_exits_4_after_freeing_the_traceback(self, monkeypatch, command):
+        class Held:
+            pass
+
+        held = []
+
+        def exhausted(args):
+            partial = Held()  # a half-built result that only the traceback keeps alive
+            held.append(weakref.ref(partial))
+            raise MemoryError
+
+        alive_at_print = []
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                alive_at_print.append(held[0]() is not None)
+                return super().write(text)
+
+        stderr = Stderr()
+        monkeypatch.setattr(venplan.cli, f"_cmd_{command}", exhausted)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(WRITERS.get(command, ["validate", FIXTURE])) == 4
+        assert stderr.getvalue().startswith("error: out of memory")
+        assert stderr.getvalue().count("\n") == 1
+        assert alive_at_print and not any(alive_at_print)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
+    def test_route_count_beyond_memory(self):
+        # the child caps its own address space 16 MiB above its size after
+        # import, so the routes run out of memory within about two seconds
+        code = (
+            "import resource, sys\n"
+            "from venplan.cli import main\n"
+            "with open('/proc/self/status') as f:\n"
+            "    size = next(int(l.split()[1]) for l in f if l.startswith('VmSize:'))\n"
+            "limit = size * 1024 + 16 * 2**20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["generate", "--seed", "1", "--junctions", "12", "--arcs", "25",
+                "--pairs", "2", "--routes", str(2**62)]
+        done = run_python("-c", code, *argv)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr.startswith("error: out of memory")
+        assert done.stderr.count("\n") == 1
 
 
 # One short run of each command that writes an output file.

@@ -1,0 +1,52 @@
+"""README's Quickstart and the demo scripts run as a reader would run them."""
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import venplan
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_from_copy(tmp_path, argv):
+    """Run ``python ARGV`` in a directory holding a copy of ``scenarios/``,
+    with the package these tests import on the path."""
+    shutil.copytree(ROOT / "scenarios", tmp_path / "scenarios")
+    src = str(Path(venplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_readme_quickstart(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Quickstart", 1)[1]
+    code = re.search(r"```python\n(.*?)```", quickstart, re.S).group(1)
+    done = run_from_copy(tmp_path, ["-c", code])
+    assert done.returncode == 0, done.stderr
+    assert "kWh delivered," in done.stdout
+
+
+def test_demos_found():
+    assert [p.name for p in DEMOS] == [
+        "parameter_sweeps.py", "routing_information_modes.py", "worked_example.py"
+    ]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(tmp_path, demo):
+    done = run_from_copy(tmp_path, [str(demo)])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout and not done.stderr

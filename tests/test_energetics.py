@@ -9,6 +9,7 @@ from venplan import (
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
+    RouteIndex,
     ValidationError,
     enumerate_paths,
     generate_scenario,
@@ -70,10 +71,8 @@ class TestPathDelay:
         assert path.delay == 5.0
 
     def test_equals_flattened_arc_sum(self, three_routes_scenario):
-        from venplan import enumerate_paths
-
         s = three_routes_scenario
-        for path in enumerate_paths(s.network, s.routes, 1, 4, s.enumeration):
+        for path in enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration):
             flat = 0.0
             for seg in path.segments:
                 for arc_id in seg.arcs:
@@ -246,9 +245,10 @@ class TestEconomicsArrays:
                 enumeration=EnumerationConfig(max_hops=3, max_paths=None),
             )
         )
+        index = RouteIndex(s.network, s.routes)
         found = []
         for source, target in s.pairs:
-            found += enumerate_paths(s.network, s.routes, source, target, s.enumeration)
+            found += enumerate_paths(index, source, target, s.enumeration)
         assert len(found) > 500
         return tuple(found)
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import venplan.cli
 import venplan.paths
 import venplan.planner
 import venplan.scenario
@@ -14,6 +15,7 @@ from venplan import (
     FULL_ROUTE,
     PER_HOP,
     GeneratorConfig,
+    RouteIndex,
     ValidationError,
     VehicularRoute,
     build_network,
@@ -21,8 +23,6 @@ from venplan import (
     generate_scenario,
     sub_route,
 )
-
-from venplan.paths import _RouteIndex
 
 from _oracles import (
     brute_force_paths,
@@ -124,7 +124,7 @@ class TestThreeRouteExample:
             max_paths=overrides.get("max_paths", None),
             mode=overrides.get("mode", FULL_ROUTE),
         )
-        return enumerate_paths(scenario.network, scenario.routes, 1, 4, config)
+        return enumerate_paths(RouteIndex(scenario.network, scenario.routes), 1, 4, config)
 
     def test_exactly_three_paths(self, three_routes_scenario):
         found = self.paths(three_routes_scenario)
@@ -168,43 +168,42 @@ class TestEnumerationProperties:
     def test_unreachable_target_gives_empty_list(self):
         net = build_network([1, 2, 3], [Arc(1, 1, 2, 1.0, 5.0)])
         routes = [VehicularRoute(1, (1,), 5.0)]
-        assert enumerate_paths(net, routes, 1, 3, EnumerationConfig()) == []
+        assert enumerate_paths(RouteIndex(net, routes), 1, 3, EnumerationConfig()) == []
 
     def test_junction_without_route_coverage_unreachable(self):
         net = build_network([1, 2, 3], [Arc(1, 1, 2, 1.0, 5.0), Arc(2, 2, 3, 1.0, 5.0)])
         routes = [VehicularRoute(1, (1,), 5.0)]  # arc 2 carries no route
-        assert enumerate_paths(net, routes, 1, 3, EnumerationConfig()) == []
+        assert enumerate_paths(RouteIndex(net, routes), 1, 3, EnumerationConfig()) == []
 
     def test_unknown_junctions_rejected(self, three_routes_scenario):
         s = three_routes_scenario
         with pytest.raises(ValidationError, match="unknown source"):
-            enumerate_paths(s.network, s.routes, 99, 4)
+            enumerate_paths(RouteIndex(s.network, s.routes), 99, 4)
         with pytest.raises(ValidationError, match="unknown target"):
-            enumerate_paths(s.network, s.routes, 1, 99)
+            enumerate_paths(RouteIndex(s.network, s.routes), 1, 99)
         with pytest.raises(ValidationError, match="must differ"):
-            enumerate_paths(s.network, s.routes, 1, 1)
+            enumerate_paths(RouteIndex(s.network, s.routes), 1, 1)
 
     def test_deterministic_repetition(self, three_routes_scenario):
         s = three_routes_scenario
-        first = enumerate_paths(s.network, s.routes, 1, 4, s.enumeration)
-        second = enumerate_paths(s.network, s.routes, 1, 4, s.enumeration)
+        index = RouteIndex(s.network, s.routes)
+        first = enumerate_paths(index, 1, 4, s.enumeration)
+        second = enumerate_paths(index, 1, 4, s.enumeration)
         assert first == second
+        assert enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration) == first
 
     def test_result_cap_is_a_prefix_of_the_full_list(self, three_routes_scenario):
         s = three_routes_scenario
-        full = enumerate_paths(
-            s.network, s.routes, 1, 4, EnumerationConfig(max_hops=4, max_paths=None)
-        )
+        index = RouteIndex(s.network, s.routes)
+        full = enumerate_paths(index, 1, 4, EnumerationConfig(max_hops=4, max_paths=None))
         for k in (1, 2, 3):
-            capped = enumerate_paths(
-                s.network, s.routes, 1, 4, EnumerationConfig(max_hops=4, max_paths=k)
-            )
+            capped = enumerate_paths(index, 1, 4, EnumerationConfig(max_hops=4, max_paths=k))
             assert capped == full[:k]
 
     def test_hop_cap_respected(self, three_routes_scenario):
         s = three_routes_scenario
         only_direct = enumerate_paths(
-            s.network, s.routes, 1, 4, EnumerationConfig(max_hops=1, max_paths=None)
+            RouteIndex(s.network, s.routes), 1, 4, EnumerationConfig(max_hops=1, max_paths=None)
         )
         assert [segment_shape(p) for p in only_direct] == [((3, 1, 3),)]
 
@@ -212,6 +211,7 @@ class TestEnumerationProperties:
         for seed in range(1, 13):
             scenario = generate_scenario(small_config(seed))
             net, routes = scenario.network, scenario.routes
+            index = RouteIndex(net, routes)
             for hops in range(1, scenario.enumeration.max_hops + 1):
                 for mode in (FULL_ROUTE, PER_HOP):
                     config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
@@ -219,7 +219,7 @@ class TestEnumerationProperties:
                         for t in sorted(net.junctions):
                             if s == t:
                                 continue
-                            found = enumerate_paths(net, routes, s, t, config)
+                            found = enumerate_paths(index, s, t, config)
                             expected = brute_force_paths(net, routes, s, t, hops, mode)
                             assert found == expected, (seed, hops, mode, s, t)
 
@@ -242,25 +242,27 @@ class TestEnumerationProperties:
         # the search bound must account for the faster completions that each
         # hop budget cuts off
         net, routes = fewest_segments_slower_network()
+        index = RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             for hops in (1, 2, 3):
                 config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
-                found = enumerate_paths(net, routes, 1, 4, config)
+                found = enumerate_paths(index, 1, 4, config)
                 assert found == brute_force_paths(net, routes, 1, 4, hops, mode)
                 assert found[0].delay == 20.0, (mode, hops)
             assert min(found, key=lambda p: p.delay).hops == 3, mode
 
     def test_walks_stop_where_the_target_is_out_of_reach(self):
         net, routes = stop_point_network()
+        index = RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             for hops in (1, 2, 3, 4):
                 config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
                 for source in (1, 2, 3, 11):
-                    found = enumerate_paths(net, routes, source, 9, config)
+                    found = enumerate_paths(index, source, 9, config)
                     expected = brute_force_paths(net, routes, source, 9, hops, mode)
                     assert found == expected, (mode, hops, source)
         config = EnumerationConfig(max_hops=4, max_paths=None)
-        assert [segment_shape(p) for p in enumerate_paths(net, routes, 1, 9, config)] == [
+        assert [segment_shape(p) for p in enumerate_paths(index, 1, 9, config)] == [
             ((4, 1, 3),),
             ((3, 1, 4),),
             ((1, 1, 2), (2, 1, 1)),
@@ -270,11 +272,12 @@ class TestEnumerationProperties:
         for seed in (21, 22, 23):
             scenario = generate_scenario(small_config(seed))
             net, routes = scenario.network, scenario.routes
+            index = RouteIndex(net, routes)
             for s in sorted(net.junctions):
                 for t in sorted(net.junctions):
                     if s == t:
                         continue
-                    for path in enumerate_paths(net, routes, s, t, scenario.enumeration):
+                    for path in enumerate_paths(index, s, t, scenario.enumeration):
                         assert validate_path(path, net, routes) is None
 
     def test_per_hop_subset_of_full_route(self):
@@ -283,6 +286,7 @@ class TestEnumerationProperties:
         for seed in (31, 32, 33):
             scenario = generate_scenario(small_config(seed))
             net, routes = scenario.network, scenario.routes
+            index = RouteIndex(net, routes)
             hops = scenario.enumeration.max_hops
             for s in sorted(net.junctions):
                 for t in sorted(net.junctions):
@@ -290,12 +294,11 @@ class TestEnumerationProperties:
                         continue
                     full = set(
                         enumerate_paths(
-                            net, routes, s, t,
-                            EnumerationConfig(max_hops=hops, max_paths=None),
+                            index, s, t, EnumerationConfig(max_hops=hops, max_paths=None)
                         )
                     )
                     per_hop = enumerate_paths(
-                        net, routes, s, t,
+                        index, s, t,
                         EnumerationConfig(max_hops=hops, max_paths=None, mode=PER_HOP),
                     )
                     for path in per_hop:
@@ -316,7 +319,7 @@ class TestBoundTable:
     """The array table equals the scalar reference exactly, float bits too."""
 
     def check(self, net, routes):
-        index = _RouteIndex(net, routes)
+        index = RouteIndex(net, routes)
         lengths = {r.id: len(r.arcs) for r in routes}
         out = len(net.junctions)
         for mode in (FULL_ROUTE, PER_HOP):
@@ -378,51 +381,54 @@ def unshift_path(path, shift):
 class TestRouteIndexEdges:
     def test_no_routes_gives_empty_list(self, three_routes_scenario):
         s = three_routes_scenario
-        assert enumerate_paths(s.network, [], 1, 4) == []
-        assert enumerate_paths(s.network, (), 1, 4, EnumerationConfig(mode=PER_HOP)) == []
+        assert enumerate_paths(RouteIndex(s.network, []), 1, 4) == []
+        per_hop = EnumerationConfig(mode=PER_HOP)
+        assert enumerate_paths(RouteIndex(s.network, ()), 1, 4, per_hop) == []
 
     def test_unknown_arc_id_rejected(self, three_routes_scenario):
         s = three_routes_scenario
         routes = [*s.routes, VehicularRoute(7, (2, 99), 5.0), VehicularRoute(8, (98,), 5.0)]
         with pytest.raises(ValidationError, match="^unknown arc id 99$"):
-            enumerate_paths(s.network, routes, 1, 4)
+            RouteIndex(s.network, routes)
 
     def test_duplicate_route_ids_rejected(self, three_routes_scenario):
         s = three_routes_scenario
         routes = [*s.routes, VehicularRoute(2, (1,), 5.0)]
         with pytest.raises(ValidationError, match="duplicate route ids"):
-            enumerate_paths(s.network, routes, 1, 4)
+            RouteIndex(s.network, routes)
 
     def test_target_on_no_route_gives_empty_list(self):
         # junction 4 is reachable by road, but no route uses arc 3
         arcs = [Arc(1, 1, 2, 1.0, 5.0), Arc(2, 2, 3, 1.0, 5.0), Arc(3, 3, 4, 1.0, 5.0)]
         net = build_network([1, 2, 3, 4], arcs)
         routes = [VehicularRoute(1, (1, 2), 5.0)]
+        index = RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             config = EnumerationConfig(mode=mode)
-            assert enumerate_paths(net, routes, 1, 4, config) == []
-            assert enumerate_paths(net, routes, 1, 3, config) != []
+            assert enumerate_paths(index, 1, 4, config) == []
+            assert enumerate_paths(index, 1, 3, config) != []
 
     @pytest.mark.parametrize("shift", [2**70, -(2**70)])
     def test_ids_beyond_int64(self, three_routes_scenario, shift):
         s = three_routes_scenario
         net, routes = shift_ids(s.network, s.routes, shift)
+        index, shifted = RouteIndex(s.network, s.routes), RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             config = EnumerationConfig(max_hops=4, max_paths=None, mode=mode)
-            expected = enumerate_paths(s.network, s.routes, 1, 4, config)
-            found = enumerate_paths(net, routes, 1 + shift, 4 + shift, config)
+            expected = enumerate_paths(index, 1, 4, config)
+            found = enumerate_paths(shifted, 1 + shift, 4 + shift, config)
             assert expected
             assert [unshift_path(p, shift) for p in found] == expected, mode
 
     def test_hop_cap_beyond_int64(self, three_routes_scenario):
         s = three_routes_scenario
+        index = RouteIndex(s.network, s.routes)
         for mode in (FULL_ROUTE, PER_HOP):
             found = enumerate_paths(
-                s.network, s.routes, 1, 4,
-                EnumerationConfig(max_hops=2**63, max_paths=None, mode=mode),
+                index, 1, 4, EnumerationConfig(max_hops=2**63, max_paths=None, mode=mode)
             )
             expected = enumerate_paths(
-                s.network, s.routes, 1, 4,
+                index, 1, 4,
                 EnumerationConfig(
                     max_hops=len(s.network.junctions), max_paths=None, mode=mode
                 ),
@@ -431,7 +437,7 @@ class TestRouteIndexEdges:
 
     def test_entries_sorted_by_route_then_position(self, three_routes_scenario):
         s = three_routes_scenario
-        index = _RouteIndex(s.network, s.routes[::-1])
+        index = RouteIndex(s.network, s.routes[::-1])
         entries = [index.entries(j) for j in (1, 2, 3, 4, 5)]
         assert [[e[:2] for e in found] for found in entries] == [
             [(1, 1), (3, 1)],
@@ -446,12 +452,73 @@ class TestRouteIndexEdges:
     def test_paths_of_one_call_share_each_slice(self, three_routes_scenario):
         s = three_routes_scenario
         config = EnumerationConfig(max_hops=4, max_paths=None, mode=PER_HOP)
-        found = enumerate_paths(s.network, s.routes, 1, 4, config)
+        found = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, config)
         first = {}
         for path in found:
             for seg in path.segments:
                 assert first.setdefault((seg.route_id, seg.start, seg.end), seg) is seg
         assert sum(len(p.segments) for p in found) > len(first)  # some are shared
+
+
+def shared_index_city(seed, mode=FULL_ROUTE):
+    return generate_scenario(
+        GeneratorConfig(
+            seed=seed, junction_count=40, arc_count=110, route_count=60, pair_count=4,
+            enumeration=EnumerationConfig(max_hops=4, max_paths=30, mode=mode),
+        )
+    )
+
+
+class TestSharedRouteIndex:
+    """One index serves every search over its routes."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        count = []
+        init = RouteIndex.__init__
+
+        def counting(self, network, routes):
+            count.append(None)
+            init(self, network, routes)
+
+        monkeypatch.setattr(RouteIndex, "__init__", counting)
+        return count
+
+    def test_one_build_per_call(self, builds, tmp_path, capsys):
+        scenario = shared_index_city(5)
+        assert len(builds) == 1  # the generator's pair probes
+        assert len(scenario.pairs) == 4
+        venplan.planner.solve_scenario(scenario)
+        assert len(builds) == 2
+        spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.9))
+        venplan.sweep.run_sweep(scenario, spec)
+        assert len(builds) == 3
+        path = tmp_path / "city.json"
+        path.write_text(venplan.scenario.serialize_scenario(scenario))
+        assert venplan.cli.main(["enumerate", str(path)]) == 0
+        assert len(builds) == 4
+        assert capsys.readouterr().out.count(" paths\n") == 4
+
+    @pytest.mark.parametrize("mode", [FULL_ROUTE, PER_HOP])
+    def test_shared_index_equals_a_fresh_index_per_pair(self, mode):
+        # probe-style one-path searches first, then full ones, in two pair
+        # orders: no entry, geometry or slice cached by one search changes
+        # another's output
+        for seed in (5, 17):
+            scenario = shared_index_city(seed, mode)
+            net, routes, config = scenario.network, scenario.routes, scenario.enumeration
+            probe = dataclasses.replace(config, max_paths=1)
+            pairs = [*scenario.pairs, *((t, s) for s, t in scenario.pairs)]
+            fresh = {
+                pair: enumerate_paths(RouteIndex(net, routes), *pair, config)
+                for pair in pairs
+            }
+            assert all(fresh[pair] for pair in scenario.pairs)
+            for order in (pairs, pairs[::-1]):
+                index = RouteIndex(net, routes)
+                for pair in order:
+                    assert enumerate_paths(index, *pair, probe) == fresh[pair][:1]
+                    assert enumerate_paths(index, *pair, config) == fresh[pair], pair
 
 
 class TestEnumerateCallSites:
@@ -464,7 +531,7 @@ class TestEnumerateCallSites:
 class TestValidatePath:
     def test_source_violation_reported_first(self, three_routes_scenario):
         s = three_routes_scenario
-        p1 = enumerate_paths(s.network, s.routes, 1, 4, s.enumeration)[1]
+        p1 = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)[1]
         swapped = EnergyPath(source=1, target=4, segments=p1.segments[::-1])
         violation = validate_path(swapped, s.network, s.routes)
         assert violation is not None and violation.condition == "source"
@@ -514,7 +581,7 @@ class TestValidatePath:
 
     def test_segment_integrity_checked(self, three_routes_scenario):
         s = three_routes_scenario
-        genuine = enumerate_paths(s.network, s.routes, 1, 4, s.enumeration)[0]
+        genuine = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)[0]
         seg = genuine.segments[0]
         forged = EnergyPath(
             source=1,

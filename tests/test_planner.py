@@ -16,7 +16,7 @@ from venplan import (
     EnergyPath,
     EnumerationConfig,
     GeneratorConfig,
-    PlanRequest,
+    RouteIndex,
     TransferPlan,
     ValidationError,
     VehicularRoute,
@@ -211,10 +211,10 @@ class TestSolverEquivalence:
 
 
 class TestPlanRequests:
-    def make_request(self, objective=MAX_ENERGY, **kwargs):
+    def make_plan(self, objective=MAX_ENERGY, **kwargs):
         path, _, _ = single_arc_path([0.5, 0.5], [60.0, 30.0])
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        return PlanRequest(paths=(path,), params=params, objective=objective, **kwargs)
+        return solve((path,), params, objective, **kwargs)
 
     def test_empty_request_yields_zero_plan(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
@@ -224,30 +224,23 @@ class TestPlanRequests:
             (MAX_ENERGY, {"loss_cap": 2.0}),
             (MIN_LOSS, {"delivery_floor": 0.0}),
         ):
-            plan = solve(PlanRequest((), params, objective, **bounds))
+            plan = solve((), params, objective, **bounds)
             assert plan == TransferPlan((), 0.0, 0.0, OPTIMAL), (objective, bounds)
 
     def test_empty_min_loss_with_floor_is_infeasible(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        plan = solve(
-            PlanRequest(
-                paths=(), params=params, objective=MIN_LOSS, delivery_floor=2.0
-            )
-        )
+        plan = solve((), params, MIN_LOSS, delivery_floor=2.0)
         assert plan.status == INFEASIBLE
-
-    def test_mixed_endpoints_rejected(self):
-        a, _, _ = single_arc_path([0.5], [10.0])
-        b, _, _ = single_arc_path([0.5, 0.5], [10.0, 10.0])
-        params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        with pytest.raises(ValidationError, match="share one"):
-            PlanRequest(paths=(a, b), params=params, objective=MAX_ENERGY)
 
     def test_invalid_caps_rejected(self):
         with pytest.raises(ValidationError):
-            self.make_request(MAX_ENERGY, loss_cap=-1.0)
+            self.make_plan(MAX_ENERGY, loss_cap=-1.0)
         with pytest.raises(ValidationError):
-            self.make_request(MIN_LOSS, delivery_floor=math.inf)
+            self.make_plan(MIN_LOSS, delivery_floor=math.inf)
+        with pytest.raises(ValidationError, match="unknown objective"):
+            self.make_plan("max-profit")
+        with pytest.raises(ValidationError, match="penetration"):
+            self.make_plan(MAX_ENERGY, penetration=1.5)
 
     def test_rates_pinned_at_maximum(self, three_routes_scenario):
         s = three_routes_scenario
@@ -257,7 +250,7 @@ class TestPlanRequests:
                 assert a.economics == path_economics(a.path, s.params, s.penetration)
 
     def test_totals_recompute_from_assignments(self, three_routes_scenario):
-        plan = solve(self.make_request(MAX_ENERGY))
+        plan = self.make_plan(MAX_ENERGY)
         assert plan.transferred == sum(plan.energies)
         solution = solve_scenario(
             three_routes_scenario, objective=MIN_LOSS, delivery_floor=10.0
@@ -294,27 +287,21 @@ class TestArrayPlannerMatchesScalarReference:
                 enumeration=EnumerationConfig(max_hops=3, max_paths=None),
             )
         )
+        index = RouteIndex(scenario.network, scenario.routes)
         for source, target in scenario.pairs:
-            yield tuple(
-                enumerate_paths(
-                    scenario.network, scenario.routes, source, target,
-                    scenario.enumeration,
-                )
-            )
+            yield tuple(enumerate_paths(index, source, target, scenario.enumeration))
 
     def requests(self, paths, z, window, penetration):
+        """Keyword arguments of ``solve`` for a grid of caps and floors."""
         params = EnergyParams.with_round_trip(0.1, z, window)
-        ref = reference_plan(
-            PlanRequest(paths, params, MAX_ENERGY, penetration=penetration)
-        )
+        ref = reference_plan(paths, params, MAX_ENERGY, penetration=penetration)
         total_cap = float(np.sum(ref.energies))  # an uncapped plan saturates every path
         total_loss = ref.loss
+        base = dict(paths=paths, params=params, penetration=penetration)
         for cap in (0.0, 0.5 * total_loss, math.inf):
-            yield PlanRequest(paths, params, MAX_ENERGY, loss_cap=cap,
-                              penetration=penetration)
+            yield dict(base, objective=MAX_ENERGY, loss_cap=cap)
         for floor in (0.0, 0.5 * total_cap, total_cap, 2.0 * total_cap + 1.0):
-            yield PlanRequest(paths, params, MIN_LOSS, delivery_floor=floor,
-                              penetration=penetration)
+            yield dict(base, objective=MIN_LOSS, delivery_floor=floor)
 
     def test_grid_on_generated_scenarios(self):
         compared = 0
@@ -330,8 +317,8 @@ class TestArrayPlannerMatchesScalarReference:
                     for window in windows:
                         for penetration in (0.0, 1.0):
                             for request in self.requests(paths, z, window, penetration):
-                                plan = solve(request)
-                                assert_same_plan(plan, reference_plan(request))
+                                plan = solve(**request)
+                                assert_same_plan(plan, reference_plan(**request))
                                 statuses.add(plan.status)
                                 compared += 1
         assert compared > 500
@@ -341,8 +328,8 @@ class TestArrayPlannerMatchesScalarReference:
         for paths in self.pair_paths(6):
             window = 2 * max(p.delay for p in paths)
             for request in self.requests(paths, 0.9, window, 1.0):
-                plan = solve(request)
-                lp = reference_plan(request, lp=True)
+                plan = solve(**request)
+                lp = reference_plan(**request, lp=True)
                 assert plan.status == lp.status
                 assert plan.transferred == pytest.approx(lp.transferred, rel=1e-9)
                 assert plan.loss == pytest.approx(lp.loss, rel=1e-9, abs=1e-12)
@@ -365,7 +352,7 @@ class TestPlanEquality:
 
         def plan(paths):
             # the loss cap fills part of the first path in input order
-            return solve(PlanRequest(paths, params, MAX_ENERGY, loss_cap=0.5))
+            return solve(paths, params, MAX_ENERGY, loss_cap=0.5)
 
         ab, ba = plan((a, b)), plan((b, a))
         assert ab.energies[0] > 0.0 == ab.energies[1]
@@ -386,25 +373,25 @@ class TestPlainDataPlans:
     """Plans hold only their fields, so copies and pickles are ordinary."""
 
     def request(self, scenario):
+        """Keyword arguments of ``solve`` for the scenario's first pair."""
         source, target = scenario.pairs[0]
-        paths = enumerate_paths(
-            scenario.network, scenario.routes, source, target, scenario.enumeration
-        )
-        return PlanRequest(tuple(paths), scenario.params, MAX_ENERGY, loss_cap=2.0,
-                           penetration=scenario.penetration)
+        index = RouteIndex(scenario.network, scenario.routes)
+        paths = enumerate_paths(index, source, target, scenario.enumeration)
+        return dict(paths=paths, params=scenario.params, objective=MAX_ENERGY,
+                    loss_cap=2.0, penetration=scenario.penetration)
 
     def test_instance_dict_is_the_fields(self, three_routes_scenario):
         solution = solve_scenario(three_routes_scenario)
         pair = solution.pairs[0]
-        plans = [solve(self.request(three_routes_scenario)), solution, pair, pair.plan]
+        plans = [solve(**self.request(three_routes_scenario)), solution, pair, pair.plan]
         for obj in plans + list(pair.assignments):
             names = [f.name for f in dataclasses.fields(obj)]
             assert list(vars(obj)) == names, type(obj).__name__
 
     def test_pickled_plan_carries_no_paths(self, three_routes_scenario):
         request = self.request(three_routes_scenario)
-        plan = solve(request)
-        assert len(plan.energies) == len(request.paths) > 0
+        plan = solve(**request)
+        assert len(plan.energies) == len(request["paths"]) > 0
         assert b"EnergyPath" not in pickle.dumps(plan)
 
     def test_round_trips_compare_equal(self, three_routes_scenario):
@@ -447,9 +434,8 @@ class TestScenarioPipeline:
         greedy = solve_scenario(s)
         lp = [
             reference_plan(
-                PlanRequest(pair.paths, s.params, MAX_ENERGY,
-                            loss_cap=s.loss_cap, penetration=s.penetration),
-                lp=True,
+                pair.paths, s.params, MAX_ENERGY,
+                loss_cap=s.loss_cap, penetration=s.penetration, lp=True,
             )
             for pair in greedy.pairs
         ]
@@ -507,20 +493,14 @@ class TestScenarioPipeline:
 class TestMultiSource:
     """Scenario totals are the in-order sums of independent per-pair plans."""
 
-    def request_for(self, scenario, source, target):
-        paths = enumerate_paths(
-            scenario.network, scenario.routes, source, target, scenario.enumeration
-        )
-        return PlanRequest(
-            paths=tuple(paths),
-            params=scenario.params,
-            objective=MAX_ENERGY,
-            penetration=scenario.penetration,
-        )
+    def plan_for(self, scenario, source, target):
+        index = RouteIndex(scenario.network, scenario.routes)
+        paths = enumerate_paths(index, source, target, scenario.enumeration)
+        return solve(paths, scenario.params, MAX_ENERGY, penetration=scenario.penetration)
 
     def test_single_request_matches_plain_solve(self, three_routes_scenario):
         solution = solve_scenario(three_routes_scenario)
-        alone = solve(self.request_for(three_routes_scenario, 1, 4))
+        alone = self.plan_for(three_routes_scenario, 1, 4)
         assert solution.pairs[0].plan == alone
         assert solution.transferred == alone.transferred
         assert solution.loss == alone.loss
@@ -532,7 +512,7 @@ class TestMultiSource:
         transferred = 0.0
         loss = 0.0
         for (source, target), pair in zip(pairs, solution.pairs):
-            plan = solve(self.request_for(scenario, source, target))
+            plan = self.plan_for(scenario, source, target)
             assert (pair.source, pair.target) == (source, target)
             assert pair.plan == plan
             transferred += plan.transferred

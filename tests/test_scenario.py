@@ -18,6 +18,7 @@ from venplan import (
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
+    RouteIndex,
     ScenarioFormatError,
     ValidationError,
     VehicularRoute,
@@ -204,10 +205,9 @@ class TestGenerator:
 
     def test_pairs_admit_at_least_one_path(self):
         scenario = generate_scenario(self.CONFIG)
+        index = RouteIndex(scenario.network, scenario.routes)
         for s, t in scenario.pairs:
-            paths = enumerate_paths(
-                scenario.network, scenario.routes, s, t, scenario.enumeration
-            )
+            paths = enumerate_paths(index, s, t, scenario.enumeration)
             assert paths, (s, t)
 
     def test_round_trip_of_generated_scenarios(self):
@@ -219,10 +219,9 @@ class TestGenerator:
     def test_effective_flow_scaling_is_exact(self):
         # penetration scales each path's flow-limited rate, not the routes
         scenario = generate_scenario(self.CONFIG)
+        index = RouteIndex(scenario.network, scenario.routes)
         for s, t in scenario.pairs:
-            paths = enumerate_paths(
-                scenario.network, scenario.routes, s, t, scenario.enumeration
-            )
+            paths = enumerate_paths(index, s, t, scenario.enumeration)
             for path in paths:
                 half = max_rate(path, scenario.params, 0.5)
                 assert 2.0 * half == max_rate(path, scenario.params, 1.0)
@@ -233,7 +232,7 @@ class TestGenerator:
         with pytest.raises(ValidationError, match="distinct arcs"):
             GeneratorConfig(seed=1, junction_count=3, arc_count=7)
         with pytest.raises(ValidationError, match="route cap"):
-            GeneratorConfig(seed=1, length_range=(250.0, 300.0))
+            GeneratorConfig(seed=1, max_route_length=4.0)  # arcs are 5 to 60 km
         with pytest.raises(ValidationError, match="distinct pairs"):
             GeneratorConfig(seed=1, junction_count=3, arc_count=4, pair_count=7)
         with pytest.raises(ValidationError, match="sys.maxsize"):
@@ -261,10 +260,9 @@ class TestFloatFields:
             packet_size=1, charge_efficiency=0.9, discharge_efficiency=1, window=5
         )
         config = GeneratorConfig(
-            seed=3, junction_count=20, arc_count=40, route_count=20, pair_count=2,
-            params=params,
+            seed=3, junction_count=20, arc_count=40, route_count=20, pair_count=2
         )
-        scenario = generate_scenario(config)
+        scenario = dataclasses.replace(generate_scenario(config), params=params)
         text = serialize_scenario(scenario)
         again = parse_scenario(text)
         assert again == scenario
