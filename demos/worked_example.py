@@ -41,12 +41,12 @@ for path in paths:
 
 # --- price each path --------------------------------------------------------
 print("\nper-path economics (rate = packet size x slowest segment flow):")
-for path in paths:
-    econ = path_economics(path, params, scenario.penetration)
+rates, capacities, loss_factors = path_economics(paths, params, scenario.penetration)
+for path, rate, capacity, lam in zip(paths, rates, capacities, loss_factors):
     print(
-        f"  hops={path.hops}  rate<={econ.max_rate:g} kWh/h  "
-        f"capacity={econ.capacity:g} kWh  "
-        f"loss/delivered={econ.loss_factor:.4f}"
+        f"  hops={path.hops}  rate<={rate:g} kWh/h  "
+        f"capacity={capacity:g} kWh  "
+        f"loss/delivered={lam:.4f}"
     )
 
 # --- maximize delivery under a loss budget ----------------------------------
@@ -58,11 +58,10 @@ for loss_cap in (float("inf"), 2.0, 0.0):
         f"\nmax-energy with loss cap {loss_cap:g} kWh -> "
         f"delivered {plan.transferred:g} kWh, lost {plan.loss:g} kWh"
     )
-    for path, energy in zip(paths, plan.energies):
+    for path, energy, lam in zip(paths, plan.energies, loss_factors):
         if energy:
-            econ = path_economics(path, params, scenario.penetration)
             print(f"  {energy:g} kWh over the {path.hops}-hop path "
-                  f"(loss {econ.loss_factor * energy:g} kWh)")
+                  f"(loss {lam * energy:g} kWh)")
 
 # --- meet a delivery floor at minimum loss ----------------------------------
 plan = solve(

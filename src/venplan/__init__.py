@@ -14,7 +14,6 @@ experiments.
 from ._version import __version__
 from .errors import (
     ScenarioFormatError,
-    SolverError,
     ValidationError,
     VenplanError,
 )
@@ -37,10 +36,7 @@ from .paths import (
 )
 from .energetics import (
     EnergyParams,
-    PathEconomics,
     loss_factor,
-    max_rate,
-    max_transferable,
     path_economics,
 )
 from .planner import (
@@ -81,7 +77,6 @@ __all__ = [
     "VenplanError",
     "ValidationError",
     "ScenarioFormatError",
-    "SolverError",
     "Arc",
     "RoadNetwork",
     "SubRoute",
@@ -96,10 +91,7 @@ __all__ = [
     "RouteIndex",
     "enumerate_paths",
     "EnergyParams",
-    "PathEconomics",
     "loss_factor",
-    "max_rate",
-    "max_transferable",
     "path_economics",
     "OPTIMAL",
     "INFEASIBLE",

@@ -2,10 +2,9 @@
 
 Exit codes: 0 on success, 2 for command-line usage errors (argparse's, an
 output file that cannot be written, or ``--meta`` without ``--output``), 3
-for scenario file/parse problems, 4 for semantic validation failures and
-inputs too large for memory, and 5 for solver failures. Every
-machine-readable output records the scenario hash, the generation seed (when
-known), and the tool version.
+for scenario file/parse problems, and 4 for semantic validation failures
+and inputs too large for memory. Every machine-readable output records the
+scenario hash, the generation seed (when known), and the tool version.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from ._version import __version__
-from .errors import ScenarioFormatError, SolverError, ValidationError
+from .errors import ScenarioFormatError, ValidationError
 from .paths import (
     FULL_ROUTE, PER_HOP, EnergyPath, EnumerationConfig, RouteIndex, enumerate_paths,
 )
@@ -45,7 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_VALIDATION = 4
-EXIT_SOLVER = 5
 
 SEED_ENV_VAR = "VENPLAN_SEED"
 
@@ -381,9 +379,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None

@@ -8,6 +8,9 @@ way. Within a transfer window, the deliverable amount is further limited by
 the time left once carrier vehicles have propagated down the path, and by
 the packet rate the slowest segment's vehicle flow can sustain.
 
+:func:`path_economics` is the one pricing function: it prices a sequence of
+paths at once and returns their rates, capacities and loss factors as arrays.
+
 All quantities use kWh, hours, and vehicles per hour.
 """
 
@@ -65,30 +68,6 @@ class EnergyParams:
         )
 
 
-def max_rate(path: EnergyPath, params: EnergyParams, penetration: float = 1.0) -> float:
-    """Largest sustainable transfer rate in kWh per hour.
-
-    Every segment caps the rate at one packet per participating vehicle, so
-    the slowest segment's flow (scaled by the participation fraction) binds.
-    """
-    return params.packet_size * penetration * path.bottleneck_flow
-
-
-def max_transferable(path: EnergyPath, params: EnergyParams, rate: float) -> float:
-    """Upper bound in kWh on energy deliverable within the window at ``rate``.
-
-    Whatever window time is left after propagation is spent transmitting at
-    ``rate``; only the fraction z**hops of the injected energy arrives. A
-    window shorter than the propagation delay leaves no capacity at all.
-    """
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
-    slack = params.window - path.delay
-    if slack <= 0:
-        return 0.0
-    return slack * params.round_trip_efficiency**path.hops * rate
-
-
 def _retained(params: EnergyParams, hops: int) -> float:
     """z**hops, the fraction of injected energy that arrives.
 
@@ -109,39 +88,22 @@ def loss_factor(params: EnergyParams, hops: int) -> float:
     return 1.0 / _retained(params, hops) - 1.0
 
 
-@dataclass(frozen=True)
-class PathEconomics:
-    """Per-path planning coefficients derived from one parameter set."""
-
-    path: EnergyPath
-    max_rate: float  # kWh per hour
-    capacity: float  # kWh deliverable within the window at max rate
-    loss_factor: float  # kWh lost per kWh delivered
-
-
 def path_economics(
-    path: EnergyPath, params: EnergyParams, penetration: float = 1.0
-) -> PathEconomics:
-    """Evaluate the rate limit, capacity, and loss factor of a path."""
-    rate = max_rate(path, params, penetration)
-    return PathEconomics(
-        path=path,
-        max_rate=rate,
-        capacity=max_transferable(path, params, rate),
-        loss_factor=loss_factor(params, path.hops),
-    )
-
-
-def economics_arrays(
     paths: Sequence[EnergyPath], params: EnergyParams, penetration: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rate, capacity and loss-factor arrays of ``paths``, in path order.
 
-    The vector form of :func:`path_economics`, equal to it value for value:
-    the arithmetic runs in the same order, and z**k and the loss factor come
-    from the scalar formulas once per distinct hop count k, because numpy's
-    SIMD power may round differently. Overflow leaves inf or nan in the
-    arrays without a warning; the planner rejects non-finite capacities.
+    A path's rate (kWh per hour) is one packet per participating vehicle of
+    its slowest segment: packet size x penetration x bottleneck flow. Its
+    capacity (kWh) is the window time left after propagation, spent at that
+    rate, of which the fraction z**hops arrives; a window no longer than the
+    path's delay leaves no capacity at all. Its loss factor is
+    :func:`loss_factor` of its hop count.
+
+    z**k and the loss factor are evaluated in Python floats once per distinct
+    hop count k, because numpy's SIMD power may round differently. Overflow
+    leaves inf or nan in the arrays without a warning; the planner rejects
+    non-finite capacities.
     """
     n = len(paths)
     hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)

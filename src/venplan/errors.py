@@ -11,7 +11,3 @@ class ValidationError(VenplanError):
 
 class ScenarioFormatError(VenplanError):
     """A scenario file is malformed: bad syntax, missing fields, or wrong units."""
-
-
-class SolverError(VenplanError):
-    """The LP solver failed numerically; the message carries diagnostics."""

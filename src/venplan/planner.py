@@ -10,10 +10,10 @@ general LP solver and a vertex-enumeration oracle.
 
 A plan is plain data: the energy each path delivers, in the order the paths
 were given, plus the two totals and a status. :func:`solve` prices one
-pair's paths as arrays in one pass (``economics_arrays``) and creates no
-per-path objects, which keeps sweeps cheap; :func:`solve_scenario` pairs
-each energy with its path's economics in ``PairPlan.assignments`` for
-reports.
+pair's paths in one :func:`path_economics` call and creates no per-path
+objects, which keeps sweeps cheap; :func:`solve_scenario` prices each pair
+once more to record every path's rate and loss next to its energy in
+``PairPlan.assignments`` for reports.
 
 Modelling assumption: each path is priced as if it had its routes' packet
 rate to itself. Paths that share a route (even within one pair) are not
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .energetics import EnergyParams, PathEconomics, economics_arrays, path_economics
+from .energetics import EnergyParams, path_economics
 from .errors import ValidationError
 from .paths import EnergyPath, RouteIndex, enumerate_paths
 from .scenario import Scenario
@@ -45,20 +45,10 @@ INFEASIBLE = "infeasible"
 class PathAssignment:
     """Energy assigned to one path, sent at the path's maximum rate."""
 
-    economics: PathEconomics
+    path: EnergyPath
     energy: float  # kWh delivered over this path
-
-    @property
-    def path(self) -> EnergyPath:
-        return self.economics.path
-
-    @property
-    def rate(self) -> float:  # kWh per hour
-        return self.economics.max_rate
-
-    @property
-    def loss(self) -> float:
-        return self.economics.loss_factor * self.energy
+    rate: float  # kWh per hour
+    loss: float  # kWh, the path's loss factor times its energy
 
 
 @dataclass(frozen=True)
@@ -165,13 +155,13 @@ def solve(
     which keeps sweeps informative. :func:`knapsack_assign` checks the
     objective and the bound it uses.
 
-    The paths are priced together as arrays, exactly as :func:`path_economics`
-    prices each one, and the plan's totals are exact in-order sums.
+    The paths are priced together by one :func:`path_economics` call, and
+    the plan's totals are exact in-order sums.
     """
     if not 0 <= penetration <= 1:
         raise ValidationError("penetration must be within [0, 1]")
     bound = loss_cap if objective == MAX_ENERGY else delivery_floor
-    _, caps, lams = economics_arrays(paths, params, penetration)
+    _, caps, lams = path_economics(paths, params, penetration)
     hops = [p.hops for p in paths]
     x, status = knapsack_assign(caps, lams, objective, bound, hops)
     energies = tuple(x.tolist())
@@ -187,8 +177,8 @@ def solve(
 class PairPlan:
     """Plan and per-path assignments of one pair.
 
-    ``assignments`` pairs each enumerated path, in order, with its economics
-    and its energy in ``plan``.
+    ``assignments`` pairs each enumerated path, in order, with its energy in
+    ``plan``, its rate and its loss.
     """
 
     source: int
@@ -222,7 +212,8 @@ def solve_scenario(
     Paths are enumerated over the declared routes; the scenario's
     penetration scales flows when rates and capacities are computed. Caps
     default to the scenario's own; explicit arguments override them. Each
-    pair's assignments price its paths one by one with :func:`path_economics`.
+    pair's assignments take their rates and loss factors from one more
+    :func:`path_economics` call, each loss as loss factor x energy.
     """
     cap = scenario.loss_cap if loss_cap is None else loss_cap
     floor = scenario.delivery_floor if delivery_floor is None else delivery_floor
@@ -233,8 +224,9 @@ def solve_scenario(
     for source, target in scenario.pairs:
         paths = enumerate_paths(index, source, target, scenario.enumeration)
         plan = solve(paths, scenario.params, objective, cap, floor, scenario.penetration)
-        economics = [path_economics(p, scenario.params, scenario.penetration) for p in paths]
-        assignments = tuple(map(PathAssignment, economics, plan.energies))
+        rates, _, lams = path_economics(paths, scenario.params, scenario.penetration)
+        losses = [lam * x for lam, x in zip(lams.tolist(), plan.energies)]
+        assignments = tuple(map(PathAssignment, paths, plan.energies, rates.tolist(), losses))
         pair_plans.append(PairPlan(source, target, plan, assignments))
         transferred += plan.transferred
         loss += plan.loss

@@ -10,10 +10,14 @@ in ``_simplex``, independently of the greedy fill.
 The bound-table oracle is the pure-Python table the search's array table
 must reproduce bit for bit: one scalar backward pass per route and layer.
 
-The plan oracle is the per-path planner: it prices each path with the
-scalar ``path_economics``, fills in ``sorted((loss factor, hops, index))``
-order and sums the totals path by path. The library's array planner must
-reproduce its energies, totals and status bit for bit.
+The pricing oracle is the scalar form of the paper's path formulas:
+``max_rate``, ``max_transferable`` and ``path_economics`` price one path at
+a time into a ``PathEconomics`` record. The library's array
+``venplan.path_economics`` must equal it value for value. The plan oracle is
+the per-path planner: it prices each path with the scalar
+``path_economics``, fills in ``sorted((loss factor, hops, index))`` order and
+sums the totals path by path. The library's array planner must reproduce its
+energies, totals and status bit for bit.
 
 The scenario oracles are the dict-based writer and the per-field parser:
 ``reference_serialize`` runs ``json.dumps`` over a document dict, and
@@ -54,10 +58,8 @@ from venplan import (
     TransferPlan,
     ValidationError,
     VehicularRoute,
-    SolverError,
     build_network,
     loss_factor,
-    path_economics,
     sub_route,
     validate_route,
 )
@@ -66,7 +68,52 @@ from venplan.planner import _check_instance
 from venplan.scenario import SCHEMA_VERSION, UNITS
 from venplan.sweep import CSV_COLUMNS
 
-from _simplex import solve_lp
+from _simplex import SolverError, solve_lp
+
+
+def max_rate(path, params, penetration=1.0):
+    """Largest sustainable transfer rate in kWh per hour.
+
+    Every segment caps the rate at one packet per participating vehicle, so
+    the slowest segment's flow (scaled by the participation fraction) binds.
+    """
+    return params.packet_size * penetration * path.bottleneck_flow
+
+
+def max_transferable(path, params, rate):
+    """Upper bound in kWh on energy deliverable within the window at ``rate``.
+
+    Whatever window time is left after propagation is spent transmitting at
+    ``rate``; only the fraction z**hops of the injected energy arrives. A
+    window shorter than the propagation delay leaves no capacity at all.
+    """
+    if rate < 0:
+        raise ValueError("rate must be nonnegative")
+    slack = params.window - path.delay
+    if slack <= 0:
+        return 0.0
+    return slack * params.round_trip_efficiency**path.hops * rate
+
+
+@dataclass(frozen=True)
+class PathEconomics:
+    """Per-path planning coefficients derived from one parameter set."""
+
+    path: EnergyPath
+    max_rate: float  # kWh per hour
+    capacity: float  # kWh deliverable within the window at max rate
+    loss_factor: float  # kWh lost per kWh delivered
+
+
+def path_economics(path, params, penetration=1.0):
+    """Evaluate the rate limit, capacity, and loss factor of one path."""
+    rate = max_rate(path, params, penetration)
+    return PathEconomics(
+        path=path,
+        max_rate=rate,
+        capacity=max_transferable(path, params, rate),
+        loss_factor=loss_factor(params, path.hops),
+    )
 
 
 def materialized_sub_routes(network, routes, mode):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from venplan import INFEASIBLE, OPTIMAL, SolverError
+from venplan import INFEASIBLE, OPTIMAL, VenplanError
 
 FEASIBILITY_TOL = 1e-9
 OPTIMALITY_TOL = 1e-9
@@ -30,6 +30,10 @@ _FREE = 2
 _BASIC = 3
 
 UNBOUNDED = "unbounded"
+
+
+class SolverError(VenplanError):
+    """The LP solver failed numerically; the message carries diagnostics."""
 
 
 @dataclass

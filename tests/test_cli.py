@@ -547,7 +547,7 @@ class TestArgumentVectorFuzz:
                 assert exc.code == 2, argv
                 code = exc.code
             else:
-                assert code in (0, 3, 4, 5), argv
+                assert code in (0, 3, 4), argv
         if code:
             assert "error: " in err.getvalue(), argv
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import venplan
+import venplan.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -37,6 +38,16 @@ def test_readme_quickstart(tmp_path):
     done = run_from_copy(tmp_path, ["-c", code])
     assert done.returncode == 0, done.stderr
     assert "kWh delivered," in done.stdout
+
+
+def test_readme_lists_the_cli_exit_codes():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    line = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    listed = sorted(int(code) for code in re.findall(r"`(\d+)`", line))
+    defined = sorted(
+        value for name, value in vars(venplan.cli).items() if name.startswith("EXIT_")
+    )
+    assert listed == defined
 
 
 def test_demos_found():

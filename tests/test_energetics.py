@@ -14,19 +14,22 @@ from venplan import (
     enumerate_paths,
     generate_scenario,
     loss_factor,
-    max_rate,
-    max_transferable,
     path_economics,
 )
 
-from venplan.energetics import economics_arrays
-
-from _oracles import path_loss, source_injection
+from _oracles import max_transferable, path_loss, source_injection
+from _oracles import path_economics as oracle_economics
 from conftest import single_arc_path
 
 
 def params(z=0.9, w=0.1, window=5.0):
     return EnergyParams.with_round_trip(packet_size=w, efficiency=z, window=window)
+
+
+def price(path, p, penetration=1.0):
+    """The (rate, capacity, loss factor) that ``path_economics`` gives one path."""
+    rates, caps, lams = path_economics([path], p, penetration)
+    return rates.item(), caps.item(), lams.item()
 
 
 class TestEnergyParams:
@@ -81,44 +84,50 @@ class TestPathDelay:
 
 
 class TestMaxRate:
+    """A path's rate is one packet per participating vehicle of its slowest segment."""
+
     def test_single_segment(self):
         path, _, _ = single_arc_path([1.0], [100.0])
-        assert max_rate(path, params(w=0.1)) == pytest.approx(10.0, rel=1e-12)
+        assert price(path, params(w=0.1))[0] == pytest.approx(10.0, rel=1e-12)
 
     def test_bottleneck_rule(self):
         path, _, _ = single_arc_path([1.0, 1.0, 1.0], [10.0, 4.0, 7.0])
-        assert max_rate(path, params(w=0.1)) == pytest.approx(0.4, rel=1e-12)
+        assert price(path, params(w=0.1))[0] == pytest.approx(0.4, rel=1e-12)
 
     def test_zero_flow_segment(self):
         path, _, _ = single_arc_path([1.0, 1.0], [10.0, 0.0])
-        assert max_rate(path, params()) == 0.0
+        rate, capacity, _ = price(path, params())
+        assert rate == 0.0 and capacity == 0.0
 
     def test_penetration_scales_linearly(self):
         path, _, _ = single_arc_path([1.0], [100.0])
-        full = max_rate(path, params(), penetration=1.0)
-        assert max_rate(path, params(), penetration=0.5) == pytest.approx(full / 2)
+        full = price(path, params(), penetration=1.0)[0]
+        assert price(path, params(), penetration=0.5)[0] == pytest.approx(full / 2)
 
 
 class TestMaxTransferable:
+    """A path's capacity is the window left after propagation, spent at its
+    rate and scaled by z**hops."""
+
     def test_worked_value(self):
         path, _, _ = single_arc_path([0.5, 0.5], [100.0, 100.0])
-        got = max_transferable(path, params(z=0.9, window=5.0), rate=10.0)
+        got = price(path, params(z=0.9, w=0.1, window=5.0))[1]
         assert got == pytest.approx(4.0 * 0.81 * 10.0, rel=1e-12)
 
     def test_window_equal_to_delay(self):
         path, _, _ = single_arc_path([2.5, 2.5], [100.0, 100.0])
-        assert max_transferable(path, params(window=5.0), rate=10.0) == 0.0
+        assert price(path, params(window=5.0))[1] == 0.0
 
     def test_window_below_delay_clamps_to_zero(self):
         path, _, _ = single_arc_path([4.0, 4.0], [100.0, 100.0])
-        assert max_transferable(path, params(window=5.0), rate=10.0) == 0.0
+        assert price(path, params(window=5.0))[1] == 0.0
 
     def test_lossless_case(self):
         path, _, _ = single_arc_path([0.5, 0.25, 0.25], [100.0] * 3)
-        got = max_transferable(path, params(z=1.0, window=2.0), rate=5.0)
-        assert got == 5.0
+        assert price(path, params(z=1.0, w=0.05, window=2.0))[1] == 5.0
 
     def test_negative_rate_rejected(self):
+        # the scalar oracle takes the rate as an argument and guards it
         path, _, _ = single_arc_path([1.0], [100.0])
         with pytest.raises(ValueError):
             max_transferable(path, params(), rate=-1.0)
@@ -128,12 +137,14 @@ class TestMaxTransferable:
         path, _, _ = single_arc_path([0.5, 0.5], flows)
         longer, _, _ = single_arc_path([1.0, 1.0], flows)
         three_hops, _, _ = single_arc_path([0.5, 0.25, 0.25], [100.0] * 3)
-        base = max_transferable(path, params(z=0.9, window=5.0), rate=10.0)
-        assert max_transferable(path, params(z=0.9, window=6.0), rate=10.0) >= base
-        assert max_transferable(path, params(z=0.95, window=5.0), rate=10.0) >= base
-        assert max_transferable(path, params(z=0.9, window=5.0), rate=11.0) >= base
-        assert max_transferable(longer, params(z=0.9, window=5.0), rate=10.0) <= base
-        assert max_transferable(three_hops, params(z=0.9, window=5.0), rate=10.0) <= base
+        paths = [path, longer, three_hops]
+        base = path_economics(paths, params(z=0.9, window=5.0))[1].tolist()
+        assert base[0] > 0.0
+        assert base[1] <= base[0] and base[2] <= base[0]
+        for better in (params(z=0.9, window=6.0), params(z=0.95, window=5.0),
+                       params(z=0.9, w=0.11, window=5.0)):
+            caps = path_economics(paths, better)[1].tolist()
+            assert all(c >= b for c, b in zip(caps, base)), better
 
 
 class TestLossAndInjection:
@@ -185,12 +196,13 @@ class TestLossAndInjection:
         fill=st.floats(min_value=0.0, max_value=1.0),
     )
     def test_transmission_fits_in_the_window(self, z, hops, window, rate_frac, fill):
-        # anything within the transferable bound also fits the window once
-        # injection time at the chosen rate is added to the propagation delay
+        # anything within the capacity also fits the window once injection
+        # time at the path's rate is added to the propagation delay; the
+        # penetration picks the rate
         path, _, _ = single_arc_path([0.5] * hops, [100.0] * hops)
         p = params(z=z, window=window)
-        rate = rate_frac * max_rate(path, p)
-        energy = fill * max_transferable(path, p, rate)
+        rate, capacity, _ = price(path, p, penetration=rate_frac)
+        energy = fill * capacity
         if energy <= 0.0 or rate <= 0.0:
             return
         retained = p.round_trip_efficiency**path.hops
@@ -202,12 +214,11 @@ class TestPathEconomics:
     def test_fields_against_formulas(self):
         path, _, _ = single_arc_path([0.5, 0.5], [60.0, 30.0])
         p = params(z=0.9, w=0.1, window=5.0)
-        econ = path_economics(path, p)
-        assert econ.path is path
-        assert econ.max_rate == max_rate(path, p)
-        assert econ.capacity == max_transferable(path, p, econ.max_rate)
-        assert econ.loss_factor == loss_factor(p, 2)
-        assert econ.loss_factor == pytest.approx(1 / 0.81 - 1, rel=1e-12)
+        rate, capacity, lam = price(path, p)
+        assert rate == 0.1 * 30.0
+        assert capacity == (5.0 - 1.0) * 0.9**2 * rate
+        assert lam == loss_factor(p, 2)
+        assert lam == pytest.approx(1 / 0.81 - 1, rel=1e-12)
 
     def test_loss_factor_zero_only_when_lossless(self):
         assert loss_factor(params(z=1.0), 3) == 0.0
@@ -221,18 +232,20 @@ class TestPathEconomics:
             loss_factor(params(z=1e-200), 2)
         with pytest.raises(ValidationError, match="leaves no energy after 2 cycles"):
             source_injection(path, params(z=1e-200), 1.0)
+        with pytest.raises(ValidationError, match="leaves no energy after 2 cycles"):
+            path_economics([path], params(z=1e-200))
 
     def test_penetration_enters_capacity(self):
         path, _, _ = single_arc_path([0.5], [100.0])
         p = params()
-        full = path_economics(path, p, penetration=1.0)
-        half = path_economics(path, p, penetration=0.5)
-        assert half.capacity == pytest.approx(full.capacity / 2, rel=1e-12)
-        assert half.loss_factor == full.loss_factor
+        _, full_capacity, full_lam = price(path, p, penetration=1.0)
+        _, half_capacity, half_lam = price(path, p, penetration=0.5)
+        assert half_capacity == pytest.approx(full_capacity / 2, rel=1e-12)
+        assert half_lam == full_lam
 
 
 class TestEconomicsArrays:
-    """The vector form equals ``path_economics`` value for value."""
+    """``path_economics`` equals the scalar oracle value for value."""
 
     def paths(self):
         s = generate_scenario(
@@ -253,8 +266,8 @@ class TestEconomicsArrays:
         return tuple(found)
 
     def assert_matches_scalar(self, paths, p, penetration):
-        rates, caps, lams = economics_arrays(paths, p, penetration)
-        econ = [path_economics(path, p, penetration) for path in paths]
+        rates, caps, lams = path_economics(paths, p, penetration)
+        econ = [oracle_economics(path, p, penetration) for path in paths]
         assert rates.tolist() == [e.max_rate for e in econ]
         assert caps.tolist() == [e.capacity for e in econ]
         assert lams.tolist() == [e.loss_factor for e in econ]
@@ -276,6 +289,6 @@ class TestEconomicsArrays:
         # pytest turns warnings into errors, so a numpy RuntimeWarning fails
         paths = self.paths()
         p = params(z=0.9, w=1e300, window=1e300)
-        _, caps, _ = economics_arrays(paths, p, 1.0)
+        _, caps, _ = path_economics(paths, p, 1.0)
         assert np.all(np.isinf(caps))
         self.assert_matches_scalar(paths, p, 1.0)

@@ -24,13 +24,14 @@ from venplan import (
     enumerate_paths,
     generate_scenario,
     knapsack_assign,
-    path_economics,
     solve,
     solve_scenario,
     sub_route,
 )
 
-from _oracles import lp_assign, reference_fill, reference_plan, vertex_enumeration_lp
+from _oracles import (
+    lp_assign, path_economics, reference_fill, reference_plan, vertex_enumeration_lp,
+)
 from _properties import check_tradeoff_properties
 from conftest import single_arc_path
 
@@ -243,11 +244,15 @@ class TestPlanRequests:
             self.make_plan(MAX_ENERGY, penetration=1.5)
 
     def test_rates_pinned_at_maximum(self, three_routes_scenario):
-        s = three_routes_scenario
-        for pair in solve_scenario(s).pairs:
-            for a in pair.assignments:
-                # a.rate is a.economics.max_rate, so the path's own economics pin it
-                assert a.economics == path_economics(a.path, s.params, s.penetration)
+        generated = generate_scenario(GeneratorConfig(seed=3, junction_count=12,
+                                                      arc_count=30, route_count=12))
+        assert generated.penetration != three_routes_scenario.penetration
+        for s in (three_routes_scenario, generated):
+            for a in (a for pair in solve_scenario(s).pairs for a in pair.assignments):
+                # the scalar oracle prices each path alone, to the same bits
+                econ = path_economics(a.path, s.params, s.penetration)
+                assert a.rate == econ.max_rate
+                assert a.loss == econ.loss_factor * a.energy
 
     def test_totals_recompute_from_assignments(self, three_routes_scenario):
         plan = self.make_plan(MAX_ENERGY)
@@ -426,8 +431,10 @@ class TestScenarioPipeline:
             pytest.approx(15.795, rel=1e-9),  # (5 - 1.75) * 0.81 * 6.0
         ]
         assert solution.transferred == pytest.approx(32.4675, rel=1e-9)
+        s = three_routes_scenario
         for a in assignments:
-            assert a.energy == pytest.approx(a.economics.capacity, rel=1e-12)
+            capacity = path_economics(a.path, s.params, s.penetration).capacity
+            assert a.energy == pytest.approx(capacity, rel=1e-12)
 
     def test_methods_agree_on_fixture(self, three_routes_scenario):
         s = three_routes_scenario

@@ -2,6 +2,8 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 
 import pytest
@@ -25,8 +27,8 @@ from venplan import (
     build_network,
     enumerate_paths,
     generate_scenario,
-    max_rate,
     parse_scenario,
+    path_economics,
     scenario_hash,
     serialize_scenario,
     validate_route,
@@ -222,9 +224,9 @@ class TestGenerator:
         index = RouteIndex(scenario.network, scenario.routes)
         for s, t in scenario.pairs:
             paths = enumerate_paths(index, s, t, scenario.enumeration)
-            for path in paths:
-                half = max_rate(path, scenario.params, 0.5)
-                assert 2.0 * half == max_rate(path, scenario.params, 1.0)
+            half = path_economics(paths, scenario.params, 0.5)[0]
+            full = path_economics(paths, scenario.params, 1.0)[0]
+            assert (2.0 * half).tolist() == full.tolist()
 
     def test_unsatisfiable_configs_reported(self):
         with pytest.raises(ValidationError, match="connect the network"):
@@ -620,19 +622,72 @@ class TestTracedCallSites:
         assert main(["solve", str(THREE_ROUTES), "-o", str(tmp_path / "plan.json")]) == 0
         assert len(calls) == 4 * len(three_routes_scenario.pairs)
 
-    def test_only_scenario_solves_price_paths_one_by_one(
-        self, monkeypatch, three_routes_scenario
-    ):
+    def test_pricing_goes_through_the_planner_global(self, monkeypatch):
+        scenario = generate_scenario(GeneratorConfig(
+            seed=3, junction_count=12, arc_count=30, route_count=12, pair_count=3
+        ))
         calls = []
         real = venplan.planner.path_economics
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counting(paths, *args, **kwargs):
+            calls.append(tuple(paths))
+            return real(paths, *args, **kwargs)
 
         monkeypatch.setattr(venplan.planner, "path_economics", counting)
-        solution = venplan.planner.solve_scenario(three_routes_scenario)
-        assert len(calls) == sum(len(pair.paths) for pair in solution.pairs) > 0
-        spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.9))
-        venplan.sweep.run_sweep(three_routes_scenario, spec)
-        assert len(calls) == sum(len(pair.paths) for pair in solution.pairs)
+        solution = venplan.planner.solve_scenario(scenario)
+        # each pair's whole path list, once inside solve and once for its assignments
+        pair_paths = [pair.paths for pair in solution.pairs]
+        assert all(pair_paths) and len(pair_paths) == 3
+        assert calls == [paths for paths in pair_paths for _ in range(2)]
+        calls.clear()
+        spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.7, 0.9))
+        venplan.sweep.run_sweep(scenario, spec)
+        assert calls == pair_paths * 3
+
+    def test_every_benchmark_trace_site_is_called(self, tmp_path):
+        # perfbench wraps each site with getattr(module, name), so a renamed
+        # or bypassed global breaks its traced run; env.prepare() caps the
+        # address space, hence the child process
+        done = subprocess.run(
+            [sys.executable, "-c", TRACE_SITES_CHILD, str(PERFBENCH), str(tmp_path)],
+            cwd=tmp_path, capture_output=True, text=True,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert done.returncode == 0, done.stderr
+        counts = json.loads(done.stdout)
+        assert counts and [site for site, n in counts.items() if n < 1] == []
+
+
+PERFBENCH = THREE_ROUTES.parent.parent / "perfbench"
+# Runs both workloads' timed part once on their tiny cities, every trace site
+# renamed "module.attr" so that each site is counted on its own.
+TRACE_SITES_CHILD = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import env
+
+env.prepare()
+import json
+import venplan
+import workloads
+from spans import Tracer, patched
+
+work = Path(sys.argv[2])
+files = workloads.Files(work / "scenario.json", work / "plan.json")
+counts = {}
+for workload in (workloads.CITY_PLAN, workloads.SWEEP_WIDE):
+    scenario = workloads.build_scenario(workload, 3, 1, True)
+    files.scenario.write_text(venplan.serialize_scenario(scenario), encoding="utf-8")
+    sites = [
+        site._replace(name=f"{site.module.__name__}.{site.attr}")
+        for site in workloads.trace_sites(workloads.OutputCounters())
+    ]
+    tracer = Tracer()
+    with patched(tracer, sites):
+        workloads.timed_part(workload, files, scenario)
+    for site in sites:
+        counts[site.name] = counts.get(site.name, 0) + tracer.count.get(site.name, 0)
+print(json.dumps(counts))
+"""
