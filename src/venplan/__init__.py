@@ -36,7 +36,6 @@ from .paths import (
 )
 from .energetics import (
     EnergyParams,
-    loss_factor,
     path_economics,
 )
 from .planner import (
@@ -91,7 +90,6 @@ __all__ = [
     "RouteIndex",
     "enumerate_paths",
     "EnergyParams",
-    "loss_factor",
     "path_economics",
     "OPTIMAL",
     "INFEASIBLE",

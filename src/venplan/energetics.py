@@ -9,7 +9,8 @@ the time left once carrier vehicles have propagated down the path, and by
 the packet rate the slowest segment's vehicle flow can sustain.
 
 :func:`path_economics` is the one pricing function: it prices a sequence of
-paths at once and returns their rates, capacities and loss factors as arrays.
+paths at once and returns their rates, capacities and loss factors as arrays,
+from one z**k per hop count, which only :func:`_retained` computes.
 
 All quantities use kWh, hours, and vehicles per hour.
 """
@@ -83,11 +84,6 @@ def _retained(params: EnergyParams, hops: int) -> float:
     return retained
 
 
-def loss_factor(params: EnergyParams, hops: int) -> float:
-    """Energy lost per unit delivered over a path with ``hops`` cycles."""
-    return 1.0 / _retained(params, hops) - 1.0
-
-
 def path_economics(
     paths: Sequence[EnergyPath], params: EnergyParams, penetration: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,20 +93,20 @@ def path_economics(
     its slowest segment: packet size x penetration x bottleneck flow. Its
     capacity (kWh) is the window time left after propagation, spent at that
     rate, of which the fraction z**hops arrives; a window no longer than the
-    path's delay leaves no capacity at all. Its loss factor is
-    :func:`loss_factor` of its hop count.
+    path's delay leaves no capacity at all. Its loss factor, the energy lost
+    per unit delivered, is ``1 / z**hops - 1``.
 
-    z**k and the loss factor are evaluated in Python floats once per distinct
-    hop count k, because numpy's SIMD power may round differently. Overflow
-    leaves inf or nan in the arrays without a warning; the planner rejects
-    non-finite capacities.
+    z**k is evaluated once per distinct hop count k, in Python floats,
+    because numpy's SIMD power may round differently; both the capacities
+    and the loss factors take it from there. Overflow leaves inf or nan in
+    the arrays without a warning; the planner rejects non-finite capacities.
     """
     n = len(paths)
     hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
     distinct, inverse = np.unique(hops, return_inverse=True)
-    z = params.round_trip_efficiency
-    retained = np.array([z**k for k in distinct.tolist()])[inverse]
-    lams = np.array([loss_factor(params, k) for k in distinct.tolist()])[inverse]
+    retained_k = [_retained(params, k) for k in distinct.tolist()]
+    retained = np.array(retained_k)[inverse]
+    lams = np.array([1.0 / r - 1.0 for r in retained_k])[inverse]
     delays = np.fromiter((p.delay for p in paths), dtype=float, count=n)
     flows = np.fromiter((p.bottleneck_flow for p in paths), dtype=float, count=n)
     with np.errstate(all="ignore"):

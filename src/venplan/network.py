@@ -5,6 +5,9 @@ whose arcs carry a constant traversal delay and a vehicle flow. Vehicular
 routes are loop-free sequences of connected arcs; contiguous slices of a
 route (sub-routes) are the building blocks of energy paths.
 
+A network holds only its junction ids and its arcs by id; code that walks
+it builds its own index, as the route index and the generator do.
+
 Networks and routes are immutable once built, so they can be shared freely
 between concurrent consumers.
 """
@@ -65,11 +68,10 @@ class SubRoute:
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    """Validated directed road graph with an adjacency index by tail junction."""
+    """Validated directed road graph: its junction ids and its arcs by id."""
 
     junctions: frozenset[int]
     arcs: Mapping[int, Arc]
-    adjacency: Mapping[int, tuple[int, ...]]
 
     def arc(self, arc_id: int) -> Arc:
         try:
@@ -77,13 +79,9 @@ class RoadNetwork:
         except KeyError:
             raise ValidationError(f"unknown arc id {arc_id}") from None
 
-    def out_arcs(self, junction: int) -> tuple[Arc, ...]:
-        """Arcs leaving ``junction``, in ascending arc-id order."""
-        return tuple(self.arcs[a] for a in self.adjacency.get(junction, ()))
-
 
 def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
-    """Validate junctions and arcs and assemble an indexed road network.
+    """Validate junctions and arcs and assemble a road network.
 
     Raises ValidationError on duplicate ids, dangling arc endpoints,
     self-loops, or negative or non-finite delay/flow/length.
@@ -113,12 +111,7 @@ def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
                 raise ValidationError(f"arc {arc.id} {field} must be finite and nonnegative")
         arc_map[arc.id] = arc
 
-    adjacency: dict[int, tuple[int, ...]] = {j: () for j in junction_set}
-    for arc_id in sorted(arc_map):
-        arc = arc_map[arc_id]
-        adjacency[arc.tail] = adjacency[arc.tail] + (arc_id,)
-
-    return RoadNetwork(junctions=junction_set, arcs=arc_map, adjacency=adjacency)
+    return RoadNetwork(junctions=junction_set, arcs=arc_map)
 
 
 def route_junctions(network: RoadNetwork, route: VehicularRoute) -> tuple[int, ...]:

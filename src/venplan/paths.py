@@ -327,10 +327,10 @@ def enumerate_paths(
     calls: the entries of each popped junction and the arcs of each route it
     touches. Segment transitions are generated lazily; the full set of
     sub-routes is never materialized, and each ``(route, n, m)`` slice in
-    the output is one object shared by every path that uses it. Heap entries
-    carry only the key, the junction, the delay so far and the visited set;
-    a finished path's segments are built from the route ids and spans in
-    its key.
+    the output is one object shared by every path that uses it. A heap entry
+    is one flat tuple: the key's four fields, then the junction, the delay so
+    far and the visited set. A finished path is held as its exact key alone,
+    and its segments are built from the route ids and spans in that key.
     """
     if source not in index.network.junctions:
         raise ValidationError(f"unknown source junction {source}")
@@ -352,19 +352,19 @@ def enumerate_paths(
     max_paths = config.max_paths
     per_hop = config.mode == PER_HOP
 
-    # Heap entries: (key, tiebreak, junction, delay so far, visited). The key
-    # is (hops + k, delay + d, route ids, (n, m) pairs) with (k, d) the bound
-    # table's entry; it grows along any extension, up to float rounding in d.
-    # The counter never decides the order (keys are unique per state), it
-    # only keeps heap entries totally comparable.
+    # Heap entries: (hops + k, delay + d, route ids, (n, m) pairs, junction,
+    # delay so far, visited), with (k, d) the bound table's entry; the first
+    # four fields are the key, which grows along any extension, up to float
+    # rounding in d. (route ids, (n, m) pairs) names a state uniquely, and
+    # each state is pushed once, by its prefix state, which is itself popped
+    # once. So no two entries tie on the key, and a comparison never reaches
+    # the junction or the visited set, whose frozenset order is not total.
     #
     # Keys of complete paths carry no bound terms and are exact, so exact
     # output order is restored by holding each finished path until the best
     # optimistic key left in the heap is past it by a margin that dominates
     # the bound's rounding noise, then releasing in exact key order.
-    start_key = (*bound[source], (), ())
-    counter = 0
-    heap: list[tuple] = [(start_key, 0, source, 0.0, frozenset((source,)))]
+    heap: list[tuple] = [(*bound[source], (), (), source, 0.0, frozenset((source,)))]
     finished: list[tuple] = []  # exact keys, via heapq
     results: list[EnergyPath] = []
     walks: dict[tuple[int, int], list[tuple]] = {}
@@ -374,15 +374,15 @@ def enumerate_paths(
             if max_paths is not None and len(results) >= max_paths:
                 finished.clear()
                 return
-            f_hops, f_delay = finished[0][0][0], finished[0][0][1]
+            f_hops, f_delay = finished[0][0], finished[0][1]
             if heap:
-                top_hops, top_delay = heap[0][0][0], heap[0][0][1]
+                top_hops, top_delay = heap[0][0], heap[0][1]
                 margin = 1e-9 * (1.0 + abs(f_delay))
                 if top_hops < f_hops or (
                     top_hops == f_hops and top_delay <= f_delay + margin
                 ):
                     return  # the heap may still produce something smaller
-            (_, _, ids, spans), _ = heapq.heappop(finished)
+            _, _, ids, spans = heapq.heappop(finished)
             segments = tuple(map(index.slice, ids, spans))
             results.append(EnergyPath(source=source, target=target, segments=segments))
 
@@ -420,12 +420,11 @@ def enumerate_paths(
             break
         if not heap:
             continue
-        key, _, junction, delay_so_far, visited = heapq.heappop(heap)
+        entry = heapq.heappop(heap)
+        _, _, ids, spans, junction, delay_so_far, visited = entry
         if junction == target:
-            counter += 1
-            heapq.heappush(finished, (key, counter))
+            heapq.heappush(finished, entry[:4])
             continue
-        _, _, ids, spans = key
         hops = len(ids)
         # segments a child may still add after its own; at least 0 here,
         # since the prune kept hops + k <= max_hops and k >= 1 off the target
@@ -439,29 +438,18 @@ def enumerate_paths(
                 # Continuing the same route is strictly dominated by the
                 # merged segment, which was already generated.
                 continue
+            child_ids = ids + (route_id,)
             new_junctions: list[int] = []
-            for m, head, seg_delay, entry in steps:
+            for m, head, seg_delay, bound_entry in steps:
                 if head in visited or head in new_junctions:
                     break  # extending further would revisit it anyway
                 new_junctions.append(head)
-                if entry is None:
+                if bound_entry is None:
                     continue  # out of reach in budget; a longer slice may work
-                k, d = entry
-                child_key = (
-                    hops + 1 + k,
-                    delay_so_far + seg_delay + d,
-                    ids + (route_id,),
-                    spans + ((n, m),),
-                )
-                counter += 1
-                heapq.heappush(
-                    heap,
-                    (
-                        child_key,
-                        counter,
-                        head,
-                        delay_so_far + seg_delay,
-                        visited | set(new_junctions),
-                    ),
-                )
+                k, d = bound_entry
+                delay = delay_so_far + seg_delay
+                heapq.heappush(heap, (
+                    hops + 1 + k, delay + d, child_ids, spans + ((n, m),),
+                    head, delay, visited | set(new_junctions),
+                ))
     return results

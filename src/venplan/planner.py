@@ -91,51 +91,46 @@ def knapsack_assign(
 
     Paths tie-break on fewer hops, then input order. ``bound`` is the loss
     cap (max-energy, may be inf) or the delivery floor (min-loss, finite).
-    Returns the energy vector and a plan status; an unreachable floor yields
-    the fully saturated vector with status "infeasible".
+    One fill serves both: each path spends ``cost x capacity`` of what is
+    left of ``bound``, or all of it at ``left / cost``, where ``cost`` is its
+    loss factor under the cap and 1.0 under the floor. Returns the energy
+    vector and a plan status; an unreachable floor yields the fully
+    saturated vector with status "infeasible".
     """
     caps, lams, tie_hops = _check_instance(capacities, loss_factors, hops)
     n = caps.size
-    order = np.lexsort((np.arange(n), tie_hops, lams)).tolist()
-    cap = caps.tolist()
-    lam = lams.tolist()
-    x = [0.0] * n
     if objective == MAX_ENERGY:
         if not bound >= 0:
             raise ValidationError("loss cap must be nonnegative")
-        budget = bound
-        for j in order:
-            if lam[j] <= 0.0:
-                x[j] = cap[j]
-                continue
-            if budget <= 0.0:
-                break
-            cost = lam[j] * cap[j]
-            if cost <= budget:
-                x[j] = cap[j]
-                budget -= cost
-            else:
-                x[j] = budget / lam[j]
-                break
-        return np.array(x), OPTIMAL
-    if objective == MIN_LOSS:
+        costs = lams.tolist()
+    elif objective == MIN_LOSS:
         if not (bound >= 0 and math.isfinite(bound)):
             raise ValidationError("delivery floor must be finite and nonnegative")
-        if bound <= 0.0:
-            return np.array(x), OPTIMAL
         with np.errstate(over="ignore"):  # an infinite total meets any floor
             total = float(caps.sum())
         if total < bound:
             return caps.copy(), INFEASIBLE
-        need = bound
-        for j in order:
-            take = cap[j] if cap[j] < need else need
-            x[j] = take
-            need -= take
-            if need <= 0.0:
-                break
-        return np.array(x), OPTIMAL
-    raise ValidationError(f"unknown objective {objective!r}")
+        costs = [1.0] * n
+    else:
+        raise ValidationError(f"unknown objective {objective!r}")
+    order = np.lexsort((np.arange(n), tie_hops, lams)).tolist()
+    cap = caps.tolist()
+    x = [0.0] * n
+    left = bound
+    for j in order:
+        if costs[j] <= 0.0:
+            x[j] = cap[j]
+            continue
+        if left <= 0.0:
+            break
+        spend = costs[j] * cap[j]
+        if spend <= left:
+            x[j] = cap[j]
+            left -= spend
+        else:
+            x[j] = left / costs[j]
+            break
+    return np.array(x), OPTIMAL
 
 
 def solve(

@@ -20,7 +20,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from typing import Any, Mapping, NoReturn, Optional
@@ -384,10 +384,6 @@ NOMINAL_PARAMS = EnergyParams(
 )
 
 
-def _default_enumeration() -> EnumerationConfig:
-    return EnumerationConfig(max_hops=4, max_paths=20, mode=FULL_ROUTE)
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for synthetic scenario generation; the seed is mandatory."""
@@ -400,7 +396,7 @@ class GeneratorConfig:
     max_route_length: float = 200.0  # km
     delay_range: tuple[float, float] = (0.1, 2.0)  # hours
     penetration: float = 0.001
-    enumeration: EnumerationConfig = field(default_factory=_default_enumeration)
+    enumeration: EnumerationConfig = EnumerationConfig(max_hops=4, max_paths=20)
 
     def __post_init__(self) -> None:
         if self.junction_count < 2:
@@ -430,9 +426,9 @@ class GeneratorConfig:
 
 
 def _grow_route(
-    rng: random.Random, network: RoadNetwork, start: int, cap: float
+    rng: random.Random, out_arcs: dict[int, list[Arc]], start: int, cap: float
 ) -> list[int]:
-    """Random loop-free walk from ``start`` staying under the length cap."""
+    """Random loop-free walk from ``start`` over ``out_arcs``, under the length cap."""
     visited = {start}
     arcs: list[int] = []
     length = 0.0
@@ -440,7 +436,7 @@ def _grow_route(
     while True:
         options = [
             arc
-            for arc in network.out_arcs(here)
+            for arc in out_arcs[here]
             if arc.head not in visited and length + arc.length <= cap
         ]
         if not options:
@@ -496,14 +492,17 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
     ]
     network = build_network(junctions, arcs)
 
-    starts = sorted(j for j in junctions if network.adjacency[j])
+    out_arcs: dict[int, list[Arc]] = {j: [] for j in junctions}
+    for arc in arcs:  # in ascending id order
+        out_arcs[arc.tail].append(arc)
+    starts = [j for j in junctions if out_arcs[j]]  # ascending
     if not starts:
         raise ValidationError("no junction has an outgoing arc")
     routes: list[VehicularRoute] = []
     for route_id in range(1, config.route_count + 1):
         walk: list[int] = []
         for _ in range(100):
-            walk = _grow_route(rng, network, rng.choice(starts), config.max_route_length)
+            walk = _grow_route(rng, out_arcs, rng.choice(starts), config.max_route_length)
             if walk:
                 break
         if not walk:

@@ -11,11 +11,12 @@ The bound-table oracle is the pure-Python table the search's array table
 must reproduce bit for bit: one scalar backward pass per route and layer.
 
 The pricing oracle is the scalar form of the paper's path formulas:
-``max_rate``, ``max_transferable`` and ``path_economics`` price one path at
-a time into a ``PathEconomics`` record. The library's array
+``max_rate``, ``max_transferable``, ``loss_factor`` and ``path_economics``
+price one path at a time into a ``PathEconomics`` record. The library's array
 ``venplan.path_economics`` must equal it value for value. The plan oracle is
 the per-path planner: it prices each path with the scalar
-``path_economics``, fills in ``sorted((loss factor, hops, index))`` order and
+``path_economics``, fills in ``sorted((loss factor, hops, index))`` order,
+with one fill loop per objective where the library has one for both, and
 sums the totals path by path. The library's array planner must reproduce its
 energies, totals and status bit for bit.
 
@@ -59,7 +60,6 @@ from venplan import (
     ValidationError,
     VehicularRoute,
     build_network,
-    loss_factor,
     sub_route,
     validate_route,
 )
@@ -69,6 +69,11 @@ from venplan.scenario import SCHEMA_VERSION, UNITS
 from venplan.sweep import CSV_COLUMNS
 
 from _simplex import SolverError, solve_lp
+
+
+def loss_factor(params, hops):
+    """Energy lost per unit delivered over a path with ``hops`` cycles."""
+    return 1.0 / _retained(params, hops) - 1.0
 
 
 def max_rate(path, params, penetration=1.0):

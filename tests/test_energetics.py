@@ -13,11 +13,10 @@ from venplan import (
     ValidationError,
     enumerate_paths,
     generate_scenario,
-    loss_factor,
     path_economics,
 )
 
-from _oracles import max_transferable, path_loss, source_injection
+from _oracles import loss_factor, max_transferable, path_loss, source_injection
 from _oracles import path_economics as oracle_economics
 from conftest import single_arc_path
 

@@ -30,16 +30,11 @@ def fig_arcs():
 class TestBuildNetwork:
     def test_minimal_network(self):
         net = build_network([1, 2], [Arc(1, 1, 2, 3.0, 10.0)])
-        assert net.adjacency[1] == (1,)
-        assert net.adjacency[2] == ()
         assert net.arc(1).delay == 3.0
 
     def test_three_route_topology(self):
         net = build_network([1, 2, 3, 4, 5], fig_arcs())
         assert net.junctions == frozenset({1, 2, 3, 4, 5})
-        assert net.adjacency[1] == (1, 4)
-        assert net.adjacency[2] == (2, 5)
-        assert net.adjacency[4] == ()
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError, match="self-loop"):
@@ -75,13 +70,6 @@ class TestBuildNetwork:
             build_network([], [Arc(1, 1, 2, 1.0, 1.0)])
         with pytest.raises(ValidationError):
             build_network([1, 2], [])
-
-    def test_adjacency_consistent_with_arcs(self):
-        net = build_network([1, 2, 3, 4, 5], fig_arcs())
-        rebuilt = {j: [] for j in net.junctions}
-        for arc in net.arcs.values():
-            rebuilt[arc.tail].append(arc.id)
-        assert {j: tuple(sorted(v)) for j, v in rebuilt.items()} == dict(net.adjacency)
 
 
 class TestSubRoute:

@@ -268,6 +268,32 @@ class TestEnumerationProperties:
             ((1, 1, 2), (2, 1, 1)),
         ]
 
+    def test_exact_ties_ordered_by_route_ids_then_spans(self):
+        # routes 1 and 2 ride the same arcs 1 -> 2 -> 3 -> 4 of 0.5 h each,
+        # so every path from 1 to 4 takes exactly 1.5 h
+        arcs = [Arc(i, i, i + 1, 0.5, 5.0) for i in (1, 2, 3)]
+        net = build_network([1, 2, 3, 4], arcs)
+        routes = [VehicularRoute(1, (1, 2, 3), 5.0), VehicularRoute(2, (1, 2, 3), 5.0)]
+        index = RouteIndex(net, routes)
+        for mode in (FULL_ROUTE, PER_HOP):
+            for hops in (1, 2, 3):
+                config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
+                found = enumerate_paths(index, 1, 4, config)
+                assert found == brute_force_paths(net, routes, 1, 4, hops, mode)
+                assert all(p.delay == 1.5 for p in found), (mode, hops)
+            assert len(found) == 8, mode  # 2 + 4 + 2 and 2**3 paths
+        config = EnumerationConfig(max_hops=3, max_paths=None)
+        assert [segment_shape(p) for p in enumerate_paths(index, 1, 4, config)] == [
+            ((1, 1, 3),),
+            ((2, 1, 3),),
+            ((1, 1, 1), (2, 2, 3)),
+            ((1, 1, 2), (2, 3, 3)),
+            ((2, 1, 1), (1, 2, 3)),
+            ((2, 1, 2), (1, 3, 3)),
+            ((1, 1, 1), (2, 2, 2), (1, 3, 3)),
+            ((2, 1, 1), (1, 2, 2), (2, 3, 3)),
+        ]
+
     def test_soundness_on_random_scenarios(self):
         for seed in (21, 22, 23):
             scenario = generate_scenario(small_config(seed))

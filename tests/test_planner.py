@@ -133,6 +133,13 @@ class TestKnapsackOrder:
             hops = rng.choice([1, 2, 2, 3], n)  # tied hops too
             total_loss = float(lams @ caps)
             for hop_arg in (hops, None):
+                # a floor that the middle positive capacity in fill order
+                # meets exactly; every sum of these capacities is exact
+                tie = [0] * n if hop_arg is None else hop_arg
+                order = sorted(range(n), key=lambda j: (lams[j], tie[j], j))
+                positive = [k for k, j in enumerate(order) if caps[j] > 0]
+                stop = positive[len(positive) // 2] + 1 if positive else 0
+                boundary = float(sum(caps[j] for j in order[:stop]))
                 for objective, bound in (
                     (MAX_ENERGY, 0.0),
                     (MAX_ENERGY, 0.5 * total_loss),
@@ -141,6 +148,7 @@ class TestKnapsackOrder:
                     (MIN_LOSS, 0.5 * float(caps.sum())),
                     (MIN_LOSS, float(caps.sum())),
                     (MIN_LOSS, float(caps.sum()) + 1.0),
+                    (MIN_LOSS, boundary),
                 ):
                     got = knapsack_assign(caps, lams, objective, bound, hop_arg)
                     want = reference_fill(caps, lams, objective, bound, hop_arg)
