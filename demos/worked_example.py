@@ -11,6 +11,7 @@ Run from the repository root:  python3 demos/worked_example.py
 from venplan import (
     MAX_ENERGY,
     MIN_LOSS,
+    PathTable,
     RouteIndex,
     enumerate_paths,
     parse_scenario,
@@ -40,8 +41,11 @@ for path in paths:
     print(f"  {path.hops} hop(s), delay {path.delay} h: {chain}")
 
 # --- price each path --------------------------------------------------------
+# the table reads each path's hops, delay and bottleneck flow once; pricing
+# and planning work on its arrays, however often the parameters change
+table = PathTable(paths)
 print("\nper-path economics (rate = packet size x slowest segment flow):")
-rates, capacities, loss_factors = path_economics(paths, params, scenario.penetration)
+rates, capacities, loss_factors = path_economics(table, params, scenario.penetration)
 for path, rate, capacity, lam in zip(paths, rates, capacities, loss_factors):
     print(
         f"  hops={path.hops}  rate<={rate:g} kWh/h  "
@@ -52,7 +56,7 @@ for path, rate, capacity, lam in zip(paths, rates, capacities, loss_factors):
 # --- maximize delivery under a loss budget ----------------------------------
 for loss_cap in (float("inf"), 2.0, 0.0):
     plan = solve(
-        paths, params, MAX_ENERGY, loss_cap=loss_cap, penetration=scenario.penetration
+        table, params, MAX_ENERGY, loss_cap=loss_cap, penetration=scenario.penetration
     )
     print(
         f"\nmax-energy with loss cap {loss_cap:g} kWh -> "
@@ -65,7 +69,7 @@ for loss_cap in (float("inf"), 2.0, 0.0):
 
 # --- meet a delivery floor at minimum loss ----------------------------------
 plan = solve(
-    paths, params, MIN_LOSS, delivery_floor=10.0, penetration=scenario.penetration
+    table, params, MIN_LOSS, delivery_floor=10.0, penetration=scenario.penetration
 )
 print(f"\nmin-loss delivering at least 10 kWh -> lost {plan.loss:g} kWh "
       f"({plan.status})")

@@ -36,6 +36,7 @@ from .paths import (
 )
 from .energetics import (
     EnergyParams,
+    PathTable,
     path_economics,
 )
 from .planner import (
@@ -90,6 +91,7 @@ __all__ = [
     "RouteIndex",
     "enumerate_paths",
     "EnergyParams",
+    "PathTable",
     "path_economics",
     "OPTIMAL",
     "INFEASIBLE",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 2 for command-line usage errors (argparse's, an
 output file that cannot be written, or ``--meta`` without ``--output``), 3
-for scenario file/parse problems, and 4 for semantic validation failures
-and inputs too large for memory. Every machine-readable output records the
-scenario hash, the generation seed (when known), and the tool version.
+for scenario file/parse problems, and 4 for semantic validation failures,
+overflowing totals and inputs too large for memory. Every machine-readable
+output records the scenario hash, the seed (when known) and the tool version.
 """
 
 from __future__ import annotations
@@ -122,6 +122,12 @@ def _solution_to_dict(scenario: Scenario, solution: ScenarioSolution) -> dict:
     }
 
 
+def _check_totals(*totals: float) -> None:
+    """Reject plan totals that overflowed, rather than write inf."""
+    if not all(map(math.isfinite, totals)):
+        raise ValidationError("plan totals overflow to infinity; the inputs are too large")
+
+
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -207,6 +213,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         loss_cap=args.loss_cap,
         delivery_floor=args.delivery_floor,
     )
+    _check_totals(solution.transferred, solution.loss)
     for pair in solution.pairs:
         print(
             f"{pair.source} -> {pair.target}: {pair.plan.status}, "
@@ -245,6 +252,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         loss_cap=args.loss_cap,
         delivery_floor=args.delivery_floor,
     )
+    _check_totals(*(total for p in result.points for total in (p.transferred, p.loss)))
     text = sweep_to_csv(result)
     if args.output:
         meta_path = args.meta or args.output + ".meta.json"

@@ -8,9 +8,10 @@ way. Within a transfer window, the deliverable amount is further limited by
 the time left once carrier vehicles have propagated down the path, and by
 the packet rate the slowest segment's vehicle flow can sustain.
 
-:func:`path_economics` is the one pricing function: it prices a sequence of
-paths at once and returns their rates, capacities and loss factors as arrays,
-from one z**k per hop count, which only :func:`_retained` computes.
+A :class:`PathTable` reads what pricing needs of one pair's paths, once;
+:func:`path_economics`, the one pricing function, prices a whole table into
+rate, capacity and loss-factor arrays, from one z**k per distinct hop count,
+which only :func:`_retained` computes.
 
 All quantities use kWh, hours, and vehicles per hour.
 """
@@ -84,10 +85,24 @@ def _retained(params: EnergyParams, hops: int) -> float:
     return retained
 
 
+class PathTable:
+    """One pair's ``hops``, ``delays`` and bottleneck ``flows`` as arrays in path
+    order, with the ``distinct_hops`` (ints) that ``hop_index`` maps each path
+    to; none depends on the energy parameters, so a sweep prices one table."""
+
+    def __init__(self, paths: Sequence[EnergyPath]) -> None:
+        n = len(paths)
+        self.hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
+        distinct, self.hop_index = np.unique(self.hops, return_inverse=True)
+        self.distinct_hops = distinct.tolist()
+        self.delays = np.fromiter((p.delay for p in paths), dtype=float, count=n)
+        self.flows = np.fromiter((p.bottleneck_flow for p in paths), dtype=float, count=n)
+
+
 def path_economics(
-    paths: Sequence[EnergyPath], params: EnergyParams, penetration: float = 1.0
+    table: PathTable, params: EnergyParams, penetration: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rate, capacity and loss-factor arrays of ``paths``, in path order.
+    """Rate, capacity and loss-factor arrays of the table's paths, in path order.
 
     A path's rate (kWh per hour) is one packet per participating vehicle of
     its slowest segment: packet size x penetration x bottleneck flow. Its
@@ -101,16 +116,11 @@ def path_economics(
     and the loss factors take it from there. Overflow leaves inf or nan in
     the arrays without a warning; the planner rejects non-finite capacities.
     """
-    n = len(paths)
-    hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
-    distinct, inverse = np.unique(hops, return_inverse=True)
-    retained_k = [_retained(params, k) for k in distinct.tolist()]
-    retained = np.array(retained_k)[inverse]
-    lams = np.array([1.0 / r - 1.0 for r in retained_k])[inverse]
-    delays = np.fromiter((p.delay for p in paths), dtype=float, count=n)
-    flows = np.fromiter((p.bottleneck_flow for p in paths), dtype=float, count=n)
+    retained_k = [_retained(params, k) for k in table.distinct_hops]
+    retained = np.array(retained_k)[table.hop_index]
+    lams = np.array([1.0 / r - 1.0 for r in retained_k])[table.hop_index]
     with np.errstate(all="ignore"):
-        rates = (params.packet_size * penetration) * flows
-        slack = params.window - delays
+        rates = (params.packet_size * penetration) * table.flows
+        slack = params.window - table.delays
         caps = np.where(slack <= 0, 0.0, slack * retained * rates)
     return rates, caps, lams

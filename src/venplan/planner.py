@@ -9,11 +9,11 @@ either exactly, so it is the only solver; the tests check it against a
 general LP solver and a vertex-enumeration oracle.
 
 A plan is plain data: the energy each path delivers, in the order the paths
-were given, plus the two totals and a status. :func:`solve` prices one
-pair's paths in one :func:`path_economics` call and creates no per-path
-objects, which keeps sweeps cheap; :func:`solve_scenario` prices each pair
-once more to record every path's rate and loss next to its energy in
-``PairPlan.assignments`` for reports.
+were given, plus the two totals and a status. :func:`solve` plans one pair
+from its :class:`PathTable`, which a sweep builds once and prices at every
+point, and creates no per-path objects; :func:`solve_scenario` prices each
+pair's table once more to record every path's rate and loss next to its
+energy in ``PairPlan.assignments`` for reports.
 
 Modelling assumption: each path is priced as if it had its routes' packet
 rate to itself. Paths that share a route (even within one pair) are not
@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .energetics import EnergyParams, path_economics
+from .energetics import EnergyParams, PathTable, path_economics
 from .errors import ValidationError
 from .paths import EnergyPath, RouteIndex, enumerate_paths
 from .scenario import Scenario
@@ -93,16 +93,18 @@ def knapsack_assign(
     cap (max-energy, may be inf) or the delivery floor (min-loss, finite).
     One fill serves both: each path spends ``cost x capacity`` of what is
     left of ``bound``, or all of it at ``left / cost``, where ``cost`` is its
-    loss factor under the cap and 1.0 under the floor. Returns the energy
-    vector and a plan status; an unreachable floor yields the fully
-    saturated vector with status "infeasible".
+    loss factor under the cap and 1.0 under the floor; an infinite cap fills
+    every path. Returns the energy vector and a plan status; an unreachable
+    floor yields the fully saturated vector with status "infeasible".
     """
     caps, lams, tie_hops = _check_instance(capacities, loss_factors, hops)
     n = caps.size
     if objective == MAX_ENERGY:
         if not bound >= 0:
             raise ValidationError("loss cap must be nonnegative")
-        costs = lams.tolist()
+        if bound == math.inf:  # nothing is spent: every path fills, whatever it costs
+            return caps.copy(), OPTIMAL
+        costs = lams
     elif objective == MIN_LOSS:
         if not (bound >= 0 and math.isfinite(bound)):
             raise ValidationError("delivery floor must be finite and nonnegative")
@@ -110,38 +112,33 @@ def knapsack_assign(
             total = float(caps.sum())
         if total < bound:
             return caps.copy(), INFEASIBLE
-        costs = [1.0] * n
+        costs = np.ones(n)
     else:
         raise ValidationError(f"unknown objective {objective!r}")
-    order = np.lexsort((np.arange(n), tie_hops, lams)).tolist()
-    cap = caps.tolist()
-    x = [0.0] * n
-    left = bound
-    for j in order:
-        if costs[j] <= 0.0:
-            x[j] = cap[j]
-            continue
-        if left <= 0.0:
-            break
-        spend = costs[j] * cap[j]
-        if spend <= left:
-            x[j] = cap[j]
-            left -= spend
-        else:
-            x[j] = left / costs[j]
-            break
-    return np.array(x), OPTIMAL
+    order = np.lexsort((np.arange(n), tie_hops, lams))
+    cost, cap = costs[order], caps[order]
+    with np.errstate(over="ignore"):
+        spend = cost * cap
+        # what is left before each path, subtracted in sequence; + 0.0 makes -0.0 0.0
+        left = np.subtract.accumulate(np.append(bound + 0.0, spend))[:-1]
+    fits = (cost <= 0.0) | ((left > 0.0) & (spend <= left))
+    stop = n if fits.all() else int(fits.argmin())  # the first path that does not fit
+    x = np.zeros(n)
+    x[order[:stop]] = cap[:stop]
+    if stop < n:
+        x[order[stop]] = left[stop] / cost[stop]
+    return x, OPTIMAL
 
 
 def solve(
-    paths: Sequence[EnergyPath],
+    table: PathTable,
     params: EnergyParams,
     objective: str,
     loss_cap: float = math.inf,
     delivery_floor: float = 0.0,
     penetration: float = 1.0,
 ) -> TransferPlan:
-    """Plan one pair's paths for ``objective`` with the greedy fill.
+    """Plan one pair's paths, given as their table, with the greedy fill.
 
     Max-energy maximizes delivered energy subject to ``loss_cap`` (kWh, may
     be infinite); min-loss minimizes total loss while meeting
@@ -156,16 +153,12 @@ def solve(
     if not 0 <= penetration <= 1:
         raise ValidationError("penetration must be within [0, 1]")
     bound = loss_cap if objective == MAX_ENERGY else delivery_floor
-    _, caps, lams = path_economics(paths, params, penetration)
-    hops = [p.hops for p in paths]
-    x, status = knapsack_assign(caps, lams, objective, bound, hops)
-    energies = tuple(x.tolist())
-    transferred = 0.0
-    loss = 0.0
-    for energy, lam in zip(energies, lams.tolist()):
-        transferred += energy
-        loss += lam * energy
-    return TransferPlan(energies, transferred, loss, status)
+    _, caps, lams = path_economics(table, params, penetration)
+    x, status = knapsack_assign(caps, lams, objective, bound, table.hops)
+    with np.errstate(over="ignore"):  # summed in sequence from 0.0, unlike np.sum
+        sums = [np.add.accumulate(np.append(0.0, v))[-1] for v in (x, lams * x)]
+    transferred, loss = map(float, sums)
+    return TransferPlan(tuple(x.tolist()), transferred, loss, status)
 
 
 @dataclass(frozen=True)
@@ -207,8 +200,8 @@ def solve_scenario(
     Paths are enumerated over the declared routes; the scenario's
     penetration scales flows when rates and capacities are computed. Caps
     default to the scenario's own; explicit arguments override them. Each
-    pair's assignments take their rates and loss factors from one more
-    :func:`path_economics` call, each loss as loss factor x energy.
+    pair's :class:`PathTable` is priced once more for the assignments' rates
+    and loss factors, each loss as loss factor x energy.
     """
     cap = scenario.loss_cap if loss_cap is None else loss_cap
     floor = scenario.delivery_floor if delivery_floor is None else delivery_floor
@@ -218,8 +211,9 @@ def solve_scenario(
     index = RouteIndex(scenario.network, scenario.routes)
     for source, target in scenario.pairs:
         paths = enumerate_paths(index, source, target, scenario.enumeration)
-        plan = solve(paths, scenario.params, objective, cap, floor, scenario.penetration)
-        rates, _, lams = path_economics(paths, scenario.params, scenario.penetration)
+        table = PathTable(paths)
+        plan = solve(table, scenario.params, objective, cap, floor, scenario.penetration)
+        rates, _, lams = path_economics(table, scenario.params, scenario.penetration)
         losses = [lam * x for lam, x in zip(lams.tolist(), plan.energies)]
         assignments = tuple(map(PathAssignment, paths, plan.energies, rates.tolist(), losses))
         pair_plans.append(PairPlan(source, target, plan, assignments))

@@ -2,9 +2,9 @@
 
 One parameter varies per sweep (round-trip efficiency, window, packet size,
 or penetration) while the others sit at fixed nominal values. Paths are
-enumerated once per pair, over one route index for the scenario, and reused
-across sweep values, since the path set depends only on the network and
-routes.
+enumerated once per pair, over one route index for the scenario, and read
+once into the pair's :class:`PathTable`, which every sweep value prices and
+fills: the path set depends only on the network and routes.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._version import __version__
-from .energetics import EnergyParams
+from .energetics import EnergyParams, PathTable
 from .errors import ValidationError
-from .paths import EnergyPath, RouteIndex, enumerate_paths
+from .paths import RouteIndex, enumerate_paths
 from .planner import GREEDY, MAX_ENERGY, solve
 from .scenario import Scenario, scenario_hash
 
@@ -112,8 +112,8 @@ def run_sweep(
     if method != GREEDY:
         raise ValidationError(f"unknown method {method!r}; the solver is {GREEDY!r}")
     index = RouteIndex(scenario.network, scenario.routes)
-    pair_paths: list[tuple[int, int, list[EnergyPath]]] = [
-        (source, target, enumerate_paths(index, source, target, scenario.enumeration))
+    pair_tables = [
+        (source, target, PathTable(enumerate_paths(index, source, target, scenario.enumeration)))
         for source, target in scenario.pairs
     ]
 
@@ -123,8 +123,8 @@ def run_sweep(
         breakdown = []
         transferred = 0.0
         loss = 0.0
-        for source, target, paths in pair_paths:
-            plan = solve(paths, params, objective, loss_cap, delivery_floor, penetration)
+        for source, target, table in pair_tables:
+            plan = solve(table, params, objective, loss_cap, delivery_floor, penetration)
             breakdown.append((source, target, plan.transferred, plan.loss))
             transferred += plan.transferred
             loss += plan.loss

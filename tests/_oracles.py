@@ -16,9 +16,9 @@ price one path at a time into a ``PathEconomics`` record. The library's array
 ``venplan.path_economics`` must equal it value for value. The plan oracle is
 the per-path planner: it prices each path with the scalar
 ``path_economics``, fills in ``sorted((loss factor, hops, index))`` order,
-with one fill loop per objective where the library has one for both, and
-sums the totals path by path. The library's array planner must reproduce its
-energies, totals and status bit for bit.
+with one fill loop per objective where the library fills both with array
+operations, and sums the totals path by path. The library's array planner
+must reproduce its energies, totals and status bit for bit.
 
 The scenario oracles are the dict-based writer and the per-field parser:
 ``reference_serialize`` runs ``json.dumps`` over a document dict, and
@@ -287,12 +287,13 @@ def reference_fill(capacities, loss_factors, objective, bound, hops=None):
     if objective == MAX_ENERGY:
         budget = bound
         for j in order:
-            if lams[j] <= 0.0:
-                x[j] = caps[j]
+            if lams[j] <= 0.0 or budget == math.inf:
+                x[j] = caps[j]  # free, or an unlimited budget: nothing is spent
                 continue
             if budget <= 0.0:
                 break
-            cost = lams[j] * caps[j]
+            with np.errstate(over="ignore"):
+                cost = lams[j] * caps[j]
             if cost <= budget:
                 x[j] = caps[j]
                 budget -= cost
@@ -302,7 +303,9 @@ def reference_fill(capacities, loss_factors, objective, bound, hops=None):
         return x, OPTIMAL
     if bound <= 0.0:
         return x, OPTIMAL
-    if float(caps.sum()) < bound:
+    with np.errstate(over="ignore"):  # an infinite total meets any floor
+        total = float(caps.sum())
+    if total < bound:
         return caps.copy(), INFEASIBLE
     need = bound
     for j in order:

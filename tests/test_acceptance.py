@@ -43,6 +43,7 @@ from venplan import (
     MAX_ENERGY,
     MIN_LOSS,
     OPTIMAL,
+    PathTable,
     RouteIndex,
     SweepSpec,
     enumerate_paths,
@@ -342,7 +343,7 @@ def test_criterion_8_scale_smoke():
 
     min_loss = [
         solve(
-            pair.paths,
+            PathTable(pair.paths),
             scenario.params,
             MIN_LOSS,
             delivery_floor=pair.plan.transferred / 2,

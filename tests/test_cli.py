@@ -560,6 +560,11 @@ def _infinite_route_flow(doc):
     doc["routes"][0]["flow"] = math.inf
 
 
+def _overflowing_loss(doc):
+    # finite capacities, but 99 x 4.95e306 kWh of loss on a 2-hop path is inf
+    doc["params"].update(packet_size=1e306, charge_efficiency=0.1, window=10.0)
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, spoil, code",
@@ -578,11 +583,16 @@ class TestNonFiniteInput:
               "--window", "1e300"], None, 4),
             # a valid efficiency whose z**hops underflows to zero
             (["sweep", "--parameter", "z", "--values", "1e-200"], None, 4),
+            # finite capacities whose plan loss overflows to inf
+            (["solve"], _overflowing_loss, 4),
+            (["sweep", "--parameter", "w", "--values", "1e306", "--efficiency", "0.1",
+              "--penetration", "1", "--window", "10"], None, 4),
         ],
         ids=["validate-nan-delay", "validate-inf-flow", "solve-nan-delay",
              "sweep-nan-value", "sweep-inf-value", "sweep-inf-window",
              "sweep-inf-packet", "sweep-overflow-capacity",
-             "sweep-underflow-efficiency"],
+             "sweep-underflow-efficiency", "solve-overflow-loss",
+             "sweep-overflow-loss"],
     )
     def test_rejected_without_traceback(self, tmp_path, argv, spoil, code):
         scenario = FIXTURE

@@ -9,6 +9,7 @@ from venplan import (
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
+    PathTable,
     RouteIndex,
     ValidationError,
     enumerate_paths,
@@ -27,7 +28,7 @@ def params(z=0.9, w=0.1, window=5.0):
 
 def price(path, p, penetration=1.0):
     """The (rate, capacity, loss factor) that ``path_economics`` gives one path."""
-    rates, caps, lams = path_economics([path], p, penetration)
+    rates, caps, lams = path_economics(PathTable([path]), p, penetration)
     return rates.item(), caps.item(), lams.item()
 
 
@@ -137,12 +138,12 @@ class TestMaxTransferable:
         longer, _, _ = single_arc_path([1.0, 1.0], flows)
         three_hops, _, _ = single_arc_path([0.5, 0.25, 0.25], [100.0] * 3)
         paths = [path, longer, three_hops]
-        base = path_economics(paths, params(z=0.9, window=5.0))[1].tolist()
+        base = path_economics(PathTable(paths), params(z=0.9, window=5.0))[1].tolist()
         assert base[0] > 0.0
         assert base[1] <= base[0] and base[2] <= base[0]
         for better in (params(z=0.9, window=6.0), params(z=0.95, window=5.0),
                        params(z=0.9, w=0.11, window=5.0)):
-            caps = path_economics(paths, better)[1].tolist()
+            caps = path_economics(PathTable(paths), better)[1].tolist()
             assert all(c >= b for c, b in zip(caps, base)), better
 
 
@@ -232,7 +233,7 @@ class TestPathEconomics:
         with pytest.raises(ValidationError, match="leaves no energy after 2 cycles"):
             source_injection(path, params(z=1e-200), 1.0)
         with pytest.raises(ValidationError, match="leaves no energy after 2 cycles"):
-            path_economics([path], params(z=1e-200))
+            path_economics(PathTable([path]), params(z=1e-200))
 
     def test_penetration_enters_capacity(self):
         path, _, _ = single_arc_path([0.5], [100.0])
@@ -265,7 +266,7 @@ class TestEconomicsArrays:
         return tuple(found)
 
     def assert_matches_scalar(self, paths, p, penetration):
-        rates, caps, lams = path_economics(paths, p, penetration)
+        rates, caps, lams = path_economics(PathTable(paths), p, penetration)
         econ = [oracle_economics(path, p, penetration) for path in paths]
         assert rates.tolist() == [e.max_rate for e in econ]
         assert caps.tolist() == [e.capacity for e in econ]
@@ -288,6 +289,6 @@ class TestEconomicsArrays:
         # pytest turns warnings into errors, so a numpy RuntimeWarning fails
         paths = self.paths()
         p = params(z=0.9, w=1e300, window=1e300)
-        _, caps, _ = path_economics(paths, p, 1.0)
+        _, caps, _ = path_economics(PathTable(paths), p, 1.0)
         assert np.all(np.isinf(caps))
         self.assert_matches_scalar(paths, p, 1.0)

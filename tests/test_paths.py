@@ -4,6 +4,7 @@ import random
 import pytest
 
 import venplan.cli
+import venplan.energetics
 import venplan.paths
 import venplan.planner
 import venplan.scenario
@@ -552,6 +553,14 @@ class TestEnumerateCallSites:
         # the benchmark's traced run wraps these module globals by name
         for module in (venplan.planner, venplan.sweep, venplan.scenario):
             assert module.enumerate_paths is venplan.paths.enumerate_paths, module
+
+    def test_planning_globals_are_the_defining_functions(self):
+        # the same traced run wraps these planner and sweep globals
+        planner = venplan.planner
+        assert venplan.sweep.solve is planner.solve
+        assert planner.path_economics is venplan.energetics.path_economics
+        assert planner.path_economics.__module__ == "venplan.energetics"
+        assert planner.knapsack_assign.__module__ == "venplan.planner"
 
 
 class TestValidatePath:

@@ -5,6 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from venplan import (
     INFEASIBLE,
@@ -16,6 +17,7 @@ from venplan import (
     EnergyPath,
     EnumerationConfig,
     GeneratorConfig,
+    PathTable,
     RouteIndex,
     TransferPlan,
     ValidationError,
@@ -34,6 +36,11 @@ from _oracles import (
 )
 from _properties import check_tradeoff_properties
 from conftest import single_arc_path
+
+
+def solve_paths(paths, *args, **kwargs):
+    """``solve`` on the table of ``paths``, the other arguments as given."""
+    return solve(PathTable(paths), *args, **kwargs)
 
 
 def random_instance(rng, max_paths=100):
@@ -70,6 +77,12 @@ class TestKnapsackMaxEnergy:
         caps = [3.0, 4.0, 5.0]
         x, _ = knapsack_assign(caps, [0.1, 0.2, 0.3], MAX_ENERGY, math.inf)
         assert list(x) == caps
+
+    def test_infinite_cap_spends_nothing_when_a_loss_overflows(self):
+        # 10 x 1e308 overflows to inf: inf - inf would leave nan for the next path
+        for fill in (knapsack_assign, reference_fill):
+            x, status = fill([1e308, 1.0], [10.0, 20.0], MAX_ENERGY, math.inf)
+            assert status == OPTIMAL and x.tolist() == [1e308, 1.0], fill
 
 
 class TestKnapsackMinLoss:
@@ -156,6 +169,92 @@ class TestKnapsackOrder:
                     assert got[0].tolist() == want[0].tolist(), (trial, objective)
 
 
+# capacities and loss factors with ties, signed zeros, and products that overflow
+CAPACITIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, 2.0, 7.25, 1e-300, 1e308]),
+    st.floats(0.0, 1e3, allow_subnormal=False),
+)
+LOSS_FACTORS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 0.1, 0.25, 1.0 / 0.9 - 1.0, 10.0]),
+    st.floats(0.0, 100.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def knapsack_instances(draw):
+    """(capacities, loss factors, hops or None); the cheapest paths in fill
+    order may all have zero capacity, like a pair whose window is too short."""
+    n = draw(st.integers(0, 12))
+    caps = draw(st.lists(CAPACITIES, min_size=n, max_size=n))
+    lams = draw(st.lists(LOSS_FACTORS, min_size=n, max_size=n))
+    hops = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    tie = [0] * n if hops is None else hops
+    order = sorted(range(n), key=lambda j: (lams[j], tie[j], j))
+    for j in order[: draw(st.integers(0, n))]:
+        caps[j] = 0.0
+    return caps, lams, hops
+
+
+def fill_bounds(caps, lams):
+    """(objective, bound) pairs: signed zeros, exact sums, midpoints, an inf cap."""
+    with np.errstate(over="ignore"):
+        total_cap = float(np.sum(caps))
+        total_loss = float(np.dot(lams, caps)) if caps else 0.0
+    in_order = sum(caps)  # left to right, as the fill spends it
+    caps_bounds = [0.0, -0.0, math.inf, total_loss, 0.5 * total_loss, 1.0]
+    floors = [0.0, -0.0, total_cap, in_order, 0.5 * total_cap, 2.0 * total_cap + 1.0, 1.0]
+    return [(MAX_ENERGY, b) for b in caps_bounds if b == b] + [
+        (MIN_LOSS, b) for b in floors if math.isfinite(b)
+    ]
+
+
+class TestArrayFillMatchesLoopOracle:
+    """The array fill and totals equal the per-path loop oracle bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=knapsack_instances(), extra=st.floats(0.0, 1e4))
+    def test_knapsack_assign(self, instance, extra):
+        caps, lams, hops = instance
+        bounds = fill_bounds(caps, lams) + [(MAX_ENERGY, extra), (MIN_LOSS, extra)]
+        for objective, bound in bounds:
+            got = knapsack_assign(caps, lams, objective, bound, hops)
+            want = reference_fill(caps, lams, objective, bound, hops)
+            assert repr((got[0].tolist(), got[1])) == repr((want[0].tolist(), want[1])), (
+                objective, bound,
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(
+                st.integers(1, 3),  # hops
+                st.sampled_from([0.25, 0.5, 1.0, 1.75, 3.0]),  # delay per hop, hours
+                st.sampled_from([0.0, 30.0, 60.0, 60.0, 80.0]),  # vehicles per hour
+            ),
+            max_size=20,  # np.sum adds more than eight values pairwise
+        ),
+        z=st.sampled_from([1e-100, 0.05, 0.5, 0.9, 1.0]),
+        packet=st.sampled_from([0.1, 1e306]),
+        window=st.sampled_from([0.5, 2.0, 5.0]),
+        penetration=st.sampled_from([0.0, 0.001, 1.0]),
+    )
+    def test_solve(self, shapes, z, packet, window, penetration):
+        paths = [
+            single_arc_path([delay] * hops, [flow] * hops)[0]
+            for hops, delay, flow in shapes
+        ]
+        params = EnergyParams.with_round_trip(packet, z, window)
+        econ = [path_economics(p, params, penetration) for p in paths]
+        caps = [e.capacity for e in econ]
+        assume(all(math.isfinite(c) for c in caps))
+        table = PathTable(paths)
+        for objective, bound in fill_bounds(caps, [e.loss_factor for e in econ]):
+            request = dict(params=params, objective=objective, penetration=penetration)
+            request["loss_cap" if objective == MAX_ENERGY else "delivery_floor"] = bound
+            plan = solve(table, **request)
+            assert repr(plan) == repr(reference_plan(paths, **request)), (objective, bound)
+
+
 class TestSolverEquivalence:
     def test_single_path_instances_match_exactly(self):
         rng = np.random.default_rng(5)
@@ -223,7 +322,7 @@ class TestPlanRequests:
     def make_plan(self, objective=MAX_ENERGY, **kwargs):
         path, _, _ = single_arc_path([0.5, 0.5], [60.0, 30.0])
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        return solve((path,), params, objective, **kwargs)
+        return solve_paths((path,), params, objective, **kwargs)
 
     def test_empty_request_yields_zero_plan(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
@@ -233,12 +332,12 @@ class TestPlanRequests:
             (MAX_ENERGY, {"loss_cap": 2.0}),
             (MIN_LOSS, {"delivery_floor": 0.0}),
         ):
-            plan = solve((), params, objective, **bounds)
+            plan = solve_paths((), params, objective, **bounds)
             assert plan == TransferPlan((), 0.0, 0.0, OPTIMAL), (objective, bounds)
 
     def test_empty_min_loss_with_floor_is_infeasible(self):
         params = EnergyParams.with_round_trip(0.1, 0.9, 5.0)
-        plan = solve((), params, MIN_LOSS, delivery_floor=2.0)
+        plan = solve_paths((), params, MIN_LOSS, delivery_floor=2.0)
         assert plan.status == INFEASIBLE
 
     def test_invalid_caps_rejected(self):
@@ -305,7 +404,7 @@ class TestArrayPlannerMatchesScalarReference:
             yield tuple(enumerate_paths(index, source, target, scenario.enumeration))
 
     def requests(self, paths, z, window, penetration):
-        """Keyword arguments of ``solve`` for a grid of caps and floors."""
+        """Keyword arguments of ``solve_paths`` for a grid of caps and floors."""
         params = EnergyParams.with_round_trip(0.1, z, window)
         ref = reference_plan(paths, params, MAX_ENERGY, penetration=penetration)
         total_cap = float(np.sum(ref.energies))  # an uncapped plan saturates every path
@@ -330,7 +429,7 @@ class TestArrayPlannerMatchesScalarReference:
                     for window in windows:
                         for penetration in (0.0, 1.0):
                             for request in self.requests(paths, z, window, penetration):
-                                plan = solve(**request)
+                                plan = solve_paths(**request)
                                 assert_same_plan(plan, reference_plan(**request))
                                 statuses.add(plan.status)
                                 compared += 1
@@ -341,7 +440,7 @@ class TestArrayPlannerMatchesScalarReference:
         for paths in self.pair_paths(6):
             window = 2 * max(p.delay for p in paths)
             for request in self.requests(paths, 0.9, window, 1.0):
-                plan = solve(**request)
+                plan = solve_paths(**request)
                 lp = reference_plan(**request, lp=True)
                 assert plan.status == lp.status
                 assert plan.transferred == pytest.approx(lp.transferred, rel=1e-9)
@@ -365,7 +464,7 @@ class TestPlanEquality:
 
         def plan(paths):
             # the loss cap fills part of the first path in input order
-            return solve(paths, params, MAX_ENERGY, loss_cap=0.5)
+            return solve_paths(paths, params, MAX_ENERGY, loss_cap=0.5)
 
         ab, ba = plan((a, b)), plan((b, a))
         assert ab.energies[0] > 0.0 == ab.energies[1]
@@ -386,7 +485,7 @@ class TestPlainDataPlans:
     """Plans hold only their fields, so copies and pickles are ordinary."""
 
     def request(self, scenario):
-        """Keyword arguments of ``solve`` for the scenario's first pair."""
+        """Keyword arguments of ``solve_paths`` for the scenario's first pair."""
         source, target = scenario.pairs[0]
         index = RouteIndex(scenario.network, scenario.routes)
         paths = enumerate_paths(index, source, target, scenario.enumeration)
@@ -396,14 +495,14 @@ class TestPlainDataPlans:
     def test_instance_dict_is_the_fields(self, three_routes_scenario):
         solution = solve_scenario(three_routes_scenario)
         pair = solution.pairs[0]
-        plans = [solve(**self.request(three_routes_scenario)), solution, pair, pair.plan]
+        plans = [solve_paths(**self.request(three_routes_scenario)), solution, pair, pair.plan]
         for obj in plans + list(pair.assignments):
             names = [f.name for f in dataclasses.fields(obj)]
             assert list(vars(obj)) == names, type(obj).__name__
 
     def test_pickled_plan_carries_no_paths(self, three_routes_scenario):
         request = self.request(three_routes_scenario)
-        plan = solve(**request)
+        plan = solve_paths(**request)
         assert len(plan.energies) == len(request["paths"]) > 0
         assert b"EnergyPath" not in pickle.dumps(plan)
 
@@ -511,7 +610,7 @@ class TestMultiSource:
     def plan_for(self, scenario, source, target):
         index = RouteIndex(scenario.network, scenario.routes)
         paths = enumerate_paths(index, source, target, scenario.enumeration)
-        return solve(paths, scenario.params, MAX_ENERGY, penetration=scenario.penetration)
+        return solve_paths(paths, scenario.params, MAX_ENERGY, penetration=scenario.penetration)
 
     def test_single_request_matches_plain_solve(self, three_routes_scenario):
         solution = solve_scenario(three_routes_scenario)

@@ -20,6 +20,7 @@ from venplan import (
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
+    PathTable,
     RouteIndex,
     ScenarioFormatError,
     ValidationError,
@@ -224,8 +225,8 @@ class TestGenerator:
         index = RouteIndex(scenario.network, scenario.routes)
         for s, t in scenario.pairs:
             paths = enumerate_paths(index, s, t, scenario.enumeration)
-            half = path_economics(paths, scenario.params, 0.5)[0]
-            full = path_economics(paths, scenario.params, 1.0)[0]
+            half = path_economics(PathTable(paths), scenario.params, 0.5)[0]
+            full = path_economics(PathTable(paths), scenario.params, 1.0)[0]
             assert (2.0 * half).tolist() == full.tolist()
 
     def test_unsatisfiable_configs_reported(self):
@@ -629,20 +630,24 @@ class TestTracedCallSites:
         calls = []
         real = venplan.planner.path_economics
 
-        def counting(paths, *args, **kwargs):
-            calls.append(tuple(paths))
-            return real(paths, *args, **kwargs)
+        def counting(table, *args, **kwargs):
+            calls.append(table)
+            return real(table, *args, **kwargs)
 
         monkeypatch.setattr(venplan.planner, "path_economics", counting)
         solution = venplan.planner.solve_scenario(scenario)
-        # each pair's whole path list, once inside solve and once for its assignments
-        pair_paths = [pair.paths for pair in solution.pairs]
-        assert all(pair_paths) and len(pair_paths) == 3
-        assert calls == [paths for paths in pair_paths for _ in range(2)]
+        # each pair's table, once inside solve and once for its assignments
+        tables = calls[::2]
+        assert calls == [table for table in tables for _ in range(2)]
+        assert [table.hops.tolist() for table in tables] == [
+            [path.hops for path in pair.paths] for pair in solution.pairs
+        ]
+        assert all(pair.paths for pair in solution.pairs) and len(tables) == 3
         calls.clear()
         spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.7, 0.9))
         venplan.sweep.run_sweep(scenario, spec)
-        assert calls == pair_paths * 3
+        # the same three tables at every point
+        assert calls == calls[:3] * 3 and len(set(map(id, calls))) == 3
 
     def test_every_benchmark_trace_site_is_called(self, tmp_path):
         # perfbench wraps each site with getattr(module, name), so a renamed

@@ -5,11 +5,15 @@ import pytest
 from venplan import (
     GREEDY,
     EnumerationConfig,
+    GeneratorConfig,
+    PathTable,
     SweepSpec,
     ValidationError,
     find_crossover,
+    generate_scenario,
     run_sweep,
     scenario_hash,
+    solve_scenario,
     sweep_metadata,
     sweep_to_csv,
 )
@@ -142,3 +146,25 @@ class TestCrossover:
         )
         result = run_sweep(three_routes_scenario, spec)
         assert find_crossover(result) is None
+
+
+class TestPathTables:
+    """Each pair's paths are read into one table, however many points a sweep has."""
+
+    def test_one_table_per_pair(self, monkeypatch):
+        scenario = generate_scenario(GeneratorConfig(
+            seed=3, junction_count=12, arc_count=30, route_count=12, pair_count=3
+        ))
+        built = []
+        real_init = PathTable.__init__
+
+        def counting(self, paths):
+            built.append(len(paths))
+            real_init(self, paths)
+
+        monkeypatch.setattr(PathTable, "__init__", counting)
+        run_sweep(scenario, SweepSpec(parameter="z", values=(0.5, 0.7, 0.9)))
+        assert len(built) == len(scenario.pairs) == 3 and sum(built) > 0
+        built.clear()
+        solve_scenario(scenario)
+        assert len(built) == len(scenario.pairs)
