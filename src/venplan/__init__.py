@@ -23,7 +23,6 @@ from .network import (
     SubRoute,
     VehicularRoute,
     build_network,
-    sub_route,
     validate_route,
 )
 from .paths import (
@@ -82,7 +81,6 @@ __all__ = [
     "SubRoute",
     "VehicularRoute",
     "build_network",
-    "sub_route",
     "validate_route",
     "FULL_ROUTE",
     "PER_HOP",

@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 2 for command-line usage errors (argparse's, an
 output file that cannot be written, or ``--meta`` without ``--output``), 3
 for scenario file/parse problems, and 4 for semantic validation failures,
-overflowing totals and inputs too large for memory. Every machine-readable
+overflowing numbers and inputs too large for memory. Every machine-readable
 output records the scenario hash, the seed (when known) and the tool version.
 """
 
@@ -129,7 +129,11 @@ def _check_totals(*totals: float) -> None:
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """JSON text of ``payload``; a number that overflowed to inf or nan is an error."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValidationError("an output number is not finite; the inputs are too large") from None
 
 
 def _write_outputs(*outputs: tuple[str, str]) -> None:
@@ -214,6 +218,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         delivery_floor=args.delivery_floor,
     )
     _check_totals(solution.transferred, solution.loss)
+    text = _json_text(_solution_to_dict(scenario, solution)) if args.output else None
     for pair in solution.pairs:
         print(
             f"{pair.source} -> {pair.target}: {pair.plan.status}, "
@@ -225,7 +230,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         f"loss {solution.loss:g} kWh across {len(solution.pairs)} pairs"
     )
     if args.output:
-        _write_outputs((args.output, _json_text(_solution_to_dict(scenario, solution))))
+        _write_outputs((args.output, text))
     return EXIT_OK
 
 

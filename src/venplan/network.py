@@ -53,7 +53,8 @@ class SubRoute:
     """Contiguous slice of a route, from its n-th to its m-th arc.
 
     Indices are 1-based and inclusive. The slice inherits the parent route's
-    flow; its delay is the sum of the member arcs' delays.
+    flow; its delay is the sum of the member arcs' delays. Slices are built
+    by :meth:`venplan.RouteIndex.slice`.
     """
 
     route_id: int
@@ -144,26 +145,3 @@ def validate_route(network: RoadNetwork, route: VehicularRoute) -> None:
     if len(set(seq)) != len(seq):
         raise ValidationError(f"route {route.id} visits a junction twice")
 
-
-def sub_route(network: RoadNetwork, route: VehicularRoute, n: int, m: int) -> SubRoute:
-    """Slice a route from its n-th to its m-th arc (1-based, inclusive)."""
-    if not 1 <= n <= m <= len(route.arcs):
-        raise ValidationError(
-            f"sub-route indices ({n}, {m}) out of range for route {route.id} "
-            f"of length {len(route.arcs)}"
-        )
-    member_ids = tuple(route.arcs[n - 1 : m])
-    members = [network.arc(a) for a in member_ids]
-    delay = 0.0
-    for arc in members:
-        delay += arc.delay
-    return SubRoute(
-        route_id=route.id,
-        start=n,
-        end=m,
-        arcs=member_ids,
-        entry=members[0].tail,
-        exit=members[-1].head,
-        delay=delay,
-        flow=route.flow,
-    )

@@ -25,13 +25,12 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .network import RoadNetwork, SubRoute, VehicularRoute, sub_route
+from .network import RoadNetwork, SubRoute, VehicularRoute
 
 FULL_ROUTE = "full-route"
 PER_HOP = "per-hop"
@@ -39,21 +38,18 @@ PER_HOP = "per-hop"
 
 @dataclass(frozen=True)
 class EnergyPath:
-    """Chain of route sub-segments carrying energy from source to target.
-
-    ``hops``, ``delay`` and ``bottleneck_flow`` are computed once per path.
-    """
+    """Chain of route sub-segments carrying energy from source to target."""
 
     source: int
     target: int
     segments: tuple[SubRoute, ...]
 
-    @cached_property
+    @property
     def hops(self) -> int:
         """Number of segments, i.e. charge-discharge cycles along the path."""
         return len(self.segments)
 
-    @cached_property
+    @property
     def delay(self) -> float:
         """Propagation time in hours: the sum of all member arc delays.
 
@@ -65,7 +61,7 @@ class EnergyPath:
             delay += seg.delay
         return delay
 
-    @cached_property
+    @property
     def bottleneck_flow(self) -> float:
         """Smallest vehicle flow among the segments, in vehicles per hour."""
         return min(seg.flow for seg in self.segments)
@@ -109,7 +105,8 @@ class RouteIndex:
     The search reads Python tuples that are built on first use and then
     kept for the index's lifetime, since none depends on the target: a
     junction's sorted ``(route id, 1-based position, reach slot)`` entries,
-    a route's member arc heads and delays, and each ``(route, n, m)`` slice.
+    a route's geometry (the junctions it visits and its member arc delays)
+    and each ``(route, n, m)`` slice, which is built from that geometry.
     Reach slots run route by route in id order, one per position plus one
     end-of-route sentinel.
     """
@@ -194,22 +191,31 @@ class RouteIndex:
         return found
 
     def geometry(self, route_id: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Heads and delays of a route's member arcs, in travel order."""
+        """Junctions a route visits (its first arc's tail, then every head)
+        and its member arcs' delays, in travel order."""
         found = self._geometry.get(route_id)
         if found is None:
             arcs = [self.network.arcs[a] for a in self.routes[route_id].arcs]
-            found = (tuple(a.head for a in arcs), tuple(a.delay for a in arcs))
-            self._geometry[route_id] = found
+            junctions = (arcs[0].tail, *(a.head for a in arcs))
+            found = self._geometry[route_id] = (junctions, tuple(a.delay for a in arcs))
         return found
 
     def slice(self, route_id: int, span: tuple[int, int]) -> SubRoute:
-        """The route's ``n``-th to ``m``-th arcs for ``span = (n, m)``, one
-        object per index."""
+        """The route's ``n``-th to ``m``-th arcs for ``span = (n, m)``, one object
+        per index, with their delays summed left to right from 0.0."""
         key = (route_id, span)
         found = self._slices.get(key)
         if found is None:
-            found = sub_route(self.network, self.routes[route_id], *span)
-            self._slices[key] = found
+            route = self.routes[route_id]
+            junctions, delays = self.geometry(route_id)
+            n, m = span
+            delay = 0.0
+            for arc_delay in delays[n - 1 : m]:
+                delay += arc_delay
+            found = self._slices[key] = SubRoute(
+                route_id, n, m, tuple(route.arcs[n - 1 : m]),
+                junctions[n - 1], junctions[m], delay, route.flow,
+            )
         return found
 
     def bound_table(
@@ -230,7 +236,8 @@ class RouteIndex:
         ``k`` and that layer's delay; the target's is ``(0, 0.0)``.
         Loop-freedom is ignored, so the entries are lower bounds, and
         junctions absent from the result cannot reach the target in
-        ``max_hops`` slices at all.
+        ``max_hops`` slices at all. A delay that overflows in the table raises
+        ValidationError, since an infinite entry would read as unreachable.
 
         A route position's reach is the least table ``k`` over the heads at
         that position and every later one on the route, with absent heads
@@ -250,24 +257,30 @@ class RouteIndex:
         first_hops[target_row] = 0
         first_delays = layer.copy()
         best = np.empty(self._tails.size)  # least delay to the target per slot
-        for k in range(1, max_hops + 1):
-            previous = 0
-            for lo, hi in self._blocks:
-                rest = layer[self._heads[lo:hi]]
-                if not per_hop and lo:
-                    # the slice runs on past this arc's head; block q's routes
-                    # are the first hi - lo routes of block q - 1
-                    np.minimum(rest, best[previous : previous + hi - lo], out=rest)
-                np.add(self._delays[lo:hi], rest, out=best[lo:hi])
-                previous = lo
-            nxt = layer.copy()
-            np.minimum.at(nxt, self._tails, best)
-            if np.array_equal(nxt, layer):
-                break
-            new = (first_hops < 0) & (nxt < math.inf)
-            first_hops[new] = k
-            first_delays[new] = nxt[new]
-            layer = nxt
+        try:
+            with np.errstate(over="raise"):  # an inf delay would read as unreachable
+                for k in range(1, max_hops + 1):
+                    previous = 0
+                    for lo, hi in self._blocks:
+                        rest = layer[self._heads[lo:hi]]
+                        if not per_hop and lo:
+                            # the slice runs on past this arc's head; block q's routes
+                            # are the first hi - lo routes of block q - 1
+                            np.minimum(rest, best[previous : previous + hi - lo], out=rest)
+                        np.add(self._delays[lo:hi], rest, out=best[lo:hi])
+                        previous = lo
+                    nxt = layer.copy()
+                    np.minimum.at(nxt, self._tails, best)
+                    if np.array_equal(nxt, layer):
+                        break
+                    new = (first_hops < 0) & (nxt < math.inf)
+                    first_hops[new] = k
+                    first_delays[new] = nxt[new]
+                    layer = nxt
+        except FloatingPointError:
+            raise ValidationError(
+                f"path delays to junction {target} overflow; the arc delays are too large"
+            ) from None
         rows = np.flatnonzero(first_hops >= 0)
         table = dict(
             zip(
@@ -294,7 +307,7 @@ def enumerate_paths(
     index: RouteIndex,
     source: int,
     target: int,
-    config: Optional[EnumerationConfig] = None,
+    config: EnumerationConfig,
 ) -> list[EnergyPath]:
     """Enumerate energy paths from ``source`` to ``target`` over the index's routes.
 
@@ -338,8 +351,6 @@ def enumerate_paths(
         raise ValidationError(f"unknown target junction {target}")
     if source == target:
         raise ValidationError("source and target must differ")
-    if config is None:
-        config = EnumerationConfig()
 
     # a loop-free path has at most one segment per junction after the source,
     # so the cap drops only states that cannot finish; it also keeps every
@@ -383,6 +394,10 @@ def enumerate_paths(
                 ):
                     return  # the heap may still produce something smaller
             _, _, ids, spans = heapq.heappop(finished)
+            if f_delay == math.inf:
+                raise ValidationError(
+                    f"path delays to junction {target} overflow; the arc delays are too large"
+                )
             segments = tuple(map(index.slice, ids, spans))
             results.append(EnergyPath(source=source, target=target, segments=segments))
 
@@ -397,11 +412,11 @@ def enumerate_paths(
         for route_id, n, slot in index.entries(junction):
             if reach[slot] > budget:
                 continue
-            heads, delays = index.geometry(route_id)
+            junctions, delays = index.geometry(route_id)
             steps = []
             seg_delay = 0.0
             for m in itertools.count(n):
-                head = heads[m - 1]
+                head = junctions[m]
                 seg_delay += delays[m - 1]
                 entry = bound.get(head)
                 steps.append(

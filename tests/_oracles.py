@@ -1,7 +1,9 @@
 """Independent reference implementations used only to cross-check the library.
 
-The path oracle materializes every sub-route up front and recursively tries
-all concatenations; the LP oracle enumerates candidate vertices from all
+The slice oracle ``sub_route`` builds one route slice by reading each member
+arc from the network, independently of ``RouteIndex.slice``. The path
+oracle materializes every sub-route up front and recursively tries all
+concatenations; the LP oracle enumerates candidate vertices from all
 n-subsets of the active constraint set. Both are deliberately brute force
 and share no code with the implementations they check. ``lp_assign`` solves
 the planner's knapsack instances as general LPs through the bounded simplex
@@ -56,11 +58,11 @@ from venplan import (
     PER_HOP,
     Scenario,
     ScenarioFormatError,
+    SubRoute,
     TransferPlan,
     ValidationError,
     VehicularRoute,
     build_network,
-    sub_route,
     validate_route,
 )
 from venplan.energetics import _retained
@@ -118,6 +120,31 @@ def path_economics(path, params, penetration=1.0):
         max_rate=rate,
         capacity=max_transferable(path, params, rate),
         loss_factor=loss_factor(params, path.hops),
+    )
+
+
+def sub_route(network, route, n, m):
+    """Slice a route from its n-th to its m-th arc (1-based, inclusive),
+    reading every member arc from the network."""
+    if not 1 <= n <= m <= len(route.arcs):
+        raise ValidationError(
+            f"sub-route indices ({n}, {m}) out of range for route {route.id} "
+            f"of length {len(route.arcs)}"
+        )
+    member_ids = tuple(route.arcs[n - 1 : m])
+    members = [network.arc(a) for a in member_ids]
+    delay = 0.0
+    for arc in members:
+        delay += arc.delay
+    return SubRoute(
+        route_id=route.id,
+        start=n,
+        end=m,
+        arcs=member_ids,
+        entry=members[0].tail,
+        exit=members[-1].head,
+        delay=delay,
+        flow=route.flow,
     )
 
 

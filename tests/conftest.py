@@ -9,8 +9,9 @@ from venplan import (
     VehicularRoute,
     build_network,
     parse_scenario,
-    sub_route,
 )
+
+from _oracles import sub_route
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 THREE_ROUTES = FIXTURE_DIR / "three_routes.json"

@@ -565,6 +565,24 @@ def _overflowing_loss(doc):
     doc["params"].update(packet_size=1e306, charge_efficiency=0.1, window=10.0)
 
 
+def _overflowing_delays(doc):
+    # every path from 1 to 3 takes 1e308 + 1e308 hours, which is inf
+    doc["network"] = {"junctions": [1, 2, 3], "arcs": [
+        {"id": i, "tail": i, "head": i + 1, "delay": 1e308, "flow": 10.0, "length": 1.0}
+        for i in (1, 2)
+    ]}
+    doc["routes"] = [{"id": i, "arcs": arcs, "flow": 10.0}
+                     for i, arcs in ((1, [1]), (2, [2]), (3, [1, 2]))]
+    doc["pairs"] = [[1, 3]]
+
+
+def _infinite_rate(doc):
+    # route 1's packet rate overflows to inf, but the 1 h window is shorter than
+    # every path's delay, so every capacity and total is 0
+    doc["params"].update(packet_size=1e307, window=1.0)
+    doc["routes"][0]["flow"] = 1000.0
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, spoil, code",
@@ -587,12 +605,15 @@ class TestNonFiniteInput:
             (["solve"], _overflowing_loss, 4),
             (["sweep", "--parameter", "w", "--values", "1e306", "--efficiency", "0.1",
               "--penetration", "1", "--window", "10"], None, 4),
+            # finite arc delays whose path delays overflow to inf
+            (["enumerate"], _overflowing_delays, 4),
+            (["solve"], _overflowing_delays, 4),
         ],
         ids=["validate-nan-delay", "validate-inf-flow", "solve-nan-delay",
              "sweep-nan-value", "sweep-inf-value", "sweep-inf-window",
              "sweep-inf-packet", "sweep-overflow-capacity",
              "sweep-underflow-efficiency", "solve-overflow-loss",
-             "sweep-overflow-loss"],
+             "sweep-overflow-loss", "enumerate-overflow-delay", "solve-overflow-delay"],
     )
     def test_rejected_without_traceback(self, tmp_path, argv, spoil, code):
         scenario = FIXTURE
@@ -608,6 +629,16 @@ class TestNonFiniteInput:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
+    def test_non_finite_json_number_writes_no_file(self, tmp_path):
+        doc = json.loads(THREE_ROUTES.read_text())
+        _infinite_rate(doc)
+        scenario = tmp_path / "spoiled.json"
+        scenario.write_text(json.dumps(doc))
+        plan = tmp_path / "plan.json"
+        proc = run_module("solve", str(scenario), "-o", str(plan))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: an output number is not finite; the inputs are too large\n"
+        assert proc.stdout == "" and not plan.exists()
 
     def test_overflowing_total_capacity_meets_the_floor(self):
         # the capacities are finite, their sum is not: the floor is still met

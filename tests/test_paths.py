@@ -22,13 +22,13 @@ from venplan import (
     build_network,
     enumerate_paths,
     generate_scenario,
-    sub_route,
 )
 
 from _oracles import (
     brute_force_paths,
     reference_bound_table,
     reference_reach,
+    sub_route,
     validate_path,
 )
 from conftest import shift_ids
@@ -179,11 +179,11 @@ class TestEnumerationProperties:
     def test_unknown_junctions_rejected(self, three_routes_scenario):
         s = three_routes_scenario
         with pytest.raises(ValidationError, match="unknown source"):
-            enumerate_paths(RouteIndex(s.network, s.routes), 99, 4)
+            enumerate_paths(RouteIndex(s.network, s.routes), 99, 4, EnumerationConfig())
         with pytest.raises(ValidationError, match="unknown target"):
-            enumerate_paths(RouteIndex(s.network, s.routes), 1, 99)
+            enumerate_paths(RouteIndex(s.network, s.routes), 1, 99, EnumerationConfig())
         with pytest.raises(ValidationError, match="must differ"):
-            enumerate_paths(RouteIndex(s.network, s.routes), 1, 1)
+            enumerate_paths(RouteIndex(s.network, s.routes), 1, 1, EnumerationConfig())
 
     def test_deterministic_repetition(self, three_routes_scenario):
         s = three_routes_scenario
@@ -408,7 +408,7 @@ def unshift_path(path, shift):
 class TestRouteIndexEdges:
     def test_no_routes_gives_empty_list(self, three_routes_scenario):
         s = three_routes_scenario
-        assert enumerate_paths(RouteIndex(s.network, []), 1, 4) == []
+        assert enumerate_paths(RouteIndex(s.network, []), 1, 4, EnumerationConfig()) == []
         per_hop = EnumerationConfig(mode=PER_HOP)
         assert enumerate_paths(RouteIndex(s.network, ()), 1, 4, per_hop) == []
 
@@ -494,6 +494,69 @@ def shared_index_city(seed, mode=FULL_ROUTE):
             enumeration=EnumerationConfig(max_hops=4, max_paths=30, mode=mode),
         )
     )
+
+
+class TestRouteSlices:
+    """``RouteIndex.slice`` builds every slice as the network-reading oracle does."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_every_slice_matches_the_oracle(self, three_routes_scenario, seed):
+        if seed is None:
+            net, routes = three_routes_scenario.network, three_routes_scenario.routes
+        else:
+            city = generate_scenario(GeneratorConfig(
+                seed=seed, junction_count=40, arc_count=110, route_count=60, pair_count=2,
+            ))
+            net, routes = city.network, city.routes
+        index = RouteIndex(net, routes)
+        for route in routes:
+            for n in range(1, len(route.arcs) + 1):
+                for m in range(n, len(route.arcs) + 1):
+                    found = index.slice(route.id, (n, m))
+                    expected = sub_route(net, route, n, m)
+                    assert found == expected
+                    assert found.delay.hex() == expected.delay.hex()
+                    assert index.slice(route.id, (n, m)) is found
+
+
+class TestDelayOverflow:
+    """Path delays that overflow to inf are rejected, not dropped or returned."""
+
+    def test_overflow_in_the_bound_table(self):
+        net = build_network(
+            [1, 2, 3], [Arc(1, 1, 2, 1e308, 10.0), Arc(2, 2, 3, 1e308, 10.0)]
+        )
+        routes = [
+            VehicularRoute(1, (1,), 10.0),
+            VehicularRoute(2, (2,), 10.0),
+            VehicularRoute(3, (1, 2), 10.0),
+        ]
+        index = RouteIndex(net, routes)
+        for mode in (FULL_ROUTE, PER_HOP):
+            # the paths exist, with delay inf; the table would read 1 as unreachable
+            assert brute_force_paths(net, routes, 1, 3, 6, mode)
+            with pytest.raises(ValidationError, match="^path delays to junction 3 overflow"):
+                enumerate_paths(index, 1, 3, EnumerationConfig(mode=mode))
+
+    def test_overflow_only_along_a_longer_path(self):
+        # the table's least delays stay finite; only 1 -> 2 -> 3 -> 4 overflows
+        arcs = [
+            Arc(1, 1, 2, 1e308, 10.0),
+            Arc(2, 2, 4, 1.0, 10.0),
+            Arc(3, 2, 3, 1e308, 10.0),
+            Arc(4, 3, 4, 1.0, 10.0),
+        ]
+        net = build_network([1, 2, 3, 4], arcs)
+        routes = [
+            VehicularRoute(1, (1,), 10.0),
+            VehicularRoute(2, (2,), 10.0),
+            VehicularRoute(3, (3, 4), 10.0),
+        ]
+        index = RouteIndex(net, routes)
+        first = enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=1))
+        assert [segment_shape(p) for p in first] == [((1, 1, 1), (2, 1, 1))]
+        with pytest.raises(ValidationError, match="^path delays to junction 4 overflow"):
+            enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=None))
 
 
 class TestSharedRouteIndex:

@@ -28,11 +28,11 @@ from venplan import (
     knapsack_assign,
     solve,
     solve_scenario,
-    sub_route,
 )
 
 from _oracles import (
-    lp_assign, path_economics, reference_fill, reference_plan, vertex_enumeration_lp,
+    lp_assign, path_economics, reference_fill, reference_plan, sub_route,
+    vertex_enumeration_lp,
 )
 from _properties import check_tradeoff_properties
 from conftest import single_arc_path
