@@ -24,6 +24,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,11 +67,17 @@ class EnergyPath:
         """Smallest vehicle flow among the segments, in vehicles per hour."""
         return min(seg.flow for seg in self.segments)
 
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EnumerationConfig:
     """Bounds and routing-information mode for path enumeration.
 
-    ``max_paths=None`` removes the result cap.
+    ``max_hops`` and ``max_paths`` are integers, numpy's included, and not
+    bools; ``max_paths=None`` removes the result cap.
     """
 
     max_hops: int = 6
@@ -78,10 +85,10 @@ class EnumerationConfig:
     mode: str = FULL_ROUTE
 
     def __post_init__(self) -> None:
-        if self.max_hops < 1:
-            raise ValidationError("max_hops must be at least 1")
-        if self.max_paths is not None and self.max_paths < 1:
-            raise ValidationError("max_paths must be at least 1")
+        if not _is_count(self.max_hops) or self.max_hops < 1:
+            raise ValidationError("max_hops must be an integer of at least 1")
+        if self.max_paths is not None and (not _is_count(self.max_paths) or self.max_paths < 1):
+            raise ValidationError("max_paths must be an integer of at least 1")
         if self.mode not in (FULL_ROUTE, PER_HOP):
             raise ValidationError(f"unknown enumeration mode {self.mode!r}")
 
@@ -340,10 +347,12 @@ def enumerate_paths(
     calls: the entries of each popped junction and the arcs of each route it
     touches. Segment transitions are generated lazily; the full set of
     sub-routes is never materialized, and each ``(route, n, m)`` slice in
-    the output is one object shared by every path that uses it. A heap entry
-    is one flat tuple: the key's four fields, then the junction, the delay so
-    far and the visited set. A finished path is held as its exact key alone,
-    and its segments are built from the route ids and spans in that key.
+    the output is one object shared by every path that uses it.
+
+    One heap holds both kinds of entry. A partial path is one flat tuple:
+    the key's four fields, then the junction, the delay so far and the
+    visited set. A complete path is its exact key alone, so each pop of one
+    returns the next path, built from the route ids and spans in its key.
     """
     if source not in index.network.junctions:
         raise ValidationError(f"unknown source junction {source}")
@@ -363,43 +372,24 @@ def enumerate_paths(
     max_paths = config.max_paths
     per_hop = config.mode == PER_HOP
 
-    # Heap entries: (hops + k, delay + d, route ids, (n, m) pairs, junction,
-    # delay so far, visited), with (k, d) the bound table's entry; the first
-    # four fields are the key, which grows along any extension, up to float
-    # rounding in d. (route ids, (n, m) pairs) names a state uniquely, and
-    # each state is pushed once, by its prefix state, which is itself popped
-    # once. So no two entries tie on the key, and a comparison never reaches
-    # the junction or the visited set, whose frozenset order is not total.
-    #
-    # Keys of complete paths carry no bound terms and are exact, so exact
-    # output order is restored by holding each finished path until the best
-    # optimistic key left in the heap is past it by a margin that dominates
-    # the bound's rounding noise, then releasing in exact key order.
-    heap: list[tuple] = [(*bound[source], (), (), source, 0.0, frozenset((source,)))]
-    finished: list[tuple] = []  # exact keys, via heapq
+    # Partial entries: (hops + k, (delay + d) lowered, route ids, (n, m)
+    # pairs, junction, delay so far, visited), with (k, d) the bound table's
+    # entry. The table sums delays in another order than a path does, so d
+    # may exceed the exact rest of a completion by rounding; lowering by a
+    # margin that dominates that noise keeps each partial key below the
+    # exact key of every completion, and x * (1 - 1e-9) - 1e-9 keeps an
+    # infinite key infinite. Complete entries: (hops, delay, route ids,
+    # (n, m) pairs), exact, so a complete path pops only after every state
+    # that could still finish before it. (route ids, (n, m) pairs) names a
+    # state uniquely and a prefix sorts before its extensions, so no
+    # comparison reaches the junction or the visited set, whose frozenset
+    # order is not total.
+    k, d = bound[source]
+    heap: list[tuple] = [
+        (k, d * (1.0 - 1e-9) - 1e-9, (), (), source, 0.0, frozenset((source,)))
+    ]
     results: list[EnergyPath] = []
     walks: dict[tuple[int, int], list[tuple]] = {}
-
-    def release_safe() -> None:
-        while finished:
-            if max_paths is not None and len(results) >= max_paths:
-                finished.clear()
-                return
-            f_hops, f_delay = finished[0][0], finished[0][1]
-            if heap:
-                top_hops, top_delay = heap[0][0], heap[0][1]
-                margin = 1e-9 * (1.0 + abs(f_delay))
-                if top_hops < f_hops or (
-                    top_hops == f_hops and top_delay <= f_delay + margin
-                ):
-                    return  # the heap may still produce something smaller
-            _, _, ids, spans = heapq.heappop(finished)
-            if f_delay == math.inf:
-                raise ValidationError(
-                    f"path delays to junction {target} overflow; the arc delays are too large"
-                )
-            segments = tuple(map(index.slice, ids, spans))
-            results.append(EnergyPath(source=source, target=target, segments=segments))
 
     def walks_from(junction: int, budget: int) -> list[tuple]:
         """``(route id, n, steps)`` for each entry at ``junction`` whose reach
@@ -429,17 +419,20 @@ def enumerate_paths(
             found.append((route_id, n, steps))
         return found
 
-    while heap or finished:
-        release_safe()
-        if max_paths is not None and len(results) >= max_paths:
-            break
-        if not heap:
-            continue
+    while heap:
         entry = heapq.heappop(heap)
-        _, _, ids, spans, junction, delay_so_far, visited = entry
-        if junction == target:
-            heapq.heappush(finished, entry[:4])
+        if len(entry) == 4:  # a complete path, the next one in exact order
+            _, delay, ids, spans = entry
+            if delay == math.inf:
+                raise ValidationError(
+                    f"path delays to junction {target} overflow; the arc delays are too large"
+                )
+            segments = tuple(map(index.slice, ids, spans))
+            results.append(EnergyPath(source=source, target=target, segments=segments))
+            if len(results) == max_paths:
+                break
             continue
+        _, _, ids, spans, junction, delay_so_far, visited = entry
         hops = len(ids)
         # segments a child may still add after its own; at least 0 here,
         # since the prune kept hops + k <= max_hops and k >= 1 off the target
@@ -461,10 +454,14 @@ def enumerate_paths(
                 new_junctions.append(head)
                 if bound_entry is None:
                     continue  # out of reach in budget; a longer slice may work
-                k, d = bound_entry
                 delay = delay_so_far + seg_delay
+                child_spans = spans + ((n, m),)
+                if head == target:
+                    heapq.heappush(heap, (hops + 1, delay, child_ids, child_spans))
+                    continue
+                k, d = bound_entry
                 heapq.heappush(heap, (
-                    hops + 1 + k, delay + d, child_ids, spans + ((n, m),),
+                    hops + 1 + k, (delay + d) * (1.0 - 1e-9) - 1e-9, child_ids, child_spans,
                     head, delay, visited | set(new_junctions),
                 ))
     return results

@@ -1,8 +1,11 @@
 import dataclasses
+import heapq
+import types
 from pathlib import Path
 
 import pytest
 
+import venplan.paths
 from venplan import (
     Arc,
     EnergyPath,
@@ -25,6 +28,22 @@ def three_routes_text() -> str:
 @pytest.fixture()
 def three_routes_scenario(three_routes_text):
     return parse_scenario(three_routes_text)
+
+
+@pytest.fixture()
+def heap_pops(monkeypatch):
+    """Every entry that ``enumerate_paths`` pops off a heap, in pop order."""
+    popped = []
+
+    def heappop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(entry)
+        return entry
+
+    monkeypatch.setattr(
+        venplan.paths, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+    )
+    return popped
 
 
 def chain_network(delays, flows=None, lengths=None):

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 import random
 
+import numpy as np
 import pytest
 
 import venplan.cli
@@ -36,6 +38,14 @@ from conftest import shift_ids
 
 def segment_shape(path):
     return tuple((s.route_id, s.start, s.end) for s in path.segments)
+
+
+def exact_ties_network():
+    """Routes 1 and 2 ride the same arcs 1 -> 2 -> 3 -> 4 of 0.5 h each, so
+    every path from 1 to 4 takes exactly 1.5 h."""
+    arcs = [Arc(i, i, i + 1, 0.5, 5.0) for i in (1, 2, 3)]
+    net = build_network([1, 2, 3, 4], arcs)
+    return net, [VehicularRoute(1, (1, 2, 3), 5.0), VehicularRoute(2, (1, 2, 3), 5.0)]
 
 
 def fewest_segments_slower_network():
@@ -223,6 +233,11 @@ class TestEnumerationProperties:
                             found = enumerate_paths(index, s, t, config)
                             expected = brute_force_paths(net, routes, s, t, hops, mode)
                             assert found == expected, (seed, hops, mode, s, t)
+                            for cap in {1, max(1, len(expected) // 2)}:
+                                capped = enumerate_paths(
+                                    index, s, t, dataclasses.replace(config, max_paths=cap)
+                                )
+                                assert capped == expected[:cap], (seed, hops, mode, s, t, cap)
 
     def test_delay_is_a_left_to_right_fold(self):
         # sum() rounds differently from Python 3.12 on; the path delay must
@@ -270,18 +285,20 @@ class TestEnumerationProperties:
         ]
 
     def test_exact_ties_ordered_by_route_ids_then_spans(self):
-        # routes 1 and 2 ride the same arcs 1 -> 2 -> 3 -> 4 of 0.5 h each,
-        # so every path from 1 to 4 takes exactly 1.5 h
-        arcs = [Arc(i, i, i + 1, 0.5, 5.0) for i in (1, 2, 3)]
-        net = build_network([1, 2, 3, 4], arcs)
-        routes = [VehicularRoute(1, (1, 2, 3), 5.0), VehicularRoute(2, (1, 2, 3), 5.0)]
+        net, routes = exact_ties_network()
         index = RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             for hops in (1, 2, 3):
                 config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
                 found = enumerate_paths(index, 1, 4, config)
-                assert found == brute_force_paths(net, routes, 1, 4, hops, mode)
+                expected = brute_force_paths(net, routes, 1, 4, hops, mode)
+                assert found == expected
                 assert all(p.delay == 1.5 for p in found), (mode, hops)
+                for cap in range(1, len(expected) + 1):
+                    capped = enumerate_paths(
+                        index, 1, 4, dataclasses.replace(config, max_paths=cap)
+                    )
+                    assert capped == expected[:cap], (mode, hops, cap)
             assert len(found) == 8, mode  # 2 + 4 + 2 and 2**3 paths
         config = EnumerationConfig(max_hops=3, max_paths=None)
         assert [segment_shape(p) for p in enumerate_paths(index, 1, 4, config)] == [
@@ -294,6 +311,29 @@ class TestEnumerationProperties:
             ((1, 1, 1), (2, 2, 2), (1, 3, 3)),
             ((2, 1, 1), (1, 2, 2), (2, 3, 3)),
         ]
+
+    def test_pops_a_complete_path_only_to_return_it(self, heap_pops):
+        # every path ties with all others on (hops, delay) at its hop count,
+        # so a capped search must stop without popping the tied rest
+        net, routes = exact_ties_network()
+        index = RouteIndex(net, routes)
+        for mode in (FULL_ROUTE, PER_HOP):
+            for cap in range(1, 9):
+                heap_pops.clear()
+                config = EnumerationConfig(max_hops=3, max_paths=cap, mode=mode)
+                found = enumerate_paths(index, 1, 4, config)
+                complete = [
+                    (ids, spans)
+                    for _, _, ids, spans, *_ in heap_pops
+                    if ids and index.slice(ids[-1], spans[-1]).exit == 4
+                ]
+                assert complete == [
+                    (
+                        tuple(seg.route_id for seg in p.segments),
+                        tuple((seg.start, seg.end) for seg in p.segments),
+                    )
+                    for p in found
+                ], (mode, cap)
 
     def test_soundness_on_random_scenarios(self):
         for seed in (21, 22, 23):
@@ -538,7 +578,7 @@ class TestDelayOverflow:
             with pytest.raises(ValidationError, match="^path delays to junction 3 overflow"):
                 enumerate_paths(index, 1, 3, EnumerationConfig(mode=mode))
 
-    def test_overflow_only_along_a_longer_path(self):
+    def test_overflow_only_along_a_longer_path(self, heap_pops):
         # the table's least delays stay finite; only 1 -> 2 -> 3 -> 4 overflows
         arcs = [
             Arc(1, 1, 2, 1e308, 10.0),
@@ -555,8 +595,15 @@ class TestDelayOverflow:
         index = RouteIndex(net, routes)
         first = enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=1))
         assert [segment_shape(p) for p in first] == [((1, 1, 1), (2, 1, 1))]
-        with pytest.raises(ValidationError, match="^path delays to junction 4 overflow"):
-            enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=None))
+        for mode in (FULL_ROUTE, PER_HOP):
+            heap_pops.clear()
+            with pytest.raises(ValidationError, match="^path delays to junction 4 overflow"):
+                enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=None, mode=mode))
+        # per-hop mode pops the partial path 1 -> 2 -> 3 before the path
+        # through it overflows; its key stays infinite, never NaN
+        partial_delays = [entry[1] for entry in heap_pops if len(entry) > 4]
+        assert math.inf in partial_delays
+        assert not any(map(math.isnan, partial_delays))
 
 
 class TestSharedRouteIndex:
@@ -712,3 +759,16 @@ class TestEnumerationConfig:
             EnumerationConfig(max_paths=0)
         with pytest.raises(ValidationError):
             EnumerationConfig(mode="telepathy")
+        for bad in (True, False, np.True_, 1.5, 2.5, 3.0, math.inf, "3"):
+            with pytest.raises(ValidationError):
+                EnumerationConfig(max_hops=bad)
+            with pytest.raises(ValidationError):
+                EnumerationConfig(max_paths=bad)
+
+    def test_numpy_integer_bounds(self, three_routes_scenario):
+        s = three_routes_scenario
+        index = RouteIndex(s.network, s.routes)
+        config = EnumerationConfig(max_hops=np.int64(2), max_paths=np.int32(2))
+        assert enumerate_paths(index, 1, 4, config) == enumerate_paths(
+            index, 1, 4, EnumerationConfig(max_hops=2, max_paths=2)
+        )
