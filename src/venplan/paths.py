@@ -9,6 +9,11 @@ energy. Enumeration therefore emits paths in ascending lexicographic order
 of (hop count, total delay, route-id sequence), which keeps the most
 valuable paths ahead of any result cap.
 
+Many routes often share a stretch of road, and which of them carries each
+segment changes neither a path's hop count, nor its delay, nor the junctions
+it visits. So the search runs over stretch sequences and expands their route
+labellings only for the paths it returns.
+
 Two routing-information modes are supported:
 
 * ``full-route``: the intended route of every carrier vehicle is known, so a
@@ -323,36 +328,47 @@ def enumerate_paths(
     route-id sequence) order; ties beyond that are broken by the segments'
     (start, end) index pairs, so the output is fully deterministic.
 
-    The search is best-first over partial paths, ordered by the same key
-    with the hop count and delay replaced by lower bounds on their final
-    values. One table gives both: for each junction, the fewest segments
-    ``k`` still needed to reach the target and the least delay ``d`` of a
-    completion in ``k`` segments, both ignoring loop constraints. Any
-    completion with more segments sorts later whatever its delay, so the key
-    is admissible and consistent in lexicographic order (the A* argument).
+    The search runs over *stretch sequences*, not over labelled paths. A
+    stretch is an arc tuple that at least one route slice covers, and it
+    carries the ``(route id, (n, m))`` labels of every slice that covers it.
+    A path is a stretch sequence plus one label per stretch, and the labels
+    change neither its hop count, nor its delay, nor the junctions it
+    visits. The only rule that couples them is the one against continuing
+    the previous segment's route, so each state also keeps the one label
+    its prefix must end with, if only one can.
+
+    The search is best-first over partial sequences, ordered by (hop count,
+    delay) with both replaced by lower bounds on their final values. One
+    table gives both: for each junction, the fewest segments ``k`` still
+    needed to reach the target and the least delay ``d`` of a completion in
+    ``k`` segments, both ignoring loop constraints. Any completion with more
+    segments sorts later whatever its delay, so the key is admissible and
+    consistent in lexicographic order (the A* argument).
 
     The same table bounds the successors. A state with ``hops`` segments
     leaves a child a budget of ``max_hops - hops - 1`` further segments, and
     a route position's reach is the least ``k`` over the heads at and after
     it on the route. A popped state examines only its junction's entries
-    whose reach is within the budget, listed once per (junction, budget) in
-    a call, and walks each route only up to the last position whose reach
-    is within the budget: every head past it would fail the hop prune. So
-    the pruning drops only work whose result the search would discard, and
-    the pushes, pops and output are those of a search without it.
+    whose reach is within the budget, and walks each route only up to the
+    last position whose reach is within the budget: every head past it would
+    fail the hop prune, so the pruning drops only work whose result the
+    search would discard. The walks' slices are grouped into stretches once
+    per (junction, budget) in a call.
+
+    When a complete sequence pops, every sequence tied with it bit for bit on
+    (hops, delay) is already on the heap and pops next. The group's
+    labellings are walked lazily, each sequence's in route-id order, and
+    merged by (route ids, spans) up to the cap; without a cap, all of them
+    are returned, so they are sorted at once. This is the implicit path
+    representation of Eppstein's k-shortest-paths algorithm (1998), applied
+    to parallel route labels.
 
     The bound table and the reach are computed for each call from the
     index's flat arrays, for all routes at once. The search itself runs on
     Python tuples that the index builds on first use and keeps for later
     calls: the entries of each popped junction and the arcs of each route it
-    touches. Segment transitions are generated lazily; the full set of
-    sub-routes is never materialized, and each ``(route, n, m)`` slice in
-    the output is one object shared by every path that uses it.
-
-    One heap holds both kinds of entry. A partial path is one flat tuple:
-    the key's four fields, then the junction, the delay so far and the
-    visited set. A complete path is its exact key alone, so each pop of one
-    returns the next path, built from the route ids and spans in its key.
+    touches. Each ``(route, n, m)`` slice in the output is built only when a
+    returned path uses it, and is one object shared by every path that does.
     """
     if source not in index.network.junctions:
         raise ValidationError(f"unknown source junction {source}")
@@ -372,96 +388,181 @@ def enumerate_paths(
     max_paths = config.max_paths
     per_hop = config.mode == PER_HOP
 
-    # Partial entries: (hops + k, (delay + d) lowered, route ids, (n, m)
-    # pairs, junction, delay so far, visited), with (k, d) the bound table's
-    # entry. The table sums delays in another order than a path does, so d
-    # may exceed the exact rest of a completion by rounding; lowering by a
-    # margin that dominates that noise keeps each partial key below the
-    # exact key of every completion, and x * (1 - 1e-9) - 1e-9 keeps an
-    # infinite key infinite. Complete entries: (hops, delay, route ids,
-    # (n, m) pairs), exact, so a complete path pops only after every state
-    # that could still finish before it. (route ids, (n, m) pairs) names a
-    # state uniquely and a prefix sorts before its extensions, so no
-    # comparison reaches the junction or the visited set, whose frozenset
-    # order is not total.
+    # Partial entries: (hops + k, (delay + d) lowered, 1, stretch ids,
+    # junction, delay so far, visited, only), with (k, d) the bound table's
+    # entry and ``only`` the reach slot that the one possible last label of
+    # the prefix would continue at, or None if two or more labels can end it.
+    # The table sums delays in another order than a path does, so d may
+    # exceed the exact rest of a completion by rounding; lowering by a margin
+    # that dominates that noise keeps each partial key below the exact key of
+    # every completion, and x * (1 - 1e-9) - 1e-9 keeps an infinite key
+    # infinite. Complete entries: (hops, delay, 0, stretch ids), exact, so
+    # they pop after every state that could still finish before them and
+    # ahead of partial states with the same key. The stretch ids name a
+    # sequence uniquely, so no comparison reaches the junction or the visited
+    # set, whose frozenset order is not total.
     k, d = bound[source]
     heap: list[tuple] = [
-        (k, d * (1.0 - 1e-9) - 1e-9, (), (), source, 0.0, frozenset((source,)))
+        (k, d * (1.0 - 1e-9) - 1e-9, 1, (), source, 0.0, frozenset((source,)), None)
     ]
     results: list[EnergyPath] = []
-    walks: dict[tuple[int, int], list[tuple]] = {}
+    leaving: dict[tuple[int, int], list[tuple]] = {}
+    stretches: list[tuple] = []  # by stretch id
+    segments_of: dict[int, list[tuple]] = {}
 
-    def walks_from(junction: int, budget: int) -> list[tuple]:
-        """``(route id, n, steps)`` for each entry at ``junction`` whose reach
-        is within ``budget``, with one ``(m, head, slice delay, entry)`` step
-        per slice end ``m`` that a walk from it can use: up to the last
-        position whose reach is within ``budget``, the target, or in per-hop
-        mode the first arc. ``entry`` is the head's bound table entry, or
-        None where the head needs more than ``budget`` segments."""
-        found = []
-        for route_id, n, slot in index.entries(junction):
+    def stretches_from(junction: int, budget: int) -> list[tuple]:
+        """``(stretch id, head, delay, entry, junctions, starts, labels, arc
+        count)`` of each stretch leaving ``junction`` that a path with
+        ``budget`` further segments may use. ``entry`` is the head's bound
+        table entry, ``junctions`` the set the stretch visits after
+        ``junction`` and ``starts`` its labels' reach slots.
+
+        The labels are the junction's entries ``(route id, n, slot)`` of the
+        routes that cover the stretch; with ``c`` arcs, one names the slice
+        ``(n, n + c - 1)``, and a slice continuing it starts at ``slot + c``.
+        Each route is walked as far as a slice can still be used: up to the
+        last position whose reach is within ``budget``, the target, or in
+        per-hop mode the first arc. Walks that share arcs share stretches,
+        except that a route passing ``junction`` again starts apart, so that
+        no stretch has two labels of one route.
+        """
+        nodes: list[tuple] = []  # (head, delay, entry, junctions, labels, arc count)
+        node_of: dict[tuple[int, int], int] = {}  # (previous node, arc id) -> node
+        last_route, visit = None, 0
+        for label in index.entries(junction):
+            route_id, n, slot = label
+            visit = visit + 1 if route_id == last_route else 0
+            last_route = route_id
             if reach[slot] > budget:
                 continue
             junctions, delays = index.geometry(route_id)
-            steps = []
-            seg_delay = 0.0
+            arcs = index.routes[route_id].arcs
+            node, seen, seg_delay = -1 - visit, frozenset(), 0.0
             for m in itertools.count(n):
                 head = junctions[m]
+                if head == junction or head in seen:
+                    break  # the route loops back; every longer slice does too
                 seg_delay += delays[m - 1]
-                entry = bound.get(head)
-                steps.append(
-                    (m, head, seg_delay, entry if entry and entry[0] <= budget else None)
-                )
+                key = (node, arcs[m - 1])
+                node = node_of.get(key)
+                if node is None:
+                    node = node_of[key] = len(nodes)
+                    entry = bound.get(head)
+                    entry = entry if entry and entry[0] <= budget else None
+                    nodes.append((head, seg_delay, entry, seen | {head}, [], m - n + 1))
+                nodes[node][4].append(label)
+                seen = nodes[node][3]
                 # past the target every slice revisits it; the route's
                 # sentinel ends the walk at the route's end at the latest
                 if head == target or per_hop or reach[slot + m - n + 1] > budget:
                     break
-            found.append((route_id, n, steps))
+        found = []
+        for head, seg_delay, entry, seen, labels, arc_count in nodes:
+            if entry is not None:  # else out of reach in budget
+                found.append((len(stretches), head, seg_delay, entry, seen,
+                               frozenset([label[2] for label in labels]), labels, arc_count))
+                stretches.append(found[-1])
         return found
+
+    def segments(sid: int) -> list[tuple]:
+        """``(route id, span, slice, slot, follow)`` of each label of a
+        stretch, the first three as 1-tuples, with ``follow`` the slot of
+        the slice that would continue it (None in per-hop mode). Built when a
+        complete sequence first uses the stretch."""
+        found = segments_of.get(sid)
+        if found is None:
+            *_, labels, arc_count = stretches[sid]
+            found = segments_of[sid] = []
+            for route_id, n, slot in labels:
+                span = (n, n + arc_count - 1)
+                found.append(((route_id,), (span,), (index.slice(route_id, span),),
+                              slot, None if per_hop else slot + arc_count))
+        return found
+
+    def labellings(seq: tuple[int, ...]):
+        """Every labelling of a stretch sequence that continues no route, as
+        ``(route ids, spans, segments)`` rows in route-id order: one sorted
+        list per choice of every label but the last."""
+        *lists, last = [segments(sid) for sid in seq]
+        # keep only labels that some label of the next stretch may follow,
+        # so that the walk below never meets a dead end
+        after = last
+        for i in range(len(lists) - 1, -1, -1):
+            if len(after) == 1:
+                lists[i] = [label for label in lists[i] if label[4] != after[0][3]]
+            after = lists[i]
+        if not lists:
+            yield [label[:3] for label in last]
+            return
+        stack = [((), (), (), None, iter(lists[0]))]
+        while stack:
+            ids, spans, segs, follow, labels = stack[-1]
+            if len(stack) == len(lists):  # this label is the last but one
+                stack.pop()
+                for route_id, span, seg, slot, next_follow in labels:
+                    if slot != follow:
+                        ids_, spans_, segs_ = ids + route_id, spans + span, segs + seg
+                        yield [
+                            (ids_ + last_id, spans_ + last_span, segs_ + last_seg)
+                            for last_id, last_span, last_seg, last_slot, _ in last
+                            if last_slot != next_follow
+                        ]
+                continue
+            for route_id, span, seg, slot, next_follow in labels:
+                if slot != follow:  # else it would continue the previous segment
+                    stack.append((ids + route_id, spans + span, segs + seg,
+                                  next_follow, iter(lists[len(stack)])))
+                    break
+            else:
+                stack.pop()
 
     while heap:
         entry = heapq.heappop(heap)
-        if len(entry) == 4:  # a complete path, the next one in exact order
-            _, delay, ids, spans = entry
+        if not entry[2]:  # a complete sequence: its tied group is next on the heap
+            hops, delay, _, seq = entry
             if delay == math.inf:
                 raise ValidationError(
                     f"path delays to junction {target} overflow; the arc delays are too large"
                 )
-            segments = tuple(map(index.slice, ids, spans))
-            results.append(EnergyPath(source=source, target=target, segments=segments))
-            if len(results) == max_paths:
-                break
+            group = [seq]
+            while heap and not heap[0][2] and heap[0][1] == delay and heap[0][0] == hops:
+                group.append(heapq.heappop(heap)[3])
+            rows = [itertools.chain.from_iterable(labellings(seq)) for seq in group]
+            if max_paths is None:  # every row is returned, and one sort beats a lazy merge
+                ordered = sorted(itertools.chain(*rows))
+                results += [EnergyPath(source, target, segs) for _, _, segs in ordered]
+                continue
+            for _, _, segs in heapq.merge(*rows):
+                results.append(EnergyPath(source, target, segs))
+                if len(results) == max_paths:
+                    return results
             continue
-        _, _, ids, spans, junction, delay_so_far, visited = entry
-        hops = len(ids)
+        _, _, _, seq, junction, delay_so_far, visited, only = entry
+        hops = len(seq)
         # segments a child may still add after its own; at least 0 here,
         # since the prune kept hops + k <= max_hops and k >= 1 off the target
         budget = max_hops - hops - 1
-        found = walks.get((junction, budget))
+        found = leaving.get((junction, budget))
         if found is None:
-            found = walks[junction, budget] = walks_from(junction, budget)
-        last_route, last_end = (ids[-1], spans[-1][1]) if ids else (None, 0)
-        for route_id, n, steps in found:
-            if not per_hop and route_id == last_route and n == last_end + 1:
-                # Continuing the same route is strictly dominated by the
-                # merged segment, which was already generated.
+            found = leaving[junction, budget] = stretches_from(junction, budget)
+        for sid, head, seg_delay, bound_entry, seen, starts, labels, arc_count in found:
+            if not visited.isdisjoint(seen):
                 continue
-            child_ids = ids + (route_id,)
-            new_junctions: list[int] = []
-            for m, head, seg_delay, bound_entry in steps:
-                if head in visited or head in new_junctions:
-                    break  # extending further would revisit it anyway
-                new_junctions.append(head)
-                if bound_entry is None:
-                    continue  # out of reach in budget; a longer slice may work
-                delay = delay_so_far + seg_delay
-                child_spans = spans + ((n, m),)
-                if head == target:
-                    heapq.heappush(heap, (hops + 1, delay, child_ids, child_spans))
+            if only is not None and only in starts:
+                # Continuing the same route is strictly dominated by the
+                # merged segment, which is a stretch of its own.
+                labels = [label for label in labels if label[2] != only]
+                if not labels:
                     continue
-                k, d = bound_entry
-                heapq.heappush(heap, (
-                    hops + 1 + k, (delay + d) * (1.0 - 1e-9) - 1e-9, child_ids, child_spans,
-                    head, delay, visited | set(new_junctions),
-                ))
+            child_only = labels[0][2] + arc_count if len(labels) == 1 and not per_hop else None
+            delay = delay_so_far + seg_delay
+            child = seq + (sid,)
+            if head == target:
+                heapq.heappush(heap, (hops + 1, delay, 0, child))
+                continue
+            k, d = bound_entry
+            heapq.heappush(heap, (
+                hops + 1 + k, (delay + d) * (1.0 - 1e-9) - 1e-9, 1, child,
+                head, delay, visited | seen, child_only,
+            ))
     return results

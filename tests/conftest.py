@@ -1,10 +1,14 @@
 import dataclasses
 import heapq
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
+import venplan
 import venplan.paths
 from venplan import (
     Arc,
@@ -18,6 +22,36 @@ from _oracles import sub_route
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 THREE_ROUTES = FIXTURE_DIR / "three_routes.json"
+
+needs_proc = pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
+
+
+def run_python(*argv, timeout=None):
+    """Run ``python ARGV`` with the package these tests import on its path."""
+    src = str(Path(venplan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
+    )
+
+
+def run_capped(code, *argv, headroom_mib, timeout=None):
+    """Run ``code`` with ``argv`` in a child Python that first imports
+    ``venplan.cli`` and then caps its own address space ``headroom_mib`` MiB
+    above its size, so that running out of memory raises MemoryError there."""
+    prelude = (
+        "import resource, sys\n"
+        "import venplan.cli\n"
+        "with open('/proc/self/status') as f:\n"
+        "    size = next(int(l.split()[1]) for l in f if l.startswith('VmSize:'))\n"
+        f"limit = size * 1024 + {headroom_mib} * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+    )
+    return run_python("-c", prelude + code, *argv, timeout=timeout)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +75,9 @@ def heap_pops(monkeypatch):
         return entry
 
     monkeypatch.setattr(
-        venplan.paths, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop)
+        venplan.paths,
+        "heapq",
+        types.SimpleNamespace(heappush=heapq.heappush, heappop=heappop, merge=heapq.merge),
     )
     return popped
 

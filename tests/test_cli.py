@@ -5,7 +5,6 @@ import json
 import math
 import os
 import stat
-import subprocess
 import sys
 import threading
 import weakref
@@ -20,22 +19,10 @@ import venplan.scenario
 from venplan import parse_scenario, run_sweep, scenario_hash, serialize_scenario, SweepSpec
 from venplan.cli import main
 
-from conftest import THREE_ROUTES
+from conftest import THREE_ROUTES, needs_proc, run_capped, run_python
 
 
 FIXTURE = str(THREE_ROUTES)
-
-
-def run_python(*argv):
-    """Run ``python ARGV`` with the package these tests import on its path."""
-    src = str(Path(venplan.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
 
 
 def run_module(*argv):
@@ -339,22 +326,13 @@ class TestOutOfMemory:
         assert stderr.getvalue().count("\n") == 1
         assert alive_at_print and not any(alive_at_print)
 
-    @pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
+    @needs_proc
     def test_route_count_beyond_memory(self):
         # the child caps its own address space 16 MiB above its size after
         # import, so the routes run out of memory within about two seconds
-        code = (
-            "import resource, sys\n"
-            "from venplan.cli import main\n"
-            "with open('/proc/self/status') as f:\n"
-            "    size = next(int(l.split()[1]) for l in f if l.startswith('VmSize:'))\n"
-            "limit = size * 1024 + 16 * 2**20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
         argv = ["generate", "--seed", "1", "--junctions", "12", "--arcs", "25",
                 "--pairs", "2", "--routes", str(2**62)]
-        done = run_python("-c", code, *argv)
+        done = run_capped("sys.exit(venplan.cli.main(sys.argv[1:]))\n", *argv, headroom_mib=16)
         assert (done.returncode, done.stdout) == (4, "")
         assert done.stderr.startswith("error: out of memory")
         assert done.stderr.count("\n") == 1

@@ -312,28 +312,33 @@ class TestEnumerationProperties:
             ((2, 1, 1), (1, 2, 2), (2, 3, 3)),
         ]
 
-    def test_pops_a_complete_path_only_to_return_it(self, heap_pops):
+    def test_pops_a_complete_path_only_to_return_it(self, heap_pops, monkeypatch):
         # every path ties with all others on (hops, delay) at its hop count,
-        # so a capped search must stop without popping the tied rest
+        # so a capped search must stop without building the tied rest or
+        # expanding a partial state keyed past its last path
+        built = []
+
+        def counting(*fields):
+            built.append(EnergyPath(*fields))
+            return built[-1]
+
+        monkeypatch.setattr(venplan.paths, "EnergyPath", counting)
         net, routes = exact_ties_network()
         index = RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             for cap in range(1, 9):
                 heap_pops.clear()
+                built.clear()
                 config = EnumerationConfig(max_hops=3, max_paths=cap, mode=mode)
                 found = enumerate_paths(index, 1, 4, config)
-                complete = [
-                    (ids, spans)
-                    for _, _, ids, spans, *_ in heap_pops
-                    if ids and index.slice(ids[-1], spans[-1]).exit == 4
-                ]
-                assert complete == [
-                    (
-                        tuple(seg.route_id for seg in p.segments),
-                        tuple((seg.start, seg.end) for seg in p.segments),
-                    )
-                    for p in found
-                ], (mode, cap)
+                assert len(found) == cap and built == found, (mode, cap)
+                last = (found[-1].hops, found[-1].delay)
+                assert all(entry[:2] <= last for entry in heap_pops), (mode, cap)
+                # complete entries carry flag 0, and each popped one's group
+                # returns paths
+                assert {entry[:2] for entry in heap_pops if not entry[2]} == {
+                    (p.hops, p.delay) for p in found
+                }, (mode, cap)
 
     def test_soundness_on_random_scenarios(self):
         for seed in (21, 22, 23):
@@ -375,6 +380,150 @@ class TestEnumerationProperties:
                         )
                         if not chained:
                             assert path in full
+
+
+def chain_routes_network(delays, routes, extra_arcs=()):
+    """Junctions 1..n+1 with arc i running i -> i+1, plus ``extra_arcs``;
+    ``routes`` maps route ids to arc tuples."""
+    arcs = [Arc(i + 1, i + 1, i + 2, delay, 5.0) for i, delay in enumerate(delays)]
+    arcs += list(extra_arcs)
+    net = build_network(range(1, len(delays) + 2), arcs)
+    return net, [VehicularRoute(r, tuple(ids), 5.0) for r, ids in routes.items()]
+
+
+def looping_city(seed):
+    """Seven junctions, dyadic delays that tie often, and routes grown by
+    random walks that may pass a junction, and an arc, more than once."""
+    rng = random.Random(seed)
+    pairs = {(a, b) for a in range(1, 8) for b in range(1, 8) if a != b}
+    arcs = [
+        Arc(i + 1, a, b, rng.choice((0.25, 0.5)), 5.0)
+        for i, (a, b) in enumerate(rng.sample(sorted(pairs), 18))
+    ]
+    net = build_network(range(1, 8), arcs)
+    routes = []
+    for route_id in range(1, rng.randint(4, 9)):
+        arc = rng.choice(arcs)
+        walk = [arc]
+        for _ in range(rng.randint(0, 6)):
+            onward = [a for a in arcs if a.tail == walk[-1].head]
+            if not onward:
+                break
+            walk.append(rng.choice(onward))
+        routes.append(VehicularRoute(route_id, tuple(a.id for a in walk), 5.0))
+    return net, routes
+
+
+class TestStretchLabels:
+    """Routes that share stretches: the search over stretch sequences and the
+    labellings it expands give exactly the brute-force paths, in order."""
+
+    def check(self, net, routes, pairs):
+        index = RouteIndex(net, routes)
+        found = {}
+        for mode in (FULL_ROUTE, PER_HOP):
+            for hops in range(1, 6):
+                for source, target in pairs:
+                    expected = brute_force_paths(net, routes, source, target, hops, mode)
+                    for cap in (None, 1, 3):
+                        config = EnumerationConfig(max_hops=hops, max_paths=cap, mode=mode)
+                        result = enumerate_paths(index, source, target, config)
+                        assert result == expected[:cap], (mode, hops, source, target, cap)
+                    found[mode, hops, source, target] = [segment_shape(p) for p in expected]
+        return found
+
+    def test_two_routes_overlap_on_a_stretch(self):
+        # routes 1 and 2 both cover 2 -> 3 -> 4; route 3 leaves 1 for 3
+        net, routes = chain_routes_network(
+            [0.5, 0.25, 0.5, 0.25],
+            {1: (1, 2, 3), 2: (2, 3, 4), 3: (5,), 4: (4,)},
+            [Arc(5, 1, 3, 1.0, 5.0)],
+        )
+        found = self.check(net, routes, [(1, 5), (1, 4), (2, 5), (3, 5), (2, 4)])
+        assert found[FULL_ROUTE, 2, 2, 4] == [
+            ((1, 2, 3),),
+            ((2, 1, 2),),
+            ((1, 2, 2), (2, 2, 2)),
+            ((2, 1, 1), (1, 3, 3)),
+        ]
+        assert found[FULL_ROUTE, 2, 1, 5] == [
+            ((1, 1, 1), (2, 1, 3)),
+            ((1, 1, 2), (2, 2, 3)),
+            ((1, 1, 3), (2, 3, 3)),
+            ((1, 1, 3), (4, 1, 1)),
+            ((3, 1, 1), (2, 2, 3)),
+        ]
+
+    def test_stretch_covered_only_by_a_continuation(self, heap_pops):
+        # 2 -> 3 is covered only by route 1, which also brings the path to 2
+        net, routes = chain_routes_network([0.5, 0.5, 0.5], {1: (1, 2), 2: (3,)})
+        found = self.check(net, routes, [(1, 4), (2, 4), (1, 3)])
+        for hops in (3, 4, 5):
+            assert found[FULL_ROUTE, hops, 1, 4] == [((1, 1, 2), (2, 1, 1))]
+            assert found[FULL_ROUTE, hops, 1, 3] == [((1, 1, 2),)]
+        # 1 -> 2, 2 -> 3 is never pushed, so the states popped are the
+        # source, 1 -> 2 -> 3, the one path and 1 -> 2, in key order
+        heap_pops.clear()
+        config = EnumerationConfig(max_hops=3, max_paths=None)
+        assert len(enumerate_paths(RouteIndex(net, routes), 1, 4, config)) == 1
+        assert [len(entry[3]) for entry in heap_pops] == [0, 1, 2, 1]
+        # a second cover of 1 -> 2 makes the three-stretch sequence valid
+        net, routes = chain_routes_network([0.5, 0.5, 0.5], {1: (1, 2), 2: (3,), 3: (1,)})
+        found = self.check(net, routes, [(1, 4), (2, 4), (1, 3)])
+        assert found[FULL_ROUTE, 3, 1, 4] == [
+            ((1, 1, 2), (2, 1, 1)),
+            ((3, 1, 1), (1, 2, 2), (2, 1, 1)),
+        ]
+
+    def test_tied_splits_interleave_by_route_ids_then_spans(self):
+        # routes 1 and 2 run 1 -> 2 -> 3 -> 4 and route 3 runs 2 -> 3 -> 4;
+        # splitting at 2 or at 3 gives the same arcs and, with dyadic delays,
+        # the same delay bit for bit
+        net, routes = chain_routes_network(
+            [0.5, 0.25, 0.5], {1: (1, 2, 3), 2: (1, 2, 3), 3: (2, 3)}
+        )
+        found = self.check(net, routes, [(1, 4), (2, 4), (1, 3)])
+        two_hops = [shape for shape in found[FULL_ROUTE, 2, 1, 4] if len(shape) == 2]
+        assert two_hops == [
+            ((1, 1, 1), (2, 2, 3)),
+            ((1, 1, 2), (2, 3, 3)),
+            ((1, 1, 1), (3, 1, 2)),
+            ((1, 1, 2), (3, 2, 2)),
+            ((2, 1, 1), (1, 2, 3)),
+            ((2, 1, 2), (1, 3, 3)),
+            ((2, 1, 1), (3, 1, 2)),
+            ((2, 1, 2), (3, 2, 2)),
+        ]
+
+    def test_per_hop_rides_consecutive_arcs_of_one_route(self):
+        net, routes = chain_routes_network([0.5, 0.25], {1: (1, 2)})
+        found = self.check(net, routes, [(1, 3)])
+        assert found[PER_HOP, 2, 1, 3] == [((1, 1, 1), (1, 2, 2))]
+        assert found[FULL_ROUTE, 2, 1, 3] == [((1, 1, 2),)]
+
+    def test_route_passing_a_junction_twice(self):
+        # route 1 runs 1 -> 2 -> 3 -> 1 -> 2 -> 4 and so covers arc 1 twice;
+        # its slices 1 -> 2 at positions 1 and 4 differ only in their spans
+        net, routes = chain_routes_network(
+            [0.5, 0.5, 0.5],
+            {1: (1, 2, 4, 1, 5), 2: (1,), 3: (5,)},
+            [Arc(4, 3, 1, 0.5, 5.0), Arc(5, 2, 4, 0.5, 5.0)],
+        )
+        found = self.check(net, routes, [(1, 4), (2, 1), (3, 4), (1, 3)])
+        assert found[FULL_ROUTE, 2, 1, 4] == [
+            ((1, 4, 5),),
+            ((1, 1, 1), (1, 5, 5)),
+            ((1, 1, 1), (3, 1, 1)),
+            ((1, 4, 4), (3, 1, 1)),
+            ((2, 1, 1), (1, 5, 5)),
+            ((2, 1, 1), (3, 1, 1)),
+        ]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_looping_routes_and_ties_match_brute_force(self, seed):
+        net, routes = looping_city(seed)
+        pairs = [(s, t) for s in range(1, 8) for t in range(1, 8) if s != t]
+        self.check(net, routes, random.Random(seed).sample(pairs, 4))
 
 
 def table_bits(table):
@@ -601,7 +750,7 @@ class TestDelayOverflow:
                 enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=None, mode=mode))
         # per-hop mode pops the partial path 1 -> 2 -> 3 before the path
         # through it overflows; its key stays infinite, never NaN
-        partial_delays = [entry[1] for entry in heap_pops if len(entry) > 4]
+        partial_delays = [entry[1] for entry in heap_pops if entry[2]]
         assert math.inf in partial_delays
         assert not any(map(math.isnan, partial_delays))
 
