@@ -60,7 +60,6 @@ class SubRoute:
     route_id: int
     start: int
     end: int
-    arcs: tuple[int, ...]
     entry: int  # junction where the slice begins
     exit: int  # junction where the slice ends
     delay: float  # hours

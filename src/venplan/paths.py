@@ -21,11 +21,13 @@ Two routing-information modes are supported:
   never continue the same route, because splitting a stretch only inserts an
   extra lossy cycle without reaching anything new.
 * ``per-hop``: no route knowledge, so energy must be dropped and picked up
-  at every junction; every segment is a single arc.
+  at every junction; every segment is a single arc. The same search runs
+  over a layout of the route index that makes every arc a run of its own.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -119,8 +121,10 @@ class RouteIndex:
     junction's sorted ``(route id, 1-based position, reach slot)`` entries,
     a route's geometry (the junctions it visits and its member arc delays)
     and each ``(route, n, m)`` slice, which is built from that geometry.
-    Reach slots run route by route in id order, one per position plus one
-    end-of-route sentinel.
+    Reach slots come in runs, each its members' positions in order and then
+    an out-of-budget sentinel, and a slice is a stretch of one run. Here each
+    route is a run, in id order; the per-hop layout makes each member arc a
+    run of its own, keeping its ``(route id, position)``.
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
@@ -156,34 +160,49 @@ class RouteIndex:
         route_of = np.repeat(np.arange(len(ordered)), lengths)
         positions = np.arange(1, members.size + 1) - (ends - lengths)[route_of]
         tails = arc_tails[members]
-        by_tail = np.argsort(tails, kind="stable")
-        self._entry_routes = route_of[by_tail]
-        self._entry_positions = positions[by_tail]
-        # reach slots follow the members' order with one out-of-budget
-        # sentinel after each route: member i of route r has slot i + r
-        self._entry_slots = by_tail + self._entry_routes
-        self._reach_size = members.size + len(ordered)
+        self._entry_members = np.argsort(tails, kind="stable")
+        self._entry_routes = route_of[self._entry_members]
+        self._entry_positions = positions[self._entry_members]
         counts = np.bincount(tails, minlength=len(self.junction_ids))
         self._entry_starts = [0, *np.cumsum(counts).tolist()]
 
         longest_first = np.argsort(-lengths, kind="stable")
-        last = ends[longest_first] - 1  # slot of each route's last arc
+        last = ends[longest_first] - 1  # member index of each route's last arc
         blocks = [
             last[: np.count_nonzero(lengths > q)] - q
             for q in range(int(lengths.max(initial=0)))
         ]
-        end_slots = np.concatenate(blocks) if blocks else members
-        self._reach_slots = end_slots + route_of[end_slots]
-        by_end = members[end_slots]
+        self._table_members = np.concatenate(blocks) if blocks else members
+        by_end = members[self._table_members]
         self._tails = arc_tails[by_end]
         self._heads = arc_heads[by_end]
         self._delays = arc_delays[by_end]
         bounds = [0, *np.cumsum([b.size for b in blocks]).tolist()]
-        self._blocks = list(zip(bounds, bounds[1:]))
+        # one run of reach slots per route: member i of route r has slot i + r
+        self._lay_out(np.arange(members.size) + route_of, list(zip(bounds, bounds[1:])))
 
         self._entries: dict[int, tuple[tuple[int, int, int], ...]] = {}
         self._geometry: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
         self._slices: dict[tuple[int, tuple[int, int]], SubRoute] = {}
+        self._per_hop: Optional[RouteIndex] = None
+
+    def _lay_out(self, slots: np.ndarray, blocks: list[tuple[int, int]]) -> None:
+        """Give member ``i`` reach slot ``slots[i]``, a sentinel after each
+        run's last member, and run the bound table's passes over ``blocks``."""
+        self._entry_slots = slots[self._entry_members]
+        self._reach_slots = slots[self._table_members]
+        self._reach_size = int(slots.max(initial=-2)) + 2
+        self._blocks = blocks
+
+    def _per_hop_layout(self) -> RouteIndex:
+        """This index with member ``i`` a run of its own, at slot ``2 i`` before
+        a sentinel, in one table block. Built once; it shares all but entries."""
+        if self._per_hop is None:
+            layout = self._per_hop = copy.copy(self)
+            layout._lay_out(2 * np.arange(self._tails.size), [(0, self._tails.size)])
+            layout._entries = {}
+            layout._per_hop = layout
+        return self._per_hop
 
     def entries(self, junction: int) -> tuple[tuple[int, int, int], ...]:
         """``(route id, 1-based position, reach slot)`` of every member arc
@@ -218,31 +237,27 @@ class RouteIndex:
         key = (route_id, span)
         found = self._slices.get(key)
         if found is None:
-            route = self.routes[route_id]
             junctions, delays = self.geometry(route_id)
             n, m = span
             delay = 0.0
             for arc_delay in delays[n - 1 : m]:
                 delay += arc_delay
             found = self._slices[key] = SubRoute(
-                route_id, n, m, tuple(route.arcs[n - 1 : m]),
-                junctions[n - 1], junctions[m], delay, route.flow,
+                route_id, n, m, junctions[n - 1], junctions[m], delay, self.routes[route_id].flow
             )
         return found
 
     def bound_table(
-        self, target: int, mode: str, max_hops: int
+        self, target: int, max_hops: int
     ) -> tuple[dict[int, tuple[int, float]], memoryview]:
         """Map each junction to (fewest slices, least delay) left to ``target``,
-        and give each route position its reach.
+        and give each member position its reach.
 
         Layer ``k`` holds the least delay from each junction to ``target`` in
-        at most ``k`` route slices: any contiguous stretch of one route in
-        full-route mode, one arc in per-hop mode. Each layer comes from the
-        previous one by one backward pass over every route, taken block by
-        block from the routes' ends: an arc's best is ``delay +
-        min(layer[head], best of the next arc)`` (per-hop mode drops the
-        second term), the same arithmetic as a scalar pass along each route,
+        at most ``k`` slices. Each layer comes from the previous one by one
+        backward pass over every run, taken block by block from the runs'
+        ends: an arc's best is ``delay + min(layer[head], best of the next arc
+        in its run)``, the same arithmetic as a scalar pass along each run,
         and the layer keeps the least best at each tail, so the table equals
         the scalar one bit for bit. A junction's entry is its first layer
         ``k`` and that layer's delay; the target's is ``(0, 0.0)``.
@@ -251,17 +266,15 @@ class RouteIndex:
         ``max_hops`` slices at all. A delay that overflows in the table raises
         ValidationError, since an infinite entry would read as unreachable.
 
-        A route position's reach is the least table ``k`` over the heads at
-        that position and every later one on the route, with absent heads
-        counting as the junction count, more than any table entry. It comes
-        from one pass over the same blocks, a running minimum from the
-        routes' ends. The reach view holds each route's positions in order
-        at its entries' reach slots, followed by the junction count as an
-        end-of-route sentinel, so a search with a budget below the junction
-        count can walk a route until the reach exceeds the budget without
-        checking the route's length.
+        A position's reach is the least table ``k`` over the heads at that
+        position and every later one in its run, with absent heads counting
+        as the junction count, more than any table entry. It comes from one
+        pass over the same blocks, a running minimum from the runs' ends. The
+        reach view holds it at each entry's reach slot and the junction count
+        at each run's sentinel, so a search with a budget below the junction
+        count can walk a run until the reach exceeds the budget without
+        checking the run's length.
         """
-        per_hop = mode == PER_HOP
         target_row = self.rows[target]
         layer = np.full(len(self.junction_ids), math.inf)
         layer[target_row] = 0.0
@@ -275,9 +288,9 @@ class RouteIndex:
                     previous = 0
                     for lo, hi in self._blocks:
                         rest = layer[self._heads[lo:hi]]
-                        if not per_hop and lo:
-                            # the slice runs on past this arc's head; block q's routes
-                            # are the first hi - lo routes of block q - 1
+                        if lo:
+                            # the slice runs on past this arc's head; block q's runs
+                            # are the first hi - lo runs of block q - 1
                             np.minimum(rest, best[previous : previous + hi - lo], out=rest)
                         np.add(self._delays[lo:hi], rest, out=best[lo:hi])
                         previous = lo
@@ -326,7 +339,8 @@ def enumerate_paths(
     Returns up to ``config.max_paths`` distinct valid paths of at most
     ``config.max_hops`` segments, in ascending (hop count, total delay,
     route-id sequence) order; ties beyond that are broken by the segments'
-    (start, end) index pairs, so the output is fully deterministic.
+    (start, end) index pairs, so the output is fully deterministic. Per-hop
+    mode searches the index's per-hop layout, whose slices are single arcs.
 
     The search runs over *stretch sequences*, not over labelled paths. A
     stretch is an arc tuple that at least one route slice covers, and it
@@ -347,10 +361,10 @@ def enumerate_paths(
 
     The same table bounds the successors. A state with ``hops`` segments
     leaves a child a budget of ``max_hops - hops - 1`` further segments, and
-    a route position's reach is the least ``k`` over the heads at and after
-    it on the route. A popped state examines only its junction's entries
-    whose reach is within the budget, and walks each route only up to the
-    last position whose reach is within the budget: every head past it would
+    a position's reach is the least ``k`` over the heads at and after it in
+    its run. A popped state examines only its junction's entries whose
+    reach is within the budget, and walks each run only up to the last
+    position whose reach is within the budget: every head past it would
     fail the hop prune, so the pruning drops only work whose result the
     search would discard. The walks' slices are grouped into stretches once
     per (junction, budget) in a call.
@@ -381,12 +395,13 @@ def enumerate_paths(
     # so the cap drops only states that cannot finish; it also keeps every
     # budget below the reach's out-of-budget value
     max_hops = min(config.max_hops, len(index.junction_ids) - 1)
-    bound, reach = index.bound_table(target, config.mode, max_hops)
+    if config.mode == PER_HOP:
+        index = index._per_hop_layout()
+    bound, reach = index.bound_table(target, max_hops)
     if source not in bound:
         return []
 
     max_paths = config.max_paths
-    per_hop = config.mode == PER_HOP
 
     # Partial entries: (hops + k, (delay + d) lowered, 1, stretch ids,
     # junction, delay so far, visited, only), with (k, d) the bound table's
@@ -421,8 +436,8 @@ def enumerate_paths(
         routes that cover the stretch; with ``c`` arcs, one names the slice
         ``(n, n + c - 1)``, and a slice continuing it starts at ``slot + c``.
         Each route is walked as far as a slice can still be used: up to the
-        last position whose reach is within ``budget``, the target, or in
-        per-hop mode the first arc. Walks that share arcs share stretches,
+        last position in its run whose reach is within ``budget``, or the
+        target. Walks that share arcs share stretches,
         except that a route passing ``junction`` again starts apart, so that
         no stretch has two labels of one route.
         """
@@ -452,9 +467,9 @@ def enumerate_paths(
                     nodes.append((head, seg_delay, entry, seen | {head}, [], m - n + 1))
                 nodes[node][4].append(label)
                 seen = nodes[node][3]
-                # past the target every slice revisits it; the route's
-                # sentinel ends the walk at the route's end at the latest
-                if head == target or per_hop or reach[slot + m - n + 1] > budget:
+                # past the target every slice revisits it; the run's
+                # sentinel ends the walk at the run's end at the latest
+                if head == target or reach[slot + m - n + 1] > budget:
                     break
         found = []
         for head, seg_delay, entry, seen, labels, arc_count in nodes:
@@ -467,8 +482,8 @@ def enumerate_paths(
     def segments(sid: int) -> list[tuple]:
         """``(route id, span, slice, slot, follow)`` of each label of a
         stretch, the first three as 1-tuples, with ``follow`` the slot of
-        the slice that would continue it (None in per-hop mode). Built when a
-        complete sequence first uses the stretch."""
+        the slice that would continue it, a sentinel at a run's end. Built
+        when a complete sequence first uses the stretch."""
         found = segments_of.get(sid)
         if found is None:
             *_, labels, arc_count = stretches[sid]
@@ -476,7 +491,7 @@ def enumerate_paths(
             for route_id, n, slot in labels:
                 span = (n, n + arc_count - 1)
                 found.append(((route_id,), (span,), (index.slice(route_id, span),),
-                              slot, None if per_hop else slot + arc_count))
+                              slot, slot + arc_count))
         return found
 
     def labellings(seq: tuple[int, ...]):
@@ -554,7 +569,7 @@ def enumerate_paths(
                 labels = [label for label in labels if label[2] != only]
                 if not labels:
                     continue
-            child_only = labels[0][2] + arc_count if len(labels) == 1 and not per_hop else None
+            child_only = labels[0][2] + arc_count if len(labels) == 1 else None
             delay = delay_so_far + seg_delay
             child = seq + (sid,)
             if head == target:

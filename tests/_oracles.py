@@ -131,8 +131,7 @@ def sub_route(network, route, n, m):
             f"sub-route indices ({n}, {m}) out of range for route {route.id} "
             f"of length {len(route.arcs)}"
         )
-    member_ids = tuple(route.arcs[n - 1 : m])
-    members = [network.arc(a) for a in member_ids]
+    members = [network.arc(a) for a in route.arcs[n - 1 : m]]
     delay = 0.0
     for arc in members:
         delay += arc.delay
@@ -140,7 +139,6 @@ def sub_route(network, route, n, m):
         route_id=route.id,
         start=n,
         end=m,
-        arcs=member_ids,
         entry=members[0].tail,
         exit=members[-1].head,
         delay=delay,
@@ -161,10 +159,12 @@ def materialized_sub_routes(network, routes, mode):
 def brute_force_paths(network, routes, source, target, max_hops, mode="full-route"):
     """All valid loop-free segment concatenations, sorted like the library."""
     segments = materialized_sub_routes(network, routes, mode)
+    route_map = {r.id: r for r in routes}
     results = []
 
     def body_junctions(seg):
-        return [network.arc(a).head for a in seg.arcs]
+        arcs = route_map[seg.route_id].arcs[seg.start - 1 : seg.end]
+        return [network.arc(a).head for a in arcs]
 
     def extend(chain, visited):
         here = chain[-1].exit if chain else source
@@ -633,13 +633,14 @@ class PathViolation:
     detail: str
 
 
-def junction_sequence(path, network):
-    """All junctions a path visits, shared segment boundaries counted once."""
+def junction_sequence(path, network, route_map):
+    """All junctions a path visits, shared segment boundaries counted once;
+    ``route_map`` maps each segment's route id to its route."""
     if not path.segments:
         return (path.source,)
     seq = [path.segments[0].entry]
     for seg in path.segments:
-        for arc_id in seg.arcs:
+        for arc_id in route_map[seg.route_id].arcs[seg.start - 1 : seg.end]:
             seq.append(network.arc(arc_id).head)
     return tuple(seq)
 
@@ -678,7 +679,7 @@ def validate_path(path, network, routes) -> Optional[PathViolation]:
                 "chaining",
                 f"segment {i + 2} does not start where segment {i + 1} ends",
             )
-    seq = junction_sequence(path, network)
+    seq = junction_sequence(path, network, route_map)
     if len(set(seq)) != len(seq):
         return PathViolation("loop", "path visits a junction twice")
     return None

@@ -69,6 +69,8 @@ DEEP_CASES = [
      "03ac8cf678add5fd7c6a9990bf2a6df76b8b5481697460021484439104f04721"),
     (80, FULL_ROUTE_DEEP, (23, 192),
      "bce09865059c66201988afa3721193c09800615ff029f7856865b5356b6e5d20"),
+    (81, PER_HOP_DEEP, (960, 122),
+     "129d08b3fbe1acc95d6c11cfc13c8ad3026914099b056dc6b56caa058dddcb17"),
     (81, PER_HOP_DEEP, (260, 963),
      "6db61a2487d3b96eb8fa08b9c5c740d9b144306a88223217dfbe769ad0611a62"),
     (81, PER_HOP_DEEP, (299, 786),

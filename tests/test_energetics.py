@@ -75,10 +75,11 @@ class TestPathDelay:
 
     def test_equals_flattened_arc_sum(self, three_routes_scenario):
         s = three_routes_scenario
+        routes = {r.id: r for r in s.routes}
         for path in enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration):
             flat = 0.0
             for seg in path.segments:
-                for arc_id in seg.arcs:
+                for arc_id in routes[seg.route_id].arcs[seg.start - 1 : seg.end]:
                     flat += s.network.arc(arc_id).delay
             assert path.delay == pytest.approx(flat, rel=1e-12)
 

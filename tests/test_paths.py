@@ -165,14 +165,19 @@ class TestThreeRouteExample:
 
     def test_per_hop_paths(self, three_routes_scenario):
         found = self.paths(three_routes_scenario, mode=PER_HOP)
+        routes = {r.id: r for r in three_routes_scenario.routes}
+
+        def arc_count(seg):
+            return len(routes[seg.route_id].arcs[seg.start - 1 : seg.end])
+
         assert [segment_shape(p) for p in found] == [
             ((1, 1, 1), (2, 2, 2)),
             ((3, 1, 1), (2, 1, 1), (2, 2, 2)),
             ((3, 1, 1), (3, 2, 2), (3, 3, 3)),
         ]
         for path in found:
-            assert all(len(seg.arcs) == 1 for seg in path.segments)
-            assert path.hops == sum(len(seg.arcs) for seg in path.segments)
+            assert all(arc_count(seg) == 1 for seg in path.segments)
+            assert path.hops == sum(map(arc_count, path.segments))
 
 
 class TestEnumerationProperties:
@@ -532,33 +537,50 @@ def table_bits(table):
 
 
 class TestBoundTable:
-    """The array table equals the scalar reference exactly, float bits too."""
+    """Both layouts' tables equal the scalar reference exactly, float bits too."""
 
     def check(self, net, routes):
         index = RouteIndex(net, routes)
-        lengths = {r.id: len(r.arcs) for r in routes}
+        per_hop = index._per_hop_layout()
+        route_map = {r.id: r for r in routes}
+        members = sum(len(r.arcs) for r in routes)
         out = len(net.junctions)
-        for mode in (FULL_ROUTE, PER_HOP):
-            for max_hops in range(1, 7):
-                for target in sorted(net.junctions):
-                    found, reach = index.bound_table(target, mode, max_hops)
-                    expected = reference_bound_table(net, routes, target, mode, max_hops)
-                    where = (mode, max_hops, target)
-                    assert table_bits(found) == table_bits(expected), where
-                    # every member arc is an entry at its tail
-                    found_reach = {}
-                    for junction in net.junctions:
-                        for route_id, n, slot in index.entries(junction):
-                            found_reach[route_id, n] = reach[slot]
-                            sentinel = reach[slot + lengths[route_id] - n + 1]
-                            assert sentinel == out, where
-                    expected_reach = {
-                        (route_id, n): k
-                        for route_id, ks in reference_reach(net, routes, expected).items()
-                        for n, k in enumerate(ks, 1)
-                    }
-                    assert found_reach == expected_reach, where
-                    assert len(reach) == len(found_reach) + len(routes), where
+        for max_hops in range(1, 7):
+            for target in sorted(net.junctions):
+                found, reach = index.bound_table(target, max_hops)
+                expected = reference_bound_table(net, routes, target, FULL_ROUTE, max_hops)
+                where = (FULL_ROUTE, max_hops, target)
+                assert table_bits(found) == table_bits(expected), where
+                # every member arc is an entry at its tail
+                found_reach = {}
+                for junction in net.junctions:
+                    for route_id, n, slot in index.entries(junction):
+                        found_reach[route_id, n] = reach[slot]
+                        sentinel = reach[slot + len(route_map[route_id].arcs) - n + 1]
+                        assert sentinel == out, where
+                expected_reach = {
+                    (route_id, n): k
+                    for route_id, ks in reference_reach(net, routes, expected).items()
+                    for n, k in enumerate(ks, 1)
+                }
+                assert found_reach == expected_reach, where
+                assert len(reach) == len(found_reach) + len(routes), where
+
+                # per-hop: every member arc is a run of its own, so its reach
+                # is its own head's k and a sentinel follows it
+                found, reach = per_hop.bound_table(target, max_hops)
+                expected = reference_bound_table(net, routes, target, PER_HOP, max_hops)
+                where = (PER_HOP, max_hops, target)
+                assert table_bits(found) == table_bits(expected), where
+                found_reach = {}
+                for junction in net.junctions:
+                    for route_id, n, slot in per_hop.entries(junction):
+                        head = net.arc(route_map[route_id].arcs[n - 1]).head
+                        assert reach[slot] == expected.get(head, (out,))[0], where
+                        assert reach[slot + 1] == out, where
+                        found_reach[route_id, n] = slot
+                assert len(found_reach) == members, where
+                assert len(reach) == 2 * members, where
 
     def test_random_scenarios(self):
         for seed in range(1, 13):
@@ -585,7 +607,6 @@ def unshift_path(path, shift):
         dataclasses.replace(
             s,
             route_id=s.route_id - shift,
-            arcs=tuple(a - shift for a in s.arcs),
             entry=s.entry - shift,
             exit=s.exit - shift,
         )
@@ -756,7 +777,7 @@ class TestDelayOverflow:
 
 
 class TestSharedRouteIndex:
-    """One index serves every search over its routes."""
+    """One index serves every search over its routes, in both modes."""
 
     @pytest.fixture()
     def builds(self, monkeypatch):
@@ -785,26 +806,68 @@ class TestSharedRouteIndex:
         assert len(builds) == 4
         assert capsys.readouterr().out.count(" paths\n") == 4
 
+    @pytest.fixture()
+    def layouts(self, monkeypatch):
+        count = []
+        lay_out = RouteIndex._lay_out
+
+        def counting(self, slots, blocks):
+            count.append(None)
+            lay_out(self, slots, blocks)
+
+        monkeypatch.setattr(RouteIndex, "_lay_out", counting)
+        return count
+
     @pytest.mark.parametrize("mode", [FULL_ROUTE, PER_HOP])
-    def test_shared_index_equals_a_fresh_index_per_pair(self, mode):
+    def test_shared_index_equals_a_fresh_index_per_pair(self, mode, layouts):
         # probe-style one-path searches first, then full ones, in two pair
-        # orders: no entry, geometry or slice cached by one search changes
-        # another's output
+        # orders and with the scenario's mode first or second: no entry,
+        # geometry, slice or layout cached by one search changes another's
+        # output
+        other = PER_HOP if mode == FULL_ROUTE else FULL_ROUTE
         for seed in (5, 17):
             scenario = shared_index_city(seed, mode)
-            net, routes, config = scenario.network, scenario.routes, scenario.enumeration
-            probe = dataclasses.replace(config, max_paths=1)
+            net, routes = scenario.network, scenario.routes
+            configs = {
+                m: dataclasses.replace(scenario.enumeration, mode=m) for m in (mode, other)
+            }
             pairs = [*scenario.pairs, *((t, s) for s, t in scenario.pairs)]
             fresh = {
-                pair: enumerate_paths(RouteIndex(net, routes), *pair, config)
+                (m, pair): enumerate_paths(RouteIndex(net, routes), *pair, config)
+                for m, config in configs.items()
                 for pair in pairs
             }
-            assert all(fresh[pair] for pair in scenario.pairs)
-            for order in (pairs, pairs[::-1]):
-                index = RouteIndex(net, routes)
-                for pair in order:
-                    assert enumerate_paths(index, *pair, probe) == fresh[pair][:1]
-                    assert enumerate_paths(index, *pair, config) == fresh[pair], pair
+            assert all(fresh[mode, pair] for pair in scenario.pairs)
+            for modes in ((mode, other), (other, mode)):
+                for order in (pairs, pairs[::-1]):
+                    index = RouteIndex(net, routes)
+                    layouts.clear()
+                    for pair in order:
+                        for m in modes:
+                            probe = dataclasses.replace(configs[m], max_paths=1)
+                            assert enumerate_paths(index, *pair, probe) == fresh[m, pair][:1]
+                            found = enumerate_paths(index, *pair, configs[m])
+                            assert found == fresh[m, pair], (m, pair)
+                    assert len(layouts) == 1  # the per-hop layout, built once
+
+    def test_modes_share_one_arc_slices(self, layouts):
+        scenario = shared_index_city(5)
+        layouts.clear()  # the generator's pair probes built an index too
+        index = RouteIndex(scenario.network, scenario.routes)
+        assert len(layouts) == 1  # the full-route layout, in the constructor
+        slices, modes = {}, {}
+        for mode in (FULL_ROUTE, PER_HOP, FULL_ROUTE, PER_HOP):
+            config = dataclasses.replace(scenario.enumeration, mode=mode)
+            for pair in scenario.pairs:
+                for path in enumerate_paths(index, *pair, config):
+                    for seg in path.segments:
+                        key = (seg.route_id, seg.start, seg.end)
+                        assert slices.setdefault(key, seg) is seg
+                        modes.setdefault(key, set()).add(mode)
+        assert len(layouts) == 2
+        assert index._per_hop_layout()._per_hop_layout() is index._per_hop_layout()
+        assert len(layouts) == 2
+        assert any(len(m) == 2 for m in modes.values())  # some slice serves both
 
 
 class TestEnumerateCallSites:
@@ -884,7 +947,6 @@ class TestValidatePath:
                 route_id=seg.route_id,
                 start=seg.start,
                 end=seg.end,
-                arcs=seg.arcs,
                 entry=seg.entry,
                 exit=seg.exit,
                 delay=seg.delay + 1.0,
