@@ -347,13 +347,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--objective", choices=[MAX_ENERGY, MIN_LOSS], default=MAX_ENERGY
     )
-    p_sweep.add_argument("--efficiency", type=float, default=0.9,
+    p_sweep.add_argument("--efficiency", type=float, default=SweepSpec.nominal_efficiency,
                          help="nominal round-trip efficiency z")
-    p_sweep.add_argument("--window", type=float, default=5.0,
+    p_sweep.add_argument("--window", type=float, default=SweepSpec.nominal_window,
                          help="nominal window T in hours")
-    p_sweep.add_argument("--packet-size", type=float, default=0.1,
+    p_sweep.add_argument("--packet-size", type=float, default=SweepSpec.nominal_packet_size,
                          help="nominal packet size w in kWh")
-    p_sweep.add_argument("--penetration", type=float, default=0.001,
+    p_sweep.add_argument("--penetration", type=float, default=SweepSpec.nominal_penetration,
                          help="nominal EV participation fraction")
     p_sweep.add_argument("--loss-cap", type=float, default=math.inf)
     p_sweep.add_argument("--delivery-floor", type=float, default=0.0)
@@ -365,16 +365,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="generate a synthetic scenario")
     p_gen.add_argument("--seed", type=int, default=None,
                        help=f"RNG seed (default: ${SEED_ENV_VAR})")
-    p_gen.add_argument("--junctions", type=int, default=100)
-    p_gen.add_argument("--arcs", type=int, default=250)
-    p_gen.add_argument("--routes", type=int, default=480)
-    p_gen.add_argument("--pairs", type=int, default=5)
-    p_gen.add_argument("--max-route-length", type=float, default=200.0,
-                       help="km cap on each route")
+    p_gen.add_argument("--junctions", type=int, default=GeneratorConfig.junction_count)
+    p_gen.add_argument("--arcs", type=int, default=GeneratorConfig.arc_count)
+    p_gen.add_argument("--routes", type=int, default=GeneratorConfig.route_count)
+    p_gen.add_argument("--pairs", type=int, default=GeneratorConfig.pair_count)
+    p_gen.add_argument("--max-route-length", type=float,
+                       default=GeneratorConfig.max_route_length, help="km cap on each route")
     p_gen.add_argument("--max-hops", type=int)
     p_gen.add_argument("--max-paths", type=int)
     p_gen.add_argument("--mode", choices=[FULL_ROUTE, PER_HOP])
-    p_gen.add_argument("--penetration", type=float, default=0.001)
+    p_gen.add_argument("--penetration", type=float, default=GeneratorConfig.penetration)
     p_gen.add_argument("-o", "--output", help="scenario path (stdout if absent)")
     p_gen.set_defaults(func=_cmd_generate)
 

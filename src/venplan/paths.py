@@ -32,6 +32,7 @@ import heapq
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -366,14 +367,15 @@ def enumerate_paths(
     reach is within the budget, and walks each run only up to the last
     position whose reach is within the budget: every head past it would
     fail the hop prune, so the pruning drops only work whose result the
-    search would discard. The walks' slices are grouped into stretches once
-    per (junction, budget) in a call.
+    search would discard. The walks' slices are grouped into stretches, one
+    record each, once per (junction, budget) in a call.
 
     When a complete sequence pops, every sequence tied with it bit for bit on
-    (hops, delay) is already on the heap and pops next. The group's
-    labellings are walked lazily, each sequence's in route-id order, and
-    merged by (route ids, spans) up to the cap; without a cap, all of them
-    are returned, so they are sorted at once. This is the implicit path
+    (hops, delay) is already on the heap and pops next. One depth-first walk
+    per sequence yields its labellings lazily in route-id order, leaving a
+    prefix when no label of the next stretch may follow it, and the group's
+    are merged by (route ids, spans) up to the cap; without a cap, all of
+    them are returned, so they are sorted at once. This is the implicit path
     representation of Eppstein's k-shortest-paths algorithm (1998), applied
     to parallel route labels.
 
@@ -400,8 +402,8 @@ def enumerate_paths(
     bound, reach = index.bound_table(target, max_hops)
     if source not in bound:
         return []
-
-    max_paths = config.max_paths
+    # no list holds more than sys.maxsize paths, the largest stop islice takes
+    max_paths = None if config.max_paths is None else min(config.max_paths, sys.maxsize)
 
     # Partial entries: (hops + k, (delay + d) lowered, 1, stretch ids,
     # junction, delay so far, visited, only), with (k, d) the bound table's
@@ -426,23 +428,23 @@ def enumerate_paths(
     segments_of: dict[int, list[tuple]] = {}
 
     def stretches_from(junction: int, budget: int) -> list[tuple]:
-        """``(stretch id, head, delay, entry, junctions, starts, labels, arc
-        count)`` of each stretch leaving ``junction`` that a path with
-        ``budget`` further segments may use. ``entry`` is the head's bound
-        table entry, ``junctions`` the set the stretch visits after
-        ``junction`` and ``starts`` its labels' reach slots.
+        """``(stretch id, head, delay, entry, junctions, labels, arc count)``
+        of each stretch leaving ``junction`` that a path with ``budget``
+        further segments may use: ``entry`` is the head's bound table entry
+        and ``junctions`` the set the stretch visits after ``junction``.
 
         The labels are the junction's entries ``(route id, n, slot)`` of the
         routes that cover the stretch; with ``c`` arcs, one names the slice
         ``(n, n + c - 1)``, and a slice continuing it starts at ``slot + c``.
         Each route is walked as far as a slice can still be used: up to the
         last position in its run whose reach is within ``budget``, or the
-        target. Walks that share arcs share stretches,
-        except that a route passing ``junction`` again starts apart, so that
-        no stretch has two labels of one route.
+        target. Walks that share arcs share stretches, except that a route
+        passing ``junction`` again starts apart, so that no stretch has two
+        labels of one route. A walk records each stretch in ``stretches`` when
+        it first reaches it, with ``entry`` None if the head is out of reach.
         """
-        nodes: list[tuple] = []  # (head, delay, entry, junctions, labels, arc count)
-        node_of: dict[tuple[int, int], int] = {}  # (previous node, arc id) -> node
+        first = len(stretches)
+        node_of: dict[tuple[int, int], int] = {}  # (previous stretch, arc id) -> stretch
         last_route, visit = None, 0
         for label in index.entries(junction):
             route_id, n, slot = label
@@ -461,23 +463,17 @@ def enumerate_paths(
                 key = (node, arcs[m - 1])
                 node = node_of.get(key)
                 if node is None:
-                    node = node_of[key] = len(nodes)
+                    node = node_of[key] = len(stretches)
                     entry = bound.get(head)
                     entry = entry if entry and entry[0] <= budget else None
-                    nodes.append((head, seg_delay, entry, seen | {head}, [], m - n + 1))
-                nodes[node][4].append(label)
-                seen = nodes[node][3]
+                    stretches.append((node, head, seg_delay, entry, seen | {head}, [], m - n + 1))
+                stretches[node][5].append(label)
+                seen = stretches[node][4]
                 # past the target every slice revisits it; the run's
                 # sentinel ends the walk at the run's end at the latest
                 if head == target or reach[slot + m - n + 1] > budget:
                     break
-        found = []
-        for head, seg_delay, entry, seen, labels, arc_count in nodes:
-            if entry is not None:  # else out of reach in budget
-                found.append((len(stretches), head, seg_delay, entry, seen,
-                               frozenset([label[2] for label in labels]), labels, arc_count))
-                stretches.append(found[-1])
-        return found
+        return [stretch for stretch in stretches[first:] if stretch[3] is not None]
 
     def segments(sid: int) -> list[tuple]:
         """``(route id, span, slice, slot, follow)`` of each label of a
@@ -496,38 +492,20 @@ def enumerate_paths(
 
     def labellings(seq: tuple[int, ...]):
         """Every labelling of a stretch sequence that continues no route, as
-        ``(route ids, spans, segments)`` rows in route-id order: one sorted
-        list per choice of every label but the last."""
-        *lists, last = [segments(sid) for sid in seq]
-        # keep only labels that some label of the next stretch may follow,
-        # so that the walk below never meets a dead end
-        after = last
-        for i in range(len(lists) - 1, -1, -1):
-            if len(after) == 1:
-                lists[i] = [label for label in lists[i] if label[4] != after[0][3]]
-            after = lists[i]
-        if not lists:
-            yield [label[:3] for label in last]
-            return
+        ``(route ids, spans, segments)`` rows in route-id order, from one
+        depth-first walk on its own stack; a dead-end prefix yields nothing."""
+        lists = [segments(sid) for sid in seq]
         stack = [((), (), (), None, iter(lists[0]))]
         while stack:
             ids, spans, segs, follow, labels = stack[-1]
-            if len(stack) == len(lists):  # this label is the last but one
-                stack.pop()
-                for route_id, span, seg, slot, next_follow in labels:
-                    if slot != follow:
-                        ids_, spans_, segs_ = ids + route_id, spans + span, segs + seg
-                        yield [
-                            (ids_ + last_id, spans_ + last_span, segs_ + last_seg)
-                            for last_id, last_span, last_seg, last_slot, _ in last
-                            if last_slot != next_follow
-                        ]
-                continue
             for route_id, span, seg, slot, next_follow in labels:
-                if slot != follow:  # else it would continue the previous segment
+                if slot == follow:
+                    continue  # it would continue the previous segment
+                if len(stack) < len(lists):
                     stack.append((ids + route_id, spans + span, segs + seg,
                                   next_follow, iter(lists[len(stack)])))
                     break
+                yield ids + route_id, spans + span, segs + seg
             else:
                 stack.pop()
 
@@ -542,15 +520,14 @@ def enumerate_paths(
             group = [seq]
             while heap and not heap[0][2] and heap[0][1] == delay and heap[0][0] == hops:
                 group.append(heapq.heappop(heap)[3])
-            rows = [itertools.chain.from_iterable(labellings(seq)) for seq in group]
             if max_paths is None:  # every row is returned, and one sort beats a lazy merge
-                ordered = sorted(itertools.chain(*rows))
-                results += [EnergyPath(source, target, segs) for _, _, segs in ordered]
-                continue
-            for _, _, segs in heapq.merge(*rows):
-                results.append(EnergyPath(source, target, segs))
-                if len(results) == max_paths:
-                    return results
+                ordered, room = sorted(itertools.chain(*map(labellings, group))), None
+            else:
+                ordered, room = heapq.merge(*map(labellings, group)), max_paths - len(results)
+            results += [EnergyPath(source, target, segs)
+                        for _, _, segs in itertools.islice(ordered, room)]
+            if len(results) == max_paths:
+                return results
             continue
         _, _, _, seq, junction, delay_so_far, visited, only = entry
         hops = len(seq)
@@ -560,10 +537,10 @@ def enumerate_paths(
         found = leaving.get((junction, budget))
         if found is None:
             found = leaving[junction, budget] = stretches_from(junction, budget)
-        for sid, head, seg_delay, bound_entry, seen, starts, labels, arc_count in found:
+        for sid, head, seg_delay, bound_entry, seen, labels, arc_count in found:
             if not visited.isdisjoint(seen):
                 continue
-            if only is not None and only in starts:
+            if only is not None:
                 # Continuing the same route is strictly dominated by the
                 # merged segment, which is a stretch of its own.
                 labels = [label for label in labels if label[2] != only]

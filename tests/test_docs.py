@@ -50,6 +50,17 @@ def test_readme_lists_the_cli_exit_codes():
     assert listed == defined
 
 
+def test_readme_states_the_sweep_defaults():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    note = readme.split("`--efficiency/--window/--packet-size/--penetration` (defaults", 1)[1]
+    stated = " ".join(note.split(")", 1)[0].split())
+    spec = venplan.SweepSpec
+    assert stated == (
+        f"{spec.nominal_efficiency:g}, {spec.nominal_window:g} h, "
+        f"{spec.nominal_packet_size:g} kWh, {spec.nominal_penetration:g}"
+    )
+
+
 def test_demos_found():
     assert [p.name for p in DEMOS] == [
         "parameter_sweeps.py", "routing_information_modes.py", "worked_example.py"

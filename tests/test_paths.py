@@ -33,7 +33,7 @@ from _oracles import (
     sub_route,
     validate_path,
 )
-from conftest import shift_ids
+from conftest import chain_network, shift_ids
 
 
 def segment_shape(path):
@@ -222,6 +222,17 @@ class TestEnumerationProperties:
             RouteIndex(s.network, s.routes), 1, 4, EnumerationConfig(max_hops=1, max_paths=None)
         )
         assert [segment_shape(p) for p in only_direct] == [((3, 1, 3),)]
+
+    def test_path_longer_than_the_recursion_limit(self):
+        # one single-arc route per arc of a 1,499-arc chain: the only path has
+        # more segments than Python's default limit of 1,000 nested calls
+        net = chain_network([0.1] * 1499)
+        index = RouteIndex(net, [VehicularRoute(i, (i,), 5.0) for i in range(1, 1500)])
+        for mode in (FULL_ROUTE, PER_HOP):
+            for cap in (None, 1):
+                config = EnumerationConfig(max_hops=1499, max_paths=cap, mode=mode)
+                found = enumerate_paths(index, 1, 1500, config)
+                assert [p.hops for p in found] == [1499], (mode, cap)
 
     def test_matches_brute_force_on_random_scenarios(self):
         for seed in range(1, 13):
@@ -670,6 +681,14 @@ class TestRouteIndexEdges:
                     max_hops=len(s.network.junctions), max_paths=None, mode=mode
                 ),
             )
+            assert found == expected and found, mode
+
+    def test_path_cap_beyond_int64(self, three_routes_scenario):
+        s = three_routes_scenario
+        index = RouteIndex(s.network, s.routes)
+        for mode in (FULL_ROUTE, PER_HOP):
+            found = enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=2**63, mode=mode))
+            expected = enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=None, mode=mode))
             assert found == expected and found, mode
 
     def test_entries_sorted_by_route_then_position(self, three_routes_scenario):

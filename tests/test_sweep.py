@@ -147,6 +147,15 @@ class TestCrossover:
         result = run_sweep(three_routes_scenario, spec)
         assert find_crossover(result) is None
 
+    def test_no_crossover_when_always_lossy(self, three_routes_scenario):
+        spec = SweepSpec(
+            parameter="z", values=(0.1, 0.15, 0.2), nominal_penetration=1.0
+        )
+        result = run_sweep(three_routes_scenario, spec)
+        deltas = [p.loss - p.transferred for p in result.points]
+        assert [round(d, 1) for d in deltas] == [36.5, 34.8, 32.8]
+        assert find_crossover(result) is None
+
 
 class TestPathTables:
     """Each pair's paths are read into one table, however many points a sweep has."""
