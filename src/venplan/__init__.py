@@ -23,7 +23,6 @@ from .network import (
     SubRoute,
     VehicularRoute,
     build_network,
-    validate_route,
 )
 from .paths import (
     FULL_ROUTE,
@@ -81,7 +80,6 @@ __all__ = [
     "SubRoute",
     "VehicularRoute",
     "build_network",
-    "validate_route",
     "FULL_ROUTE",
     "PER_HOP",
     "EnergyPath",

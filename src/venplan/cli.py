@@ -1,7 +1,8 @@
 """Command-line interface: validate, enumerate, solve, sweep, generate.
 
 Exit codes: 0 on success, 2 for command-line usage errors (argparse's, an
-output file that cannot be written, or ``--meta`` without ``--output``), 3
+output file that cannot be written, two outputs naming one file, or
+``--meta`` without ``--output``), 3
 for scenario file/parse problems, and 4 for semantic validation failures,
 overflowing numbers and inputs too large for memory. Every machine-readable
 output records the scenario hash, the seed (when known) and the tool version.
@@ -137,21 +138,31 @@ def _json_text(payload: dict) -> str:
 
 
 def _write_outputs(*outputs: tuple[str, str]) -> None:
-    """Write each (path, text) in place, or none if one cannot be opened.
+    """Write each (path, text) in place, or none if one cannot be opened or
+    two name the same file.
 
     Every path is opened before any is written, in append mode so that an
     existing file keeps its bytes until it is written; the files this call
-    created are removed again when a later output fails to open.
+    created are removed again when a later output fails to open or turns
+    out to be an earlier one, found by device and inode, so that aliases
+    and links count too.
     """
     handles: list = []
     created: list[str] = []
     try:
         with contextlib.ExitStack() as stack:  # closing, and so flushing, is in the try
             for path, _ in outputs:
-                new = not os.path.lexists(path)
+                new = not os.path.exists(path)  # a link to no file creates its target
                 handles.append(stack.enter_context(open(path, "a", encoding="utf-8", newline="")))
                 if new:
-                    created.append(path)
+                    created.append(os.path.realpath(path))
+            files = [(s.st_dev, s.st_ino) for s in (os.fstat(h.fileno()) for h in handles)]
+            for i, file in enumerate(files):
+                if file in files[:i]:
+                    for done in created:
+                        os.remove(done)
+                    earlier = outputs[files.index(file)][0]
+                    raise _UsageError(f"{earlier!r} and {outputs[i][0]!r} are the same file")
             for handle, (path, text) in zip(handles, outputs):
                 if os.path.isfile(path):
                     handle.truncate(0)

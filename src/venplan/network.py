@@ -6,7 +6,8 @@ routes are loop-free sequences of connected arcs; contiguous slices of a
 route (sub-routes) are the building blocks of energy paths.
 
 A network holds only its junction ids and its arcs by id; code that walks
-it builds its own index, as the route index and the generator do.
+it builds its own index, as the route index and the generator do. The
+route index and scenarios check routes with :func:`venplan.paths.read_routes`.
 
 Networks and routes are immutable once built, so they can be shared freely
 between concurrent consumers.
@@ -112,35 +113,3 @@ def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
         arc_map[arc.id] = arc
 
     return RoadNetwork(junctions=junction_set, arcs=arc_map)
-
-
-def route_junctions(network: RoadNetwork, route: VehicularRoute) -> tuple[int, ...]:
-    """Junction sequence a route visits: tail of the first arc, then every head."""
-    if not route.arcs:
-        raise ValidationError(f"route {route.id} has no arcs")
-    first = network.arc(route.arcs[0])
-    seq = [first.tail]
-    for arc_id in route.arcs:
-        seq.append(network.arc(arc_id).head)
-    return tuple(seq)
-
-
-def validate_route(network: RoadNetwork, route: VehicularRoute) -> None:
-    """Check connectivity, loop-freedom, and flow of a route.
-
-    Consecutive arcs must chain head-to-tail and no junction may be visited
-    twice. Raises ValidationError naming the failed invariant.
-    """
-    if not (route.flow >= 0 and math.isfinite(route.flow)):
-        raise ValidationError(f"route {route.id} flow must be finite and nonnegative")
-    seq = route_junctions(network, route)
-    for k in range(len(route.arcs) - 1):
-        here = network.arc(route.arcs[k])
-        nxt = network.arc(route.arcs[k + 1])
-        if here.head != nxt.tail:
-            raise ValidationError(
-                f"route {route.id}: arc {nxt.id} does not start where arc {here.id} ends"
-            )
-    if len(set(seq)) != len(seq):
-        raise ValidationError(f"route {route.id} visits a junction twice")
-

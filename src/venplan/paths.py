@@ -14,6 +14,9 @@ segment changes neither a path's hop count, nor its delay, nor the junctions
 it visits. So the search runs over stretch sequences and expands their route
 labellings only for the paths it returns.
 
+A route index and a scenario check their routes with one function,
+:func:`read_routes`, so no route the search walks passes a junction twice.
+
 Two routing-information modes are supported:
 
 * ``full-route``: the intended route of every carrier vehicle is known, so a
@@ -101,12 +104,82 @@ class EnumerationConfig:
             raise ValidationError(f"unknown enumeration mode {self.mode!r}")
 
 
+def read_routes(network: RoadNetwork, routes: Sequence[VehicularRoute]) -> tuple:
+    """Read ``routes`` into member arrays in (route id, position) order,
+    checking the route rules for all routes at once.
+
+    A route's flow is finite and nonnegative, it has arcs, all of them
+    known, each starting where the previous one ends, and the junctions it
+    visits (its first arc's tail, then every head) are distinct. The first
+    route in input order to break a rule raises ValidationError naming the
+    first rule it breaks, in that order; then route ids must be unique.
+
+    Returns each junction's dense row, the routes in id order, their
+    lengths, and each member arc's route (its place in that order), row in
+    ``network.arcs``, tail row and head row.
+    """
+    rows = {j: row for row, j in enumerate(network.junctions)}
+    arc_rows = {a: row for row, a in enumerate(network.arcs)}
+    # an unknown arc reads as row -1, the last, whose ends are a junction
+    # row of their own, so that no rule matches it with a known arc
+    arcs, outside = network.arcs.values(), (len(rows),)
+    arc_tails = np.fromiter(itertools.chain((rows[a.tail] for a in arcs), outside), np.intp)
+    arc_heads = np.fromiter(itertools.chain((rows[a.head] for a in arcs), outside), np.intp)
+    ids = [r.id for r in routes]
+    order = sorted(range(len(routes)), key=ids.__getitem__)
+    ordered = [routes[i] for i in order]
+    lengths = np.fromiter((len(r.arcs) for r in ordered), np.intp, len(ordered))
+    members = np.fromiter(
+        map(arc_rows.get, itertools.chain.from_iterable(r.arcs for r in ordered),
+            itertools.repeat(-1)),
+        np.intp,
+        int(lengths.sum()),
+    )
+    tails, heads = arc_tails[members], arc_heads[members]
+    route_of = np.repeat(np.arange(len(ordered)), lengths)
+    firsts = np.cumsum(lengths) - lengths  # member index of each route's first arc
+    starts = firsts[lengths > 0]
+    broken = np.zeros(members.size, bool)
+    broken[1:] = tails[1:] != heads[:-1]
+    broken[starts] = False
+    # a junction visited twice is a (route, junction) key met twice
+    width = len(rows) + 1
+    visits = np.concatenate((route_of * width + heads, route_of[starts] * width + tails[starts]))
+    visits.sort()
+    flows = np.fromiter((r.flow for r in ordered), float, len(ordered))
+    bad_flow = ~(np.isfinite(flows) & (flows >= 0))
+    bad = bad_flow | (lengths == 0)
+    bad[route_of[(members < 0) | broken]] = True
+    bad[visits[1:][visits[1:] == visits[:-1]] // width] = True
+    if bad.any():
+        k = min(np.flatnonzero(bad).tolist(), key=order.__getitem__)
+        route, at = ordered[k], firsts[k]
+        unknown = np.flatnonzero(members[at : at + len(route.arcs)] < 0)
+        link = np.flatnonzero(broken[at : at + len(route.arcs)])
+        if bad_flow[k]:
+            raise ValidationError(f"route {route.id} flow must be finite and nonnegative")
+        if not route.arcs:
+            raise ValidationError(f"route {route.id} has no arcs")
+        if unknown.size:
+            raise ValidationError(f"unknown arc id {route.arcs[unknown[0]]}")
+        if link.size:
+            here, nxt = route.arcs[link[0] - 1], route.arcs[link[0]]
+            raise ValidationError(
+                f"route {route.id}: arc {nxt} does not start where arc {here} ends"
+            )
+        raise ValidationError(f"route {route.id} visits a junction twice")
+    if len(set(ids)) != len(ids):
+        raise ValidationError("duplicate route ids")
+    return rows, ordered, lengths, route_of, members, tails, heads
+
+
 class RouteIndex:
     """Index of a route set over flat numpy arrays of member arcs.
 
     It depends on the network and the routes only, not on a source or a
     target, so one index serves every pair searched over the same routes:
     build it once per route set and pass it to :func:`enumerate_paths`.
+    It checks the routes as a scenario does, with :func:`read_routes`.
 
     Every network junction gets a dense row, and every member arc of every
     route one slot in three arrays: tail row, head row and delay. The slots
@@ -130,37 +203,17 @@ class RouteIndex:
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
         self.network = network
-        self.routes = {r.id: r for r in routes}
-        if len(self.routes) != len(routes):
-            raise ValidationError("duplicate route ids")
-        self.junction_ids = list(network.junctions)
-        self.rows = {j: row for row, j in enumerate(self.junction_ids)}
-        arcs = network.arcs.values()
-        arc_rows = {a: row for row, a in enumerate(network.arcs)}
-        arc_tails = np.fromiter((self.rows[a.tail] for a in arcs), np.intp, len(arcs))
-        arc_heads = np.fromiter((self.rows[a.head] for a in arcs), np.intp, len(arcs))
-        arc_delays = np.fromiter((a.delay for a in arcs), float, len(arcs))
+        self.rows, ordered, lengths, route_of, members, tails, heads = read_routes(
+            network, routes
+        )
+        self.junction_ids = list(self.rows)
+        self.route_ids = [r.id for r in ordered]
+        self.routes = dict(zip(self.route_ids, ordered))
 
         # members in (route id, position) order, so that a stable sort by
         # tail lists each junction's entries already sorted
-        self.route_ids = sorted(self.routes)
-        ordered = [self.routes[r].arcs for r in self.route_ids]
-        lengths = np.fromiter(map(len, ordered), np.intp, len(ordered))
-        try:
-            members = np.fromiter(
-                map(arc_rows.__getitem__, itertools.chain.from_iterable(ordered)),
-                np.intp,
-                int(lengths.sum()),
-            )
-        except KeyError:
-            for route in routes:  # name the first unknown arc in input order
-                for arc_id in route.arcs:
-                    network.arc(arc_id)
-            raise
         ends = np.cumsum(lengths)
-        route_of = np.repeat(np.arange(len(ordered)), lengths)
         positions = np.arange(1, members.size + 1) - (ends - lengths)[route_of]
-        tails = arc_tails[members]
         self._entry_members = np.argsort(tails, kind="stable")
         self._entry_routes = route_of[self._entry_members]
         self._entry_positions = positions[self._entry_members]
@@ -174,10 +227,10 @@ class RouteIndex:
             for q in range(int(lengths.max(initial=0)))
         ]
         self._table_members = np.concatenate(blocks) if blocks else members
-        by_end = members[self._table_members]
-        self._tails = arc_tails[by_end]
-        self._heads = arc_heads[by_end]
-        self._delays = arc_delays[by_end]
+        self._tails = tails[self._table_members]
+        self._heads = heads[self._table_members]
+        arc_delays = np.fromiter((a.delay for a in network.arcs.values()), float)
+        self._delays = arc_delays[members[self._table_members]]
         bounds = [0, *np.cumsum([b.size for b in blocks]).tolist()]
         # one run of reach slots per route: member i of route r has slot i + r
         self._lay_out(np.arange(members.size) + route_of, list(zip(bounds, bounds[1:])))
@@ -438,27 +491,21 @@ def enumerate_paths(
         ``(n, n + c - 1)``, and a slice continuing it starts at ``slot + c``.
         Each route is walked as far as a slice can still be used: up to the
         last position in its run whose reach is within ``budget``, or the
-        target. Walks that share arcs share stretches, except that a route
-        passing ``junction`` again starts apart, so that no stretch has two
-        labels of one route. A walk records each stretch in ``stretches`` when
-        it first reaches it, with ``entry`` None if the head is out of reach.
+        target. Walks that share arcs share stretches. A walk records each
+        stretch in ``stretches`` when it first reaches it, with ``entry``
+        None if the head is out of reach.
         """
         first = len(stretches)
         node_of: dict[tuple[int, int], int] = {}  # (previous stretch, arc id) -> stretch
-        last_route, visit = None, 0
         for label in index.entries(junction):
             route_id, n, slot = label
-            visit = visit + 1 if route_id == last_route else 0
-            last_route = route_id
             if reach[slot] > budget:
                 continue
             junctions, delays = index.geometry(route_id)
             arcs = index.routes[route_id].arcs
-            node, seen, seg_delay = -1 - visit, frozenset(), 0.0
+            node, seen, seg_delay = -1, frozenset(), 0.0  # -1: the walk's start
             for m in itertools.count(n):
                 head = junctions[m]
-                if head == junction or head in seen:
-                    break  # the route loops back; every longer slice does too
                 seg_delay += delays[m - 1]
                 key = (node, arcs[m - 1])
                 node = node_of.get(key)

@@ -21,14 +21,16 @@ import math
 import random
 import sys
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Any, Mapping, NoReturn, Optional
+from typing import Any, NoReturn, Optional
 
 from .energetics import EnergyParams
 from .errors import ScenarioFormatError, ValidationError
-from .network import Arc, RoadNetwork, VehicularRoute, build_network, validate_route
-from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths
+from .network import Arc, RoadNetwork, VehicularRoute, build_network
+from .paths import (
+    FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths, read_routes,
+)
 
 SCHEMA_VERSION = 1
 UNITS = {
@@ -60,12 +62,7 @@ class Scenario:
             raise ValidationError("loss_cap must be nonnegative")
         if not (self.delivery_floor >= 0 and math.isfinite(self.delivery_floor)):
             raise ValidationError("delivery_floor must be finite and nonnegative")
-        if not _routes_are_valid(self.network.arcs, self.routes):
-            for route in self.routes:  # name the first failing route
-                validate_route(self.network, route)
-        route_ids = [r.id for r in self.routes]
-        if len(set(route_ids)) != len(route_ids):
-            raise ValidationError("duplicate route ids")
+        read_routes(self.network, self.routes)  # the route rules; the arrays are not kept
         for s, t in self.pairs:
             if s not in self.network.junctions:
                 raise ValidationError(f"pair source {s} is not a junction")
@@ -73,34 +70,6 @@ class Scenario:
                 raise ValidationError(f"pair target {t} is not a junction")
             if s == t:
                 raise ValidationError("pair source and target must differ")
-
-
-def _routes_are_valid(arcs: Mapping[int, Arc], routes: tuple[VehicularRoute, ...]) -> bool:
-    """Whether every route passes ``validate_route``, checked over all at once.
-
-    A route is valid when its arcs exist, each starts where the previous
-    one ends, its junctions (the first tail, then every head) are distinct,
-    and its flow is finite and nonnegative.
-    """
-    members = [route.arcs for route in routes]
-    lengths = list(map(len, members))
-    if 0 in lengths:
-        return False
-    try:
-        flat = list(map(arcs.__getitem__, chain.from_iterable(members)))
-    except KeyError:
-        return False
-    tails = list(map(attrgetter("tail"), flat))
-    heads = list(map(attrgetter("head"), flat))
-    start = 0
-    for end in accumulate(lengths):
-        if (
-            tails[start + 1 : end] != heads[start : end - 1]
-            or len({tails[start], *heads[start:end]}) <= end - start
-        ):
-            return False
-        start = end
-    return all(route.flow >= 0 and math.isfinite(route.flow) for route in routes)
 
 
 def _expect(obj: Any, key: str, kind: type, where: str) -> Any:

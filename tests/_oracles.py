@@ -1,7 +1,9 @@
 """Independent reference implementations used only to cross-check the library.
 
-The slice oracle ``sub_route`` builds one route slice by reading each member
-arc from the network, independently of ``RouteIndex.slice``. The path
+The route oracle ``validate_route`` checks one route at a time, arc by arc,
+where the library's ``read_routes`` checks all routes at once. The slice
+oracle ``sub_route`` builds one route slice by reading each member arc from
+the network, independently of ``RouteIndex.slice``. The path
 oracle materializes every sub-route up front and recursively tries all
 concatenations; the LP oracle enumerates candidate vertices from all
 n-subsets of the active constraint set. Both are deliberately brute force
@@ -63,7 +65,6 @@ from venplan import (
     ValidationError,
     VehicularRoute,
     build_network,
-    validate_route,
 )
 from venplan.energetics import _retained
 from venplan.planner import _check_instance
@@ -121,6 +122,37 @@ def path_economics(path, params, penetration=1.0):
         capacity=max_transferable(path, params, rate),
         loss_factor=loss_factor(params, path.hops),
     )
+
+
+def route_junctions(network, route):
+    """Junction sequence a route visits: tail of the first arc, then every head."""
+    if not route.arcs:
+        raise ValidationError(f"route {route.id} has no arcs")
+    first = network.arc(route.arcs[0])
+    seq = [first.tail]
+    for arc_id in route.arcs:
+        seq.append(network.arc(arc_id).head)
+    return tuple(seq)
+
+
+def validate_route(network, route):
+    """Check connectivity, loop-freedom, and flow of one route.
+
+    Consecutive arcs must chain head-to-tail and no junction may be visited
+    twice. Raises ValidationError naming the failed invariant.
+    """
+    if not (route.flow >= 0 and math.isfinite(route.flow)):
+        raise ValidationError(f"route {route.id} flow must be finite and nonnegative")
+    seq = route_junctions(network, route)
+    for k in range(len(route.arcs) - 1):
+        here = network.arc(route.arcs[k])
+        nxt = network.arc(route.arcs[k + 1])
+        if here.head != nxt.tail:
+            raise ValidationError(
+                f"route {route.id}: arc {nxt.id} does not start where arc {here.id} ends"
+            )
+    if len(set(seq)) != len(seq):
+        raise ValidationError(f"route {route.id} visits a junction twice")
 
 
 def sub_route(network, route, n, m):

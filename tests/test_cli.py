@@ -380,6 +380,16 @@ class TestUnwritableOutput:
                     csv_path.unlink()
                 assert list(tmp_path.iterdir()) == []
 
+    def test_csv_through_a_dangling_link_is_removed_again(self, tmp_path, capsys):
+        # the link stays, and the file that opening it created goes again
+        (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
+        meta = tmp_path / "missing" / "sweep.meta.json"
+        with pytest.raises(SystemExit) as exc:
+            main(WRITERS["sweep"] + ["-o", str(tmp_path / "link.csv"), "--meta", str(meta)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(meta)!r}: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
     def test_unwritable_sweep_csv_leaves_the_sidecar(self, tmp_path, capsys):
         csv_path = tmp_path / "missing" / "sweep.csv"
         meta = tmp_path / "sweep.meta.json"
@@ -396,6 +406,33 @@ class TestUnwritableOutput:
                 assert list(tmp_path.iterdir()) == []
             else:
                 assert meta.read_bytes() == before
+
+
+class TestOutputsNamingOneFile:
+    """Two outputs that are one file, by name, alias or link, are a usage
+    error that creates and changes no file."""
+
+    @pytest.mark.parametrize("output, meta", [
+        ("out.csv", "out.csv"), ("out.csv", "./out.csv"), ("out.csv", "alias"),
+        ("alias", "out.csv"),
+    ])
+    def test_sweep_csv_and_sidecar(self, tmp_path, monkeypatch, capsys, output, meta):
+        monkeypatch.chdir(tmp_path)
+        os.symlink("out.csv", "alias")
+        for before in (None, b"old,rows\r\n"):
+            if before is not None:
+                Path("out.csv").write_bytes(before)
+            with pytest.raises(SystemExit) as exc:
+                main(WRITERS["sweep"] + ["-o", output, "--meta", meta])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {output!r} and {meta!r} are the same file\n"
+            if before is None:
+                assert sorted(os.listdir()) == ["alias"]
+            else:
+                assert sorted(os.listdir()) == ["alias", "out.csv"]
+                assert Path("out.csv").read_bytes() == before
 
 
 class TestOutputTargets:

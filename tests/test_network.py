@@ -9,12 +9,24 @@ from venplan import (
     ValidationError,
     VehicularRoute,
     build_network,
-    validate_route,
 )
-from venplan.network import route_junctions
 
-from _oracles import sub_route
+from _oracles import route_junctions, sub_route
+from _oracles import validate_route as oracle_validate_route
 from conftest import chain_network
+
+
+def validate_route(network, route):
+    """Check one route with the per-route oracle and with the route index,
+    which must raise the same message or none."""
+    try:
+        oracle_validate_route(network, route)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as raised:
+            RouteIndex(network, [route])
+        assert str(raised.value) == str(exc)
+        raise
+    RouteIndex(network, [route])
 
 
 def slice_of(network, route, n, m):

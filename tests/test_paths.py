@@ -76,9 +76,9 @@ def fewest_segments_slower_network():
 def stop_point_network():
     """Routes whose walks stop short of their ends, from source 1 to 9.
 
-    * Route 1 runs 1 -> 2 -> 3 -> 4 -> 5 -> 2: its last head within one more
-      segment of 9 is 3 (route 2 runs 3 -> 9); 4 and 5 need three and the
-      final head revisits 2.
+    * Route 1 runs 1 -> 2 -> 3 -> 4 -> 5: its last head within one more
+      segment of 9 is 3 (route 2 runs 3 -> 9); no route leads on from 4 or
+      5, whose arc 5 -> 2 is on no route.
     * Route 3 runs 1 -> 6 -> 7 -> 8 -> 9: in one segment only its last head
       reaches 9.
     * Route 4 runs 1 -> 11 -> 12 -> 9; at 11 the only other entry, route 5,
@@ -103,7 +103,7 @@ def stop_point_network():
     ]
     net = build_network([1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13], arcs)
     routes = [
-        VehicularRoute(1, (1, 2, 3, 4, 5), 5.0),
+        VehicularRoute(1, (1, 2, 3, 4), 5.0),
         VehicularRoute(2, (6,), 5.0),
         VehicularRoute(3, (7, 8, 9, 10), 5.0),
         VehicularRoute(4, (11, 12, 13), 5.0),
@@ -409,7 +409,7 @@ def chain_routes_network(delays, routes, extra_arcs=()):
 
 def looping_city(seed):
     """Seven junctions, dyadic delays that tie often, and routes grown by
-    random walks that may pass a junction, and an arc, more than once."""
+    loop-free random walks over 18 arcs, so that routes often share arcs."""
     rng = random.Random(seed)
     pairs = {(a, b) for a in range(1, 8) for b in range(1, 8) if a != b}
     arcs = [
@@ -420,12 +420,13 @@ def looping_city(seed):
     routes = []
     for route_id in range(1, rng.randint(4, 9)):
         arc = rng.choice(arcs)
-        walk = [arc]
+        walk, visited = [arc], {arc.tail, arc.head}
         for _ in range(rng.randint(0, 6)):
-            onward = [a for a in arcs if a.tail == walk[-1].head]
+            onward = [a for a in arcs if a.tail == walk[-1].head and a.head not in visited]
             if not onward:
                 break
             walk.append(rng.choice(onward))
+            visited.add(walk[-1].head)
         routes.append(VehicularRoute(route_id, tuple(a.id for a in walk), 5.0))
     return net, routes
 
@@ -518,22 +519,17 @@ class TestStretchLabels:
         assert found[FULL_ROUTE, 2, 1, 3] == [((1, 1, 2),)]
 
     def test_route_passing_a_junction_twice(self):
-        # route 1 runs 1 -> 2 -> 3 -> 1 -> 2 -> 4 and so covers arc 1 twice;
-        # its slices 1 -> 2 at positions 1 and 4 differ only in their spans
+        # route 1 would run 1 -> 2 -> 3 -> 1 -> 2 -> 4, covering arc 1 twice;
+        # no index holds it, so the search never meets a looping route
         net, routes = chain_routes_network(
             [0.5, 0.5, 0.5],
             {1: (1, 2, 4, 1, 5), 2: (1,), 3: (5,)},
             [Arc(4, 3, 1, 0.5, 5.0), Arc(5, 2, 4, 0.5, 5.0)],
         )
-        found = self.check(net, routes, [(1, 4), (2, 1), (3, 4), (1, 3)])
-        assert found[FULL_ROUTE, 2, 1, 4] == [
-            ((1, 4, 5),),
-            ((1, 1, 1), (1, 5, 5)),
-            ((1, 1, 1), (3, 1, 1)),
-            ((1, 4, 4), (3, 1, 1)),
-            ((2, 1, 1), (1, 5, 5)),
-            ((2, 1, 1), (3, 1, 1)),
-        ]
+        with pytest.raises(ValidationError, match="^route 1 visits a junction twice$"):
+            RouteIndex(net, routes)
+        with pytest.raises(ValidationError, match="^route 1 visits a junction twice$"):
+            RouteIndex(net, [*routes[1:], VehicularRoute(1, (1, 2, 4), 5.0)])  # 1 -> 2 -> 3 -> 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_looping_routes_and_ties_match_brute_force(self, seed):
@@ -638,6 +634,14 @@ class TestRouteIndexEdges:
         routes = [*s.routes, VehicularRoute(7, (2, 99), 5.0), VehicularRoute(8, (98,), 5.0)]
         with pytest.raises(ValidationError, match="^unknown arc id 99$"):
             RouteIndex(s.network, routes)
+
+    def test_disconnected_route_rejected(self):
+        # arcs 1 -> 2 and 3 -> 4 do not meet, so no path may cross from 2 to 3
+        net = build_network([1, 2, 3, 4], [Arc(1, 1, 2, 1.0, 5.0), Arc(2, 3, 4, 1.0, 5.0)])
+        with pytest.raises(
+            ValidationError, match="^route 7: arc 2 does not start where arc 1 ends$"
+        ):
+            RouteIndex(net, [VehicularRoute(7, (1, 2), 10.0)])
 
     def test_duplicate_route_ids_rejected(self, three_routes_scenario):
         s = three_routes_scenario

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -32,11 +33,10 @@ from venplan import (
     path_economics,
     scenario_hash,
     serialize_scenario,
-    validate_route,
 )
 from venplan.cli import main
 
-from _oracles import reference_parse, reference_serialize
+from _oracles import _reference_invariants, reference_parse, reference_serialize, validate_route
 from conftest import THREE_ROUTES, shift_ids
 
 MINIMAL = """
@@ -377,7 +377,8 @@ BAD_ROUTES = {
 
 
 class TestRouteChecks:
-    """The scenario's all-routes check fails exactly where validate_route does."""
+    """The scenario's and the route index's all-routes check fail exactly
+    where the per-route oracle does."""
 
     @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
     @pytest.mark.parametrize("kind", BAD_ROUTES)
@@ -394,6 +395,82 @@ class TestRouteChecks:
         with pytest.raises(ValidationError) as raised:
             dataclasses.replace(s, network=network, routes=routes)
         assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValidationError) as raised:
+            RouteIndex(network, routes)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("shift", [0, 2**70, -(2**70)])
+    def test_injected_faults_match_the_oracle(self, three_routes_scenario, shift):
+        failing, outranked = 0, 0
+        for seed in range(120):
+            network, routes, faults = faulty_routes(seed)
+            network, routes = shift_ids(network, routes, shift)
+            try:
+                _reference_invariants(network, routes, (), 1.0, math.inf, 0.0)
+                expected = None
+            except ValidationError as exc:
+                expected = str(exc)
+            for build in (
+                lambda: dataclasses.replace(
+                    three_routes_scenario, network=network, routes=tuple(routes), pairs=()
+                ),
+                lambda: RouteIndex(network, routes),
+            ):
+                if expected is None:
+                    build()
+                    continue
+                with pytest.raises(ValidationError) as raised:
+                    build()
+                assert str(raised.value) == expected, (seed, faults)
+            failing += expected is not None
+            outranked += "duplicate-id" in faults and expected != "duplicate route ids"
+        assert failing >= 100 and outranked >= 10, (failing, outranked)
+
+
+ROUTE_FAULTS = (
+    "drop-middle", "swap", "ring", "unknown-arc", "no-arcs",
+    "nan-flow", "negative-flow", "infinite-flow", "duplicate-id",
+)
+FAULT_FLOWS = {"nan-flow": math.nan, "negative-flow": -1.0, "infinite-flow": math.inf}
+
+
+def faulty_routes(seed):
+    """A generated city's network and its routes, shuffled so that input
+    order is not id order, with 1 to 3 faults injected into three of them,
+    and the faults' kinds. Faults often share a route, so the order of the
+    rules counts. A ring closure adds the arc from the route's last head
+    back to its first tail to the network."""
+    rng = random.Random(seed)
+    city = generate_scenario(GeneratorConfig(
+        seed=seed, junction_count=12, arc_count=30, route_count=10, pair_count=1,
+    ))
+    arcs = dict(city.network.arcs)
+    routes = list(city.routes)
+    rng.shuffle(routes)
+    faults = rng.sample(ROUTE_FAULTS, rng.randint(1, 3))
+    targets = rng.sample(range(len(routes)), 3)
+    for fault in faults:
+        i = rng.choice(targets)
+        route = routes[i]
+        members = list(route.arcs)
+        if fault == "drop-middle" and len(members) >= 3:
+            del members[rng.randrange(1, len(members) - 1)]
+        elif fault == "swap" and len(members) >= 2:
+            a, b = rng.sample(range(len(members)), 2)
+            members[a], members[b] = members[b], members[a]
+        elif fault == "ring" and members and all(m in arcs for m in members):
+            closing = Arc(max(arcs) + 1, arcs[members[-1]].head, arcs[members[0]].tail, 0.5)
+            if closing.tail != closing.head:
+                arcs[closing.id] = closing
+                members.append(closing.id)
+        elif fault == "unknown-arc" and members:
+            members[rng.randrange(len(members))] = max(arcs) + 100
+        elif fault == "no-arcs":
+            members = []
+        route_id = routes[(i + 1) % len(routes)].id if fault == "duplicate-id" else route.id
+        routes[i] = VehicularRoute(route_id, tuple(members), FAULT_FLOWS.get(fault, route.flow))
+    network = build_network(city.network.junctions, arcs.values())
+    return network, routes, faults
 
 
 # Mutations of the fixture document, for the parser's differential test.
