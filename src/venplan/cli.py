@@ -203,20 +203,22 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         pairs = list(scenario.pairs)
     index = RouteIndex(scenario.network, scenario.routes)
-    report = []
-    for source, target in pairs:
-        paths = enumerate_paths(index, source, target, config)
+    # every pair is enumerated, and its JSON built, before anything is
+    # printed, so a rejected run prints nothing
+    found = [(s, t, enumerate_paths(index, s, t, config)) for s, t in pairs]
+    if args.output:
+        report = [{"source": s, "target": t, "paths": [_path_to_dict(p) for p in paths]}
+                  for s, t, paths in found]
+        text = _json_text({"provenance": _provenance(scenario), "pairs": report})
+    for source, target, paths in found:
         print(f"{source} -> {target}: {len(paths)} paths")
         for path in paths:
             segs = ", ".join(
                 f"r{seg.route_id}[{seg.start}:{seg.end}]" for seg in path.segments
             )
             print(f"  hops={path.hops} delay={path.delay:g}h via {segs}")
-        report.append({"source": source, "target": target,
-                       "paths": [_path_to_dict(p) for p in paths]})
     if args.output:
-        document = {"provenance": _provenance(scenario), "pairs": report}
-        _write_outputs((args.output, _json_text(document)))
+        _write_outputs((args.output, text))
     return EXIT_OK
 
 

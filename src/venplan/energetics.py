@@ -87,8 +87,9 @@ def _retained(params: EnergyParams, hops: int) -> float:
 
 class PathTable:
     """One pair's ``hops``, ``delays`` and bottleneck ``flows`` as arrays in path
-    order, with the ``distinct_hops`` (ints) that ``hop_index`` maps each path
-    to; none depends on the energy parameters, so a sweep prices one table."""
+    order, read from the numbers each path stores, with the ``distinct_hops``
+    (ints) that ``hop_index`` maps each path to; none depends on the energy
+    parameters, so a sweep prices one table."""
 
     def __init__(self, paths: Sequence[EnergyPath]) -> None:
         n = len(paths)

@@ -12,7 +12,8 @@ valuable paths ahead of any result cap.
 Many routes often share a stretch of road, and which of them carries each
 segment changes neither a path's hop count, nor its delay, nor the junctions
 it visits. So the search runs over stretch sequences and expands their route
-labellings only for the paths it returns.
+labellings only for the paths it returns, each storing the delay and the
+bottleneck flow that the search computed for it.
 
 A route index and a scenario check their routes with one function,
 :func:`read_routes`, so no route the search walks passes a junction twice.
@@ -48,35 +49,26 @@ FULL_ROUTE = "full-route"
 PER_HOP = "per-hop"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyPath:
-    """Chain of route sub-segments carrying energy from source to target."""
+    """Chain of route sub-segments carrying energy from source to target.
+
+    ``delay`` is the propagation time in hours, every member arc delay summed
+    left to right from 0.0, and ``bottleneck_flow`` the smallest segment flow
+    in vehicles per hour, the first of equal ones. :func:`enumerate_paths`
+    stores both as its search computes them.
+    """
 
     source: int
     target: int
     segments: tuple[SubRoute, ...]
+    delay: float
+    bottleneck_flow: float
 
     @property
     def hops(self) -> int:
         """Number of segments, i.e. charge-discharge cycles along the path."""
         return len(self.segments)
-
-    @property
-    def delay(self) -> float:
-        """Propagation time in hours: the sum of all member arc delays.
-
-        Summed left to right from 0.0, like the search's running delay;
-        ``sum()`` rounds differently from Python 3.12 on.
-        """
-        delay = 0.0
-        for seg in self.segments:
-            delay += seg.delay
-        return delay
-
-    @property
-    def bottleneck_flow(self) -> float:
-        """Smallest vehicle flow among the segments, in vehicles per hour."""
-        return min(seg.flow for seg in self.segments)
 
 
 def _is_count(value) -> bool:
@@ -430,7 +422,9 @@ def enumerate_paths(
     are merged by (route ids, spans) up to the cap; without a cap, all of
     them are returned, so they are sorted at once. This is the implicit path
     representation of Eppstein's k-shortest-paths algorithm (1998), applied
-    to parallel route labels.
+    to parallel route labels. Each path stores the group's key as its delay,
+    a left-to-right sum from 0.0 like the fold over its segments, and the
+    running minimum of its walk as its bottleneck flow.
 
     The bound table and the reach are computed for each call from the
     index's flat arrays, for all routes at once. The search itself runs on
@@ -523,7 +517,7 @@ def enumerate_paths(
         return [stretch for stretch in stretches[first:] if stretch[3] is not None]
 
     def segments(sid: int) -> list[tuple]:
-        """``(route id, span, slice, slot, follow)`` of each label of a
+        """``(route id, span, slice, slot, follow, flow)`` of each label of a
         stretch, the first three as 1-tuples, with ``follow`` the slot of
         the slice that would continue it, a sentinel at a run's end. Built
         when a complete sequence first uses the stretch."""
@@ -534,25 +528,28 @@ def enumerate_paths(
             for route_id, n, slot in labels:
                 span = (n, n + arc_count - 1)
                 found.append(((route_id,), (span,), (index.slice(route_id, span),),
-                              slot, slot + arc_count))
+                              slot, slot + arc_count, index.routes[route_id].flow))
         return found
 
     def labellings(seq: tuple[int, ...]):
         """Every labelling of a stretch sequence that continues no route, as
-        ``(route ids, spans, segments)`` rows in route-id order, from one
-        depth-first walk on its own stack; a dead-end prefix yields nothing."""
+        ``(route ids, spans, segments, bottleneck flow)`` rows in route-id
+        order, from one depth-first walk on its own stack; a dead-end prefix
+        yields nothing. The flow is a running minimum down the stack that
+        keeps the first of equal flows, as ``min`` does."""
         lists = [segments(sid) for sid in seq]
-        stack = [((), (), (), None, iter(lists[0]))]
+        stack = [((), (), (), None, math.inf, iter(lists[0]))]
         while stack:
-            ids, spans, segs, follow, labels = stack[-1]
-            for route_id, span, seg, slot, next_follow in labels:
+            ids, spans, segs, follow, least, labels = stack[-1]
+            for route_id, span, seg, slot, next_follow, flow in labels:
                 if slot == follow:
                     continue  # it would continue the previous segment
+                flow = flow if flow < least else least
                 if len(stack) < len(lists):
                     stack.append((ids + route_id, spans + span, segs + seg,
-                                  next_follow, iter(lists[len(stack)])))
+                                  next_follow, flow, iter(lists[len(stack)])))
                     break
-                yield ids + route_id, spans + span, segs + seg
+                yield ids + route_id, spans + span, segs + seg, flow
             else:
                 stack.pop()
 
@@ -571,8 +568,8 @@ def enumerate_paths(
                 ordered, room = sorted(itertools.chain(*map(labellings, group))), None
             else:
                 ordered, room = heapq.merge(*map(labellings, group)), max_paths - len(results)
-            results += [EnergyPath(source, target, segs)
-                        for _, _, segs in itertools.islice(ordered, room)]
+            results += [EnergyPath(source, target, segs, delay, flow)
+                        for _, _, segs, flow in itertools.islice(ordered, room)]
             if len(results) == max_paths:
                 return results
             continue

@@ -3,7 +3,9 @@
 The route oracle ``validate_route`` checks one route at a time, arc by arc,
 where the library's ``read_routes`` checks all routes at once. The slice
 oracle ``sub_route`` builds one route slice by reading each member arc from
-the network, independently of ``RouteIndex.slice``. The path
+the network, independently of ``RouteIndex.slice``. The path builder
+``energy_path`` folds a segment chain's delay and bottleneck flow, which the
+search stores as it computes them. The path
 oracle materializes every sub-route up front and recursively tries all
 concatenations; the LP oracle enumerates candidate vertices from all
 n-subsets of the active constraint set. Both are deliberately brute force
@@ -32,7 +34,8 @@ The library's fixed-layout writer and bulk-checked parser must match them
 byte for byte and message for message.
 
 The remaining helpers check or re-read library output: ``validate_path``
-names the first construction rule a path breaks, ``path_loss`` and
+names the first construction rule a path breaks, then checks its stored
+numbers against ``energy_path``'s fold, ``path_loss`` and
 ``source_injection`` account one path's energy, and ``read_sweep_csv``
 parses a sweep CSV back into floats.
 """
@@ -178,6 +181,15 @@ def sub_route(network, route, n, m):
     )
 
 
+def energy_path(source, target, segments):
+    """The path of ``segments``, with its delay summed left to right from 0.0
+    and its bottleneck flow the first least segment flow."""
+    delay = 0.0
+    for seg in segments:
+        delay += seg.delay
+    return EnergyPath(source, target, tuple(segments), delay, min(s.flow for s in segments))
+
+
 def materialized_sub_routes(network, routes, mode):
     segments = []
     for route in routes:
@@ -201,9 +213,7 @@ def brute_force_paths(network, routes, source, target, max_hops, mode="full-rout
     def extend(chain, visited):
         here = chain[-1].exit if chain else source
         if chain and here == target:
-            results.append(
-                EnergyPath(source=source, target=target, segments=tuple(chain))
-            )
+            results.append(energy_path(source, target, chain))
             return
         if len(chain) >= max_hops:
             return
@@ -661,7 +671,7 @@ def reference_parse(text):
 class PathViolation:
     """Names the first condition an invalid path breaks."""
 
-    condition: str  # "segment" | "source" | "target" | "chaining" | "loop"
+    condition: str  # "segment" | "source" | "target" | "chaining" | "loop" | "numbers"
     detail: str
 
 
@@ -683,7 +693,8 @@ def validate_path(path, network, routes) -> Optional[PathViolation]:
     Conditions, in the order they are reported: every segment is a genuine
     slice of a declared route; the first segment starts at the path source;
     the last segment ends at the target; each segment starts where the
-    previous one ended; no junction is visited twice.
+    previous one ended; no junction is visited twice; the stored delay and
+    bottleneck flow equal ``energy_path``'s fold bit for bit.
     """
     route_map = {r.id: r for r in routes}
     for seg in path.segments:
@@ -714,6 +725,11 @@ def validate_path(path, network, routes) -> Optional[PathViolation]:
     seq = junction_sequence(path, network, route_map)
     if len(set(seq)) != len(seq):
         return PathViolation("loop", "path visits a junction twice")
+    fold = energy_path(path.source, path.target, path.segments)
+    if (path.delay.hex(), path.bottleneck_flow.hex()) != (
+        fold.delay.hex(), fold.bottleneck_flow.hex()
+    ):
+        return PathViolation("numbers", "stored delay or bottleneck flow is not the fold")
     return None
 
 

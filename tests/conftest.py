@@ -12,13 +12,12 @@ import venplan
 import venplan.paths
 from venplan import (
     Arc,
-    EnergyPath,
     VehicularRoute,
     build_network,
     parse_scenario,
 )
 
-from _oracles import sub_route
+from _oracles import energy_path, sub_route
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 THREE_ROUTES = FIXTURE_DIR / "three_routes.json"
@@ -108,7 +107,7 @@ def single_arc_path(seg_delays, seg_flows):
     segments = tuple(
         sub_route(network, routes[i], 1, 1) for i in range(n)
     )
-    return EnergyPath(source=1, target=n + 1, segments=segments), network, routes
+    return energy_path(1, n + 1, segments), network, routes
 
 
 def shift_ids(net, routes, shift):

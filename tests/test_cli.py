@@ -591,6 +591,16 @@ def _overflowing_delays(doc):
     doc["pairs"] = [[1, 3]]
 
 
+def _overflowing_second_pair(doc):
+    # pair 1 -> 2 has a path; every path from 3 to 5 takes 1e308 + 1e308 hours
+    doc["network"] = {"junctions": [1, 2, 3, 4, 5], "arcs": [
+        {"id": i, "tail": tail, "head": tail + 1, "delay": delay, "flow": 10.0, "length": 1.0}
+        for i, (tail, delay) in enumerate(((1, 1.0), (3, 1e308), (4, 1e308)), 1)
+    ]}
+    doc["routes"] = [{"id": i, "arcs": [i], "flow": 10.0} for i in (1, 2, 3)]
+    doc["pairs"] = [[1, 2], [3, 5]]
+
+
 def _infinite_rate(doc):
     # route 1's packet rate overflows to inf, but the 1 h window is shorter than
     # every path's delay, so every capacity and total is 0
@@ -643,6 +653,20 @@ class TestNonFiniteInput:
         # nothing but the error line: no warning from numpy either
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+    @pytest.mark.parametrize("command", ["enumerate", "solve"])
+    def test_a_later_failing_pair_prints_nothing(self, tmp_path, command):
+        # the first pair's paths are found before the second pair fails
+        doc = json.loads(THREE_ROUTES.read_text())
+        _overflowing_second_pair(doc)
+        scenario = tmp_path / "spoiled.json"
+        scenario.write_text(json.dumps(doc))
+        proc = run_module(command, str(scenario))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: path delays to junction 5 overflow; the arc delays are too large\n"
+        )
 
     def test_non_finite_json_number_writes_no_file(self, tmp_path):
         doc = json.loads(THREE_ROUTES.read_text())

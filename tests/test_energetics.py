@@ -10,8 +10,10 @@ from venplan import (
     EnumerationConfig,
     GeneratorConfig,
     PathTable,
+    PER_HOP,
     RouteIndex,
     ValidationError,
+    VehicularRoute,
     enumerate_paths,
     generate_scenario,
     path_economics,
@@ -19,7 +21,7 @@ from venplan import (
 
 from _oracles import loss_factor, max_transferable, path_loss, source_injection
 from _oracles import path_economics as oracle_economics
-from conftest import single_arc_path
+from conftest import chain_network, single_arc_path
 
 
 def params(z=0.9, w=0.1, window=5.0):
@@ -65,23 +67,33 @@ class TestEnergyParams:
 
 
 class TestPathDelay:
+    """The delay an enumerated path stores is the sum of its arc delays."""
+
     def test_single_arc(self):
-        path, _, _ = single_arc_path([1.5], [100.0])
+        index = RouteIndex(chain_network([1.5]), [VehicularRoute(1, (1,), 100.0)])
+        (path,) = enumerate_paths(index, 1, 2, EnumerationConfig())
         assert path.delay == 1.5
 
     def test_additivity(self):
-        path, _, _ = single_arc_path([2.0, 3.0], [100.0, 100.0])
-        assert path.delay == 5.0
+        routes = [VehicularRoute(1, (1,), 100.0), VehicularRoute(2, (2,), 100.0)]
+        index = RouteIndex(chain_network([2.0, 3.0]), routes)
+        (path,) = enumerate_paths(index, 1, 3, EnumerationConfig())
+        assert path.hops == 2 and path.delay == 5.0
 
     def test_equals_flattened_arc_sum(self, three_routes_scenario):
+        # bit for bit: one left-to-right sum from 0.0 over the path's arcs
         s = three_routes_scenario
         routes = {r.id: r for r in s.routes}
-        for path in enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration):
-            flat = 0.0
-            for seg in path.segments:
-                for arc_id in routes[seg.route_id].arcs[seg.start - 1 : seg.end]:
-                    flat += s.network.arc(arc_id).delay
-            assert path.delay == pytest.approx(flat, rel=1e-12)
+        index = RouteIndex(s.network, s.routes)
+        for config in (s.enumeration, EnumerationConfig(mode=PER_HOP)):
+            found = enumerate_paths(index, 1, 4, config)
+            assert found, config
+            for path in found:
+                flat = 0.0
+                for seg in path.segments:
+                    for arc_id in routes[seg.route_id].arcs[seg.start - 1 : seg.end]:
+                        flat += s.network.arc(arc_id).delay
+                assert path.delay.hex() == flat.hex(), path
 
 
 class TestMaxRate:

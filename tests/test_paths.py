@@ -1,4 +1,8 @@
+import contextlib
 import dataclasses
+import hashlib
+import io
+import json
 import math
 import random
 
@@ -24,10 +28,12 @@ from venplan import (
     build_network,
     enumerate_paths,
     generate_scenario,
+    parse_scenario,
 )
 
 from _oracles import (
     brute_force_paths,
+    energy_path,
     reference_bound_table,
     reference_reach,
     sub_route,
@@ -256,19 +262,19 @@ class TestEnumerationProperties:
                                 assert capped == expected[:cap], (seed, hops, mode, s, t, cap)
 
     def test_delay_is_a_left_to_right_fold(self):
-        # sum() rounds differently from Python 3.12 on; the path delay must
-        # not depend on the interpreter
+        # the stored delay is the search's key, summed left to right from 0.0
+        # (sum() rounds differently from Python 3.12 on), and the stored flow
+        # its labelling walk's running minimum; both must equal the fold
         for seed in range(1, 13):
             scenario = generate_scenario(small_config(seed))
             net, routes = scenario.network, scenario.routes
-            max_hops = scenario.enumeration.max_hops
-            for s in sorted(net.junctions):
-                for t in sorted(net.junctions - {s}):
-                    for path in brute_force_paths(net, routes, s, t, max_hops):
-                        fold = 0.0
-                        for seg in path.segments:
-                            fold += seg.delay
-                        assert path.delay == fold, (seed, s, t)
+            index = RouteIndex(net, routes)
+            for mode in (FULL_ROUTE, PER_HOP):
+                config = dataclasses.replace(scenario.enumeration, mode=mode)
+                for s in sorted(net.junctions):
+                    for t in sorted(net.junctions - {s}):
+                        for path in enumerate_paths(index, s, t, config):
+                            assert validate_path(path, net, routes) is None, (seed, s, t)
 
     def test_fewest_segments_slower_than_more_segments(self):
         # the search bound must account for the faster completions that each
@@ -619,7 +625,9 @@ def unshift_path(path, shift):
         )
         for s in path.segments
     )
-    return EnergyPath(path.source - shift, path.target - shift, segments)
+    return dataclasses.replace(
+        path, source=path.source - shift, target=path.target - shift, segments=segments
+    )
 
 
 class TestRouteIndexEdges:
@@ -799,6 +807,65 @@ class TestDelayOverflow:
         assert not any(map(math.isnan, partial_delays))
 
 
+def signed_zero_document(three_routes_text):
+    """The three-route scenario's document with routes of flow 0.0 and -0.0
+    and arcs of delay -0.0 in place of its network, routes and pairs."""
+    doc = json.loads(three_routes_text)
+    arcs = [(1, 2, -0.0), (2, 3, -0.0), (3, 4, 0.5), (1, 3, 0.25), (2, 4, -0.0),
+            (4, 5, -0.0), (3, 5, 0.75)]
+    doc["network"] = {"junctions": [1, 2, 3, 4, 5], "arcs": [
+        {"id": i, "tail": tail, "head": head, "delay": delay, "flow": 1.0, "length": 1.0}
+        for i, (tail, head, delay) in enumerate(arcs, 1)
+    ]}
+    routes = [((1, 2), 0.0), ((3, 6), -0.0), ((4, 3), -0.0), ((1, 5, 6), 0.0),
+              ((2, 7), 2.0), ((5,), -0.0), ((4, 7), 0.0)]
+    doc["routes"] = [{"id": i, "arcs": list(arcs), "flow": flow}
+                     for i, (arcs, flow) in enumerate(routes, 1)]
+    doc["pairs"] = [[1, 4], [1, 5], [2, 5]]
+    doc["enumeration"] = {"max_hops": 4, "max_paths": None, "mode": FULL_ROUTE}
+    return doc
+
+
+class TestSignedZeros:
+    """Zero flows of either sign and -0.0 arc delays pass the route check; the
+    stored numbers keep the fold's bits, and min's first-minimum rule picks
+    the sign of a zero bottleneck."""
+
+    def test_stored_numbers_are_the_fold(self, three_routes_text):
+        s = parse_scenario(json.dumps(signed_zero_document(three_routes_text)))
+        index = RouteIndex(s.network, s.routes)
+        signs = set()
+        for mode in (FULL_ROUTE, PER_HOP):
+            config = dataclasses.replace(s.enumeration, mode=mode)
+            for source, target in s.pairs:
+                found = enumerate_paths(index, source, target, config)
+                assert found == brute_force_paths(s.network, s.routes, source, target, 4, mode)
+                for path in found:
+                    assert validate_path(path, s.network, s.routes) is None, path
+                    zeros = [math.copysign(1.0, g.flow) for g in path.segments if g.flow == 0]
+                    if len(set(zeros)) == 2:
+                        signs.add((zeros[0], math.copysign(1.0, path.bottleneck_flow)))
+        # paths over zeros of both signs, in both orders, each taking its
+        # first zero's sign
+        assert signs == {(1.0, 1.0), (-1.0, -1.0)}
+
+    @pytest.mark.parametrize("mode, digest", [
+        (FULL_ROUTE, "b8e7db3921d77afdc886f5d6b89798aa19088d70bc970e6d69c5a74fba41c9c6"),
+        (PER_HOP, "5b66c5bf446a4e429e4c0bb1799c03d7ff28c5f2372433625a7c1031618ced5e"),
+    ])
+    def test_enumerate_json(self, three_routes_text, tmp_path, mode, digest):
+        # digests computed when paths folded their numbers on every read
+        scenario = tmp_path / "zeros.json"
+        scenario.write_text(json.dumps(signed_zero_document(three_routes_text)))
+        out = tmp_path / "paths.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            argv = ["enumerate", str(scenario), "--mode", mode, "-o", str(out)]
+            assert venplan.cli.main(argv) == 0
+        text = out.read_text()
+        assert '"bottleneck_flow": -0.0' in text and '"bottleneck_flow": 0.0' in text
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestSharedRouteIndex:
     """One index serves every search over its routes, in both modes."""
 
@@ -912,7 +979,7 @@ class TestValidatePath:
     def test_source_violation_reported_first(self, three_routes_scenario):
         s = three_routes_scenario
         p1 = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)[1]
-        swapped = EnergyPath(source=1, target=4, segments=p1.segments[::-1])
+        swapped = energy_path(1, 4, p1.segments[::-1])
         violation = validate_path(swapped, s.network, s.routes)
         assert violation is not None and violation.condition == "source"
 
@@ -923,18 +990,14 @@ class TestValidatePath:
             sub_route(s.network, routes[3], 1, 1),  # 1 -> 2
             sub_route(s.network, routes[2], 2, 2),  # 3 -> 4: gap at 2 vs 3
         )
-        violation = validate_path(
-            EnergyPath(source=1, target=4, segments=segments), s.network, s.routes
-        )
+        violation = validate_path(energy_path(1, 4, segments), s.network, s.routes)
         assert violation is not None and violation.condition == "chaining"
 
     def test_target_violation(self, three_routes_scenario):
         s = three_routes_scenario
         routes = {r.id: r for r in s.routes}
         segments = (sub_route(s.network, routes[3], 1, 2),)  # ends at 5, not 4
-        violation = validate_path(
-            EnergyPath(source=1, target=4, segments=segments), s.network, s.routes
-        )
+        violation = validate_path(energy_path(1, 4, segments), s.network, s.routes)
         assert violation is not None and violation.condition == "target"
 
     def test_loop_violation(self):
@@ -954,19 +1017,17 @@ class TestValidatePath:
             sub_route(net, routes[0], 1, 2),  # 1 -> 3 via 2
             sub_route(net, routes[1], 1, 2),  # 3 -> 4 via 2 again
         )
-        violation = validate_path(
-            EnergyPath(source=1, target=4, segments=segments), net, routes
-        )
+        violation = validate_path(energy_path(1, 4, segments), net, routes)
         assert violation is not None and violation.condition == "loop"
 
     def test_segment_integrity_checked(self, three_routes_scenario):
         s = three_routes_scenario
         genuine = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)[0]
         seg = genuine.segments[0]
-        forged = EnergyPath(
-            source=1,
-            target=4,
-            segments=(type(seg)(
+        forged = energy_path(
+            1,
+            4,
+            (type(seg)(
                 route_id=seg.route_id,
                 start=seg.start,
                 end=seg.end,
@@ -981,8 +1042,19 @@ class TestValidatePath:
 
     def test_empty_path_is_invalid(self, three_routes_scenario):
         s = three_routes_scenario
-        violation = validate_path(EnergyPath(1, 4, ()), s.network, s.routes)
+        violation = validate_path(EnergyPath(1, 4, (), 0.0, 0.0), s.network, s.routes)
         assert violation is not None and violation.condition == "source"
+
+    def test_stored_numbers_checked_bit_for_bit(self, three_routes_scenario):
+        s = three_routes_scenario
+        genuine = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)[0]
+        assert validate_path(genuine, s.network, s.routes) is None
+        for forged in (
+            dataclasses.replace(genuine, delay=math.nextafter(genuine.delay, 0.0)),
+            dataclasses.replace(genuine, bottleneck_flow=genuine.bottleneck_flow + 1.0),
+        ):
+            violation = validate_path(forged, s.network, s.routes)
+            assert violation is not None and violation.condition == "numbers"
 
 
 class TestEnumerationConfig:

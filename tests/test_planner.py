@@ -14,7 +14,6 @@ from venplan import (
     OPTIMAL,
     Arc,
     EnergyParams,
-    EnergyPath,
     EnumerationConfig,
     GeneratorConfig,
     PathTable,
@@ -31,7 +30,7 @@ from venplan import (
 )
 
 from _oracles import (
-    lp_assign, path_economics, reference_fill, reference_plan, sub_route,
+    energy_path, lp_assign, path_economics, reference_fill, reference_plan, sub_route,
     vertex_enumeration_lp,
 )
 from _properties import check_tradeoff_properties
@@ -455,7 +454,7 @@ class TestPlanEquality:
         network = build_network([1, 2], [Arc(id=1, tail=1, head=2, delay=1.0)])
         routes = [VehicularRoute(id=i, arcs=(1,), flow=100.0) for i in (1, 2)]
         return [
-            EnergyPath(1, 2, (sub_route(network, r, 1, 1),)) for r in routes
+            energy_path(1, 2, (sub_route(network, r, 1, 1),)) for r in routes
         ]
 
     def test_equal_totals_different_energies_compare_unequal(self):
