@@ -11,7 +11,7 @@ the packet rate the slowest segment's vehicle flow can sustain.
 A :class:`PathTable` reads what pricing needs of one pair's paths, once;
 :func:`path_economics`, the one pricing function, prices a whole table into
 rate, capacity and loss-factor arrays, from one z**k per distinct hop count,
-which only :func:`_retained` computes.
+which only :func:`_retained` computes, exactly and without libm.
 
 All quantities use kWh, hours, and vehicles per hour.
 """
@@ -73,10 +73,13 @@ class EnergyParams:
 def _retained(params: EnergyParams, hops: int) -> float:
     """z**hops, the fraction of injected energy that arrives.
 
-    Raises ValidationError when it underflows to zero: nothing would arrive,
-    and the energy to inject per unit delivered would be unbounded.
+    Integer true division rounds the exact power once, as
+    ``float(Fraction(z) ** hops)`` does and libm's ``pow`` need not, so z**k
+    never rises with k. Raises ValidationError when it underflows to zero:
+    nothing would arrive, and the energy to inject per unit would be unbounded.
     """
-    retained = params.round_trip_efficiency**hops
+    numerator, denominator = params.round_trip_efficiency.as_integer_ratio()
+    retained = numerator**hops / denominator**hops
     if retained == 0.0:
         raise ValidationError(
             f"round-trip efficiency {params.round_trip_efficiency!r} leaves no "
@@ -86,15 +89,16 @@ def _retained(params: EnergyParams, hops: int) -> float:
 
 
 class PathTable:
-    """One pair's ``hops``, ``delays`` and bottleneck ``flows`` as arrays in path
-    order, read from the numbers each path stores, with the ``distinct_hops``
-    (ints) that ``hop_index`` maps each path to; none depends on the energy
-    parameters, so a sweep prices one table."""
+    """One pair's ``delays`` and bottleneck ``flows`` as arrays in path order,
+    read from the numbers each path stores, with the ``distinct_hops`` (ints)
+    that ``hop_index`` maps each path to; none depends on the energy
+    parameters, so a sweep prices one table. The search emits paths in
+    ascending hop count, so their loss factors come out non-decreasing."""
 
     def __init__(self, paths: Sequence[EnergyPath]) -> None:
         n = len(paths)
-        self.hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
-        distinct, self.hop_index = np.unique(self.hops, return_inverse=True)
+        hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
+        distinct, self.hop_index = np.unique(hops, return_inverse=True)
         self.distinct_hops = distinct.tolist()
         self.delays = np.fromiter((p.delay for p in paths), dtype=float, count=n)
         self.flows = np.fromiter((p.bottleneck_flow for p in paths), dtype=float, count=n)
@@ -112,10 +116,10 @@ def path_economics(
     path's delay leaves no capacity at all. Its loss factor, the energy lost
     per unit delivered, is ``1 / z**hops - 1``.
 
-    z**k is evaluated once per distinct hop count k, in Python floats,
-    because numpy's SIMD power may round differently; both the capacities
-    and the loss factors take it from there. Overflow leaves inf or nan in
-    the arrays without a warning; the planner rejects non-finite capacities.
+    z**k is evaluated once per distinct hop count k, correctly rounded, by
+    :func:`_retained`; both the capacities and the loss factors take it
+    from there. Overflow leaves inf or nan in the arrays without a warning;
+    the planner rejects non-finite capacities.
     """
     retained_k = [_retained(params, k) for k in table.distinct_hops]
     retained = np.array(retained_k)[table.hop_index]

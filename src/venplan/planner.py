@@ -4,9 +4,9 @@ Fixing every path's rate at its flow-limited maximum can only enlarge the
 feasible energies, so both planning problems reduce to one-constraint
 fractional knapsacks over the per-path delivered energies: maximize total
 delivered energy subject to a loss budget, or meet a delivery floor at
-minimum total loss. A greedy fill in ascending per-unit-loss order solves
-either exactly, so it is the only solver; the tests check it against a
-general LP solver and a vertex-enumeration oracle.
+minimum total loss. A greedy fill in ascending per-unit-loss order, ties in
+path order, solves either exactly, so it is the only solver; the tests check
+it against a general LP solver and a vertex-enumeration oracle.
 
 A plan is plain data: the energy each path delivers, in the order the paths
 were given, plus the two totals and a status. :func:`solve` plans one pair
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -65,31 +65,24 @@ class TransferPlan:
     status: str  # "optimal" | "infeasible"
 
 
-def _check_instance(capacities, loss_factors, hops=None) -> tuple[np.ndarray, ...]:
+def _check_instance(capacities, loss_factors) -> tuple[np.ndarray, np.ndarray]:
     caps = np.asarray(capacities, dtype=float)
     lams = np.asarray(loss_factors, dtype=float)
     if caps.shape != lams.shape or caps.ndim != 1:
         raise ValidationError("capacities and loss factors must be equal-length vectors")
-    tie_hops = np.zeros(caps.size, dtype=np.int64) if hops is None else np.asarray(hops)
-    if tie_hops.shape != caps.shape:
-        raise ValidationError("hops must have one entry per capacity")
     if not (np.all(np.isfinite(caps)) and np.all(np.isfinite(lams))):
         raise ValidationError("capacities and loss factors must be finite")
     if np.any(caps < 0) or np.any(lams < 0):
         raise ValidationError("capacities and loss factors must be nonnegative")
-    return caps, lams, tie_hops
+    return caps, lams
 
 
 def knapsack_assign(
-    capacities,
-    loss_factors,
-    objective: str,
-    bound: float,
-    hops: Optional[Sequence[int]] = None,
+    capacities, loss_factors, objective: str, bound: float
 ) -> tuple[np.ndarray, str]:
     """Greedy fill in ascending loss-factor order; exact for both objectives.
 
-    Paths tie-break on fewer hops, then input order. ``bound`` is the loss
+    Ties keep the given order, the sort being stable. ``bound`` is the loss
     cap (max-energy, may be inf) or the delivery floor (min-loss, finite).
     One fill serves both: each path spends ``cost x capacity`` of what is
     left of ``bound``, or all of it at ``left / cost``, where ``cost`` is its
@@ -97,7 +90,7 @@ def knapsack_assign(
     every path. Returns the energy vector and a plan status; an unreachable
     floor yields the fully saturated vector with status "infeasible".
     """
-    caps, lams, tie_hops = _check_instance(capacities, loss_factors, hops)
+    caps, lams = _check_instance(capacities, loss_factors)
     n = caps.size
     if objective == MAX_ENERGY:
         if not bound >= 0:
@@ -115,7 +108,7 @@ def knapsack_assign(
         costs = np.ones(n)
     else:
         raise ValidationError(f"unknown objective {objective!r}")
-    order = np.lexsort((np.arange(n), tie_hops, lams))
+    order = np.argsort(lams, kind="stable")
     cost, cap = costs[order], caps[order]
     with np.errstate(over="ignore"):
         spend = cost * cap
@@ -154,7 +147,7 @@ def solve(
         raise ValidationError("penetration must be within [0, 1]")
     bound = loss_cap if objective == MAX_ENERGY else delivery_floor
     _, caps, lams = path_economics(table, params, penetration)
-    x, status = knapsack_assign(caps, lams, objective, bound, table.hops)
+    x, status = knapsack_assign(caps, lams, objective, bound)
     with np.errstate(over="ignore"):  # summed in sequence from 0.0, unlike np.sum
         sums = [np.add.accumulate(np.append(0.0, v))[-1] for v in (x, lams * x)]
     transferred, loss = map(float, sums)

@@ -396,10 +396,10 @@ class GeneratorConfig:
 
 def _grow_route(
     rng: random.Random, out_arcs: dict[int, list[Arc]], start: int, cap: float
-) -> list[int]:
+) -> list[Arc]:
     """Random loop-free walk from ``start`` over ``out_arcs``, under the length cap."""
     visited = {start}
-    arcs: list[int] = []
+    arcs: list[Arc] = []
     length = 0.0
     here = start
     while True:
@@ -411,7 +411,7 @@ def _grow_route(
         if not options:
             return arcs
         arc = rng.choice(options)
-        arcs.append(arc.id)
+        arcs.append(arc)
         visited.add(arc.head)
         length += arc.length
         here = arc.head
@@ -468,8 +468,9 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
     if not starts:
         raise ValidationError("no junction has an outgoing arc")
     routes: list[VehicularRoute] = []
+    members: list[Arc] = []  # every route's arcs, for the pair candidates
     for route_id in range(1, config.route_count + 1):
-        walk: list[int] = []
+        walk: list[Arc] = []
         for _ in range(100):
             walk = _grow_route(rng, out_arcs, rng.choice(starts), config.max_route_length)
             if walk:
@@ -479,13 +480,14 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
                 "could not grow a route within the length cap; "
                 f"arcs are {LENGTH_RANGE[0]:g} to {LENGTH_RANGE[1]:g} km long"
             )
-        flow = min(network.arc(a).flow for a in walk)
-        routes.append(VehicularRoute(id=route_id, arcs=tuple(walk), flow=flow))
+        flow = min([a.flow for a in walk])
+        routes.append(VehicularRoute(route_id, tuple([a.id for a in walk]), flow))
+        members += walk
 
     index = RouteIndex(network, routes)
     probe = replace(config.enumeration, max_paths=1)
-    sources = sorted({network.arc(a).tail for r in routes for a in r.arcs})
-    targets = sorted({network.arc(a).head for r in routes for a in r.arcs})
+    sources = sorted({a.tail for a in members})
+    targets = sorted({a.head for a in members})
     pairs: list[tuple[int, int]] = []
     chosen: set[tuple[int, int]] = set()
     attempts = 0

@@ -345,13 +345,12 @@ def vertex_enumeration_lp(c, a_ub, b_ub, lower, upper, maximize=True, tol=1e-9):
     return "optimal", best_x, best_val
 
 
-def reference_fill(capacities, loss_factors, objective, bound, hops=None):
-    """Greedy knapsack fill over paths sorted by (loss factor, hops, index)."""
+def reference_fill(capacities, loss_factors, objective, bound):
+    """Greedy knapsack fill over paths sorted by loss factor, ties in index order."""
     caps = np.asarray(capacities, dtype=float)
     lams = np.asarray(loss_factors, dtype=float)
     n = caps.size
-    tie_hops = [0] * n if hops is None else list(hops)
-    order = sorted(range(n), key=lambda j: (lams[j], tie_hops[j], j))
+    order = sorted(range(n), key=lambda j: (lams[j], j))
     x = np.zeros(n)
     if objective == MAX_ENERGY:
         budget = bound
@@ -388,7 +387,7 @@ def reference_fill(capacities, loss_factors, objective, bound, hops=None):
 
 def lp_assign(capacities, loss_factors, objective, bound):
     """Solve a knapsack instance of :func:`venplan.knapsack_assign` as an LP."""
-    caps, lams, _ = _check_instance(capacities, loss_factors)
+    caps, lams = _check_instance(capacities, loss_factors)
     n = caps.size
     if objective == MAX_ENERGY:
         if not bound >= 0:
@@ -435,11 +434,8 @@ def reference_plan(
         return TransferPlan((), 0.0, 0.0, status)
     caps = [e.capacity for e in econ]
     lams = [e.loss_factor for e in econ]
-    hops = [e.path.hops for e in econ]
-    if lp:
-        x, status = lp_assign(caps, lams, objective, bound)
-    else:
-        x, status = reference_fill(caps, lams, objective, bound, hops)
+    fill = lp_assign if lp else reference_fill
+    x, status = fill(caps, lams, objective, bound)
     energies = tuple(float(v) for v in x)
     transferred = 0.0
     loss = 0.0

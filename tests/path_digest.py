@@ -1,30 +1,42 @@
-"""Print the path count and one SHA-256 over every path of a fixed workload.
+"""Print one SHA-256 over every path of a fixed workload, and one over their fills.
 
-Run it before and after a change to the path search: equal lines mean
-byte-identical paths. It is not a pytest module and takes no options:
+Run it before and after a change to the path search or the planner: equal
+lines mean byte-identical paths and plans. It is not a pytest module and
+takes no options:
 
     PYTHONPATH=src python tests/path_digest.py
 
 The workload is 40 generated cities (14 junctions, 28 arcs, 24 routes and
 4 pairs each; seeds 1 to 40), each pair and its reverse, in both modes, with
-``max_hops`` 1, 2, 4 and 6 and result caps None, 1, 3 and 17. The digest
-covers each path's hops, delay and bottleneck flow, and each segment's
-route, span, entry, exit, delay and flow, with every float as ``float.hex``.
-It takes a few minutes.
+``max_hops`` 1, 2, 4 and 6 and result caps None, 1, 3 and 17. The first
+line counts the paths and digests each path's hops, delay and bottleneck
+flow, and each segment's route, span, entry, exit, delay and flow. The
+second digests the plans ``solve`` makes of every non-empty path list at
+the 19 sweep-grid efficiencies 0.05 to 0.95 and at 1.0: max-energy under
+half the uncapped loss and min-loss under half the total capacity, both of
+which bind. Every float is hashed as ``float.hex``. It takes a few minutes.
 """
 
 import hashlib
 import itertools
+import math
 
 from venplan import (
     FULL_ROUTE,
+    MAX_ENERGY,
+    MIN_LOSS,
     PER_HOP,
+    EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
+    PathTable,
     RouteIndex,
     enumerate_paths,
     generate_scenario,
+    solve,
 )
+
+Z_VALUES = tuple(v / 20 for v in range(1, 20)) + (1.0,)
 
 
 def path_record(path) -> bytes:
@@ -36,8 +48,27 @@ def path_record(path) -> bytes:
     return repr(fields).encode() + b"\n"
 
 
+def fill_records(city, paths):
+    """The plans of one path list, one record per (z, objective)."""
+    table = PathTable(paths)
+    for z in Z_VALUES:
+        params = EnergyParams.with_round_trip(city.params.packet_size, z, city.params.window)
+        uncapped = solve(table, params, MAX_ENERGY, math.inf, 0.0, city.penetration)
+        for objective, cap, floor in (
+            (MAX_ENERGY, 0.5 * uncapped.loss, 0.0),
+            (MIN_LOSS, math.inf, 0.5 * uncapped.transferred),
+        ):
+            plan = solve(table, params, objective, cap, floor, city.penetration)
+            fields = (
+                z.hex(), objective, plan.status, plan.transferred.hex(), plan.loss.hex(),
+                tuple(x.hex() for x in plan.energies),
+            )
+            yield repr(fields).encode() + b"\n"
+
+
 def main() -> None:
     digest, count = hashlib.sha256(), 0
+    fills = hashlib.sha256()
     for seed in range(1, 41):
         city = generate_scenario(GeneratorConfig(
             seed=seed, junction_count=14, arc_count=28, route_count=24, pair_count=4,
@@ -49,10 +80,15 @@ def main() -> None:
         ):
             config = EnumerationConfig(max_hops=max_hops, max_paths=cap, mode=mode)
             for source, target in pairs:
-                for path in enumerate_paths(index, source, target, config):
+                paths = enumerate_paths(index, source, target, config)
+                for path in paths:
                     digest.update(path_record(path))
                     count += 1
+                if paths:
+                    for record in fill_records(city, paths):
+                        fills.update(record)
     print(f"{count} paths sha256 {digest.hexdigest()}")
+    print(f"fills sha256 {fills.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -153,7 +153,7 @@ def test_criterion_3_solver_equivalence():
         )
         floor = float(rng.uniform(0.0, 1.2 * caps.sum()))
         for objective, bound in ((MAX_ENERGY, cap), (MIN_LOSS, floor)):
-            g, gs = knapsack_assign(caps, lams, objective, bound, hops)
+            g, gs = knapsack_assign(caps, lams, objective, bound)
             l, ls = lp_assign(caps, lams, objective, bound)
             if gs != ls:
                 failures.append(f"trial {trial} {objective}: status {gs} vs {ls}")

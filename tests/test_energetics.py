@@ -1,11 +1,13 @@
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from venplan import (
+    FULL_ROUTE,
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
@@ -18,6 +20,7 @@ from venplan import (
     generate_scenario,
     path_economics,
 )
+from venplan.energetics import _retained
 
 from _oracles import loss_factor, max_transferable, path_loss, source_injection
 from _oracles import path_economics as oracle_economics
@@ -248,6 +251,16 @@ class TestPathEconomics:
         with pytest.raises(ValidationError, match="leaves no energy after 2 cycles"):
             path_economics(PathTable([path]), params(z=1e-200))
 
+    def test_retention_is_the_correctly_rounded_power(self):
+        # glibc 2.36's pow misrounds each of these z**k by one unit in the last place
+        for z, k, want in (
+            (0.7811811590022962, 4, "0x1.7d55d58453b96p-2"),
+            (0.13082790367884622, 3, "0x1.25808377353c5p-9"),
+            (0.4923719369027534, 10, "0x1.b709ea829d663p-11"),
+        ):
+            got = _retained(params(z=z), k)
+            assert got == float(Fraction(z) ** k) and got.hex() == want, (z, k)
+
     def test_penetration_enters_capacity(self):
         path, _, _ = single_arc_path([0.5], [100.0])
         p = params()
@@ -305,3 +318,30 @@ class TestEconomicsArrays:
         _, caps, _ = path_economics(PathTable(paths), p, 1.0)
         assert np.all(np.isinf(caps))
         self.assert_matches_scalar(paths, p, 1.0)
+
+
+class TestLossFactorOrder:
+    """The search's tables come with non-decreasing loss factors, so the
+    planner's stable sort by loss factor keeps them in path order."""
+
+    def test_non_decreasing_in_path_order(self):
+        zs = [v / 20 for v in range(1, 20)] + [1.0, math.nextafter(1.0, 0.0)]
+        tables = 0
+        for seed in (1, 2, 3):
+            for mode in (FULL_ROUTE, PER_HOP):
+                for max_hops in (2, 6):
+                    config = EnumerationConfig(max_hops=max_hops, max_paths=None, mode=mode)
+                    s = generate_scenario(GeneratorConfig(
+                        seed=seed, junction_count=12, arc_count=30, route_count=12,
+                        pair_count=3, enumeration=config,
+                    ))
+                    index = RouteIndex(s.network, s.routes)
+                    for source, target in s.pairs:
+                        table = PathTable(enumerate_paths(index, source, target, config))
+                        tables += 1
+                        for z in zs:
+                            _, _, lams = path_economics(table, params(z=z))
+                            assert np.all(np.diff(lams) >= 0.0), (seed, mode, max_hops, z)
+                            order = np.argsort(lams, kind="stable")
+                            assert order.tolist() == list(range(lams.size))
+        assert tables == 36

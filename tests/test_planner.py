@@ -50,7 +50,7 @@ def random_instance(rng, max_paths=100):
     lams = 1.0 / z**hops - 1.0
     if n >= 2 and rng.random() < 0.3:
         lams[1] = lams[0]  # exercise tie-breaking
-    return caps, lams, hops
+    return caps, lams
 
 
 class TestKnapsackMaxEnergy:
@@ -114,27 +114,19 @@ class TestKnapsackMinLoss:
         assert status == OPTIMAL
         assert x.tolist() == [1.0, 0.0]
 
-    def test_ties_resolved_by_hops_then_order(self):
+    def test_ties_keep_the_given_order(self):
         caps = [5.0, 5.0, 5.0]
-        lams = [0.2, 0.2, 0.2]
-        x, _ = knapsack_assign(caps, lams, MIN_LOSS, 5.0, hops=[3, 1, 2])
-        assert list(x) == [0.0, 5.0, 0.0]
-        x, _ = knapsack_assign(caps, lams, MIN_LOSS, 5.0)
+        x, _ = knapsack_assign(caps, [0.2, 0.2, 0.2], MIN_LOSS, 5.0)
         assert list(x) == [5.0, 0.0, 0.0]
-        # equal loss factor and hops: input order
-        x, _ = knapsack_assign(caps, [0.2, 0.1, 0.1], MIN_LOSS, 7.0, hops=[1, 2, 2])
+        x, _ = knapsack_assign(caps, [0.2, 0.1, 0.1], MIN_LOSS, 7.0)
         assert list(x) == [0.0, 5.0, 2.0]
-
-
-class TestKnapsackInput:
-    def test_hops_of_another_shape_rejected(self):
-        for hops in ([1], [1, 2, 3], [[1, 2]]):
-            with pytest.raises(ValidationError, match="hops"):
-                knapsack_assign([1.0, 2.0], [0.1, 0.2], MAX_ENERGY, 1.0, hops=hops)
+        # lossless paths all tie, as every path does at z = 1
+        x, _ = knapsack_assign(caps, [0.0, 0.0, 0.0], MIN_LOSS, 7.0)
+        assert list(x) == [5.0, 2.0, 0.0]
 
 
 class TestKnapsackOrder:
-    """The fill order is (loss factor, hops, index), ties included."""
+    """The fill order is ascending loss factor, ties in index order."""
 
     def test_matches_reference_fill_with_ties(self):
         rng = np.random.default_rng(9)
@@ -142,30 +134,27 @@ class TestKnapsackOrder:
             n = int(rng.integers(1, 12))
             caps = rng.choice([0.0, 1.5, 2.0, 7.25], n)
             lams = rng.choice([0.0, 0.1, 0.1, 0.25], n)  # ties and free paths
-            hops = rng.choice([1, 2, 2, 3], n)  # tied hops too
             total_loss = float(lams @ caps)
-            for hop_arg in (hops, None):
-                # a floor that the middle positive capacity in fill order
-                # meets exactly; every sum of these capacities is exact
-                tie = [0] * n if hop_arg is None else hop_arg
-                order = sorted(range(n), key=lambda j: (lams[j], tie[j], j))
-                positive = [k for k, j in enumerate(order) if caps[j] > 0]
-                stop = positive[len(positive) // 2] + 1 if positive else 0
-                boundary = float(sum(caps[j] for j in order[:stop]))
-                for objective, bound in (
-                    (MAX_ENERGY, 0.0),
-                    (MAX_ENERGY, 0.5 * total_loss),
-                    (MAX_ENERGY, math.inf),
-                    (MIN_LOSS, 0.0),
-                    (MIN_LOSS, 0.5 * float(caps.sum())),
-                    (MIN_LOSS, float(caps.sum())),
-                    (MIN_LOSS, float(caps.sum()) + 1.0),
-                    (MIN_LOSS, boundary),
-                ):
-                    got = knapsack_assign(caps, lams, objective, bound, hop_arg)
-                    want = reference_fill(caps, lams, objective, bound, hop_arg)
-                    assert got[1] == want[1], (trial, objective, bound)
-                    assert got[0].tolist() == want[0].tolist(), (trial, objective)
+            # a floor that the middle positive capacity in fill order
+            # meets exactly; every sum of these capacities is exact
+            order = sorted(range(n), key=lambda j: (lams[j], j))
+            positive = [k for k, j in enumerate(order) if caps[j] > 0]
+            stop = positive[len(positive) // 2] + 1 if positive else 0
+            boundary = float(sum(caps[j] for j in order[:stop]))
+            for objective, bound in (
+                (MAX_ENERGY, 0.0),
+                (MAX_ENERGY, 0.5 * total_loss),
+                (MAX_ENERGY, math.inf),
+                (MIN_LOSS, 0.0),
+                (MIN_LOSS, 0.5 * float(caps.sum())),
+                (MIN_LOSS, float(caps.sum())),
+                (MIN_LOSS, float(caps.sum()) + 1.0),
+                (MIN_LOSS, boundary),
+            ):
+                got = knapsack_assign(caps, lams, objective, bound)
+                want = reference_fill(caps, lams, objective, bound)
+                assert got[1] == want[1], (trial, objective, bound)
+                assert got[0].tolist() == want[0].tolist(), (trial, objective)
 
 
 # capacities and loss factors with ties, signed zeros, and products that overflow
@@ -181,17 +170,15 @@ LOSS_FACTORS = st.one_of(
 
 @st.composite
 def knapsack_instances(draw):
-    """(capacities, loss factors, hops or None); the cheapest paths in fill
-    order may all have zero capacity, like a pair whose window is too short."""
+    """(capacities, loss factors); the cheapest paths in fill order may all
+    have zero capacity, like a pair whose window is too short."""
     n = draw(st.integers(0, 12))
     caps = draw(st.lists(CAPACITIES, min_size=n, max_size=n))
     lams = draw(st.lists(LOSS_FACTORS, min_size=n, max_size=n))
-    hops = draw(st.one_of(st.none(), st.lists(st.integers(1, 4), min_size=n, max_size=n)))
-    tie = [0] * n if hops is None else hops
-    order = sorted(range(n), key=lambda j: (lams[j], tie[j], j))
+    order = sorted(range(n), key=lambda j: (lams[j], j))
     for j in order[: draw(st.integers(0, n))]:
         caps[j] = 0.0
-    return caps, lams, hops
+    return caps, lams
 
 
 def fill_bounds(caps, lams):
@@ -213,11 +200,11 @@ class TestArrayFillMatchesLoopOracle:
     @settings(max_examples=300, deadline=None)
     @given(instance=knapsack_instances(), extra=st.floats(0.0, 1e4))
     def test_knapsack_assign(self, instance, extra):
-        caps, lams, hops = instance
+        caps, lams = instance
         bounds = fill_bounds(caps, lams) + [(MAX_ENERGY, extra), (MIN_LOSS, extra)]
         for objective, bound in bounds:
-            got = knapsack_assign(caps, lams, objective, bound, hops)
-            want = reference_fill(caps, lams, objective, bound, hops)
+            got = knapsack_assign(caps, lams, objective, bound)
+            want = reference_fill(caps, lams, objective, bound)
             assert repr((got[0].tolist(), got[1])) == repr((want[0].tolist(), want[1])), (
                 objective, bound,
             )
@@ -258,22 +245,22 @@ class TestSolverEquivalence:
     def test_single_path_instances_match_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            caps, lams, hops = random_instance(rng, max_paths=1)
+            caps, lams = random_instance(rng, max_paths=1)
             cap = float(rng.uniform(0, 2 * caps[0] * max(lams[0], 0.1)))
-            g, _ = knapsack_assign(caps, lams, MAX_ENERGY, cap, hops)
+            g, _ = knapsack_assign(caps, lams, MAX_ENERGY, cap)
             l, _ = lp_assign(caps, lams, MAX_ENERGY, cap)
             assert g[0] == pytest.approx(l[0], abs=1e-9)
 
     def test_greedy_matches_lp_on_random_instances(self):
         rng = np.random.default_rng(6)
         for trial in range(60):
-            caps, lams, hops = random_instance(rng, max_paths=40)
+            caps, lams = random_instance(rng, max_paths=40)
             total_cap = caps.sum()
             max_loss = float(lams @ caps)
             cap = float(rng.uniform(0.0, 1.5 * max(max_loss, 1.0)))
             floor = float(rng.uniform(0.0, total_cap))
             for objective, bound in ((MAX_ENERGY, cap), (MIN_LOSS, floor)):
-                g, gs = knapsack_assign(caps, lams, objective, bound, hops)
+                g, gs = knapsack_assign(caps, lams, objective, bound)
                 l, ls = lp_assign(caps, lams, objective, bound)
                 assert gs == ls == OPTIMAL
                 g_obj = g.sum() if objective == MAX_ENERGY else float(lams @ g)
@@ -286,18 +273,18 @@ class TestSolverEquivalence:
     def test_both_match_vertex_oracle_on_tiny_instances(self):
         rng = np.random.default_rng(7)
         for trial in range(40):
-            caps, lams, hops = random_instance(rng, max_paths=4)
+            caps, lams = random_instance(rng, max_paths=4)
             n = caps.size
             max_loss = float(lams @ caps)
             cap = float(rng.uniform(0.0, 1.2 * max(max_loss, 1.0)))
-            g, _ = knapsack_assign(caps, lams, MAX_ENERGY, cap, hops)
+            g, _ = knapsack_assign(caps, lams, MAX_ENERGY, cap)
             _, _, best = vertex_enumeration_lp(
                 np.ones(n), lams.reshape(1, -1), [cap], 0.0, caps, maximize=True
             )
             assert abs(g.sum() - best) <= 1e-9 * max(1.0, abs(best)), trial
 
             floor = float(rng.uniform(0.0, caps.sum()))
-            g2, _ = knapsack_assign(caps, lams, MIN_LOSS, floor, hops)
+            g2, _ = knapsack_assign(caps, lams, MIN_LOSS, floor)
             _, _, best2 = vertex_enumeration_lp(
                 lams, -np.ones((1, n)), [-floor], 0.0, caps, maximize=False
             )
@@ -307,10 +294,10 @@ class TestSolverEquivalence:
     def test_plan_feasibility_with_slack_tolerance(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
-            caps, lams, hops = random_instance(rng, max_paths=30)
+            caps, lams = random_instance(rng, max_paths=30)
             cap = float(rng.uniform(0.0, 1.2 * max(float(lams @ caps), 1.0)))
-            for method_assign in (knapsack_assign, lambda *a: lp_assign(*a[:4])):
-                x, _ = method_assign(caps, lams, MAX_ENERGY, cap, hops)
+            for method_assign in (knapsack_assign, lp_assign):
+                x, _ = method_assign(caps, lams, MAX_ENERGY, cap)
                 tol = 1e-12 * max(1.0, caps.max())
                 assert np.all(x >= -tol)
                 assert np.all(x <= caps + tol)

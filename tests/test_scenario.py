@@ -716,8 +716,8 @@ class TestTracedCallSites:
         # each pair's table, once inside solve and once for its assignments
         tables = calls[::2]
         assert calls == [table for table in tables for _ in range(2)]
-        assert [table.hops.tolist() for table in tables] == [
-            [path.hops for path in pair.paths] for pair in solution.pairs
+        assert [table.delays.tolist() for table in tables] == [
+            [path.delay for path in pair.paths] for pair in solution.pairs
         ]
         assert all(pair.paths for pair in solution.pairs) and len(tables) == 3
         calls.clear()
