@@ -12,7 +12,6 @@ from venplan import (
     MAX_ENERGY,
     MIN_LOSS,
     PathTable,
-    RouteIndex,
     enumerate_paths,
     parse_scenario,
     path_economics,
@@ -29,7 +28,7 @@ print(f"moving energy {source} -> {target}, window {params.window} h, "
       f"round-trip efficiency {params.round_trip_efficiency}")
 
 # --- enumerate the energy paths -------------------------------------------
-index = RouteIndex(network, routes)  # one index serves every pair on these routes
+index = scenario.index  # built with the scenario; one index serves every pair
 paths = enumerate_paths(index, source, target, scenario.enumeration)
 print(f"\n{len(paths)} energy paths, cheapest cycle count first:")
 for path in paths:

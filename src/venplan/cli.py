@@ -21,9 +21,7 @@ from typing import Optional, Sequence
 
 from ._version import __version__
 from .errors import ScenarioFormatError, ValidationError
-from .paths import (
-    FULL_ROUTE, PER_HOP, EnergyPath, EnumerationConfig, RouteIndex, enumerate_paths,
-)
+from .paths import FULL_ROUTE, PER_HOP, EnergyPath, EnumerationConfig, enumerate_paths
 from .planner import GREEDY, MAX_ENERGY, MIN_LOSS, ScenarioSolution, solve_scenario
 from .scenario import (
     GeneratorConfig,
@@ -202,10 +200,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         pairs = [(args.source, args.target)]
     else:
         pairs = list(scenario.pairs)
-    index = RouteIndex(scenario.network, scenario.routes)
     # every pair is enumerated, and its JSON built, before anything is
     # printed, so a rejected run prints nothing
-    found = [(s, t, enumerate_paths(index, s, t, config)) for s, t in pairs]
+    found = [(s, t, enumerate_paths(scenario.index, s, t, config)) for s, t in pairs]
     if args.output:
         report = [{"source": s, "target": t, "paths": [_path_to_dict(p) for p in paths]}
                   for s, t, paths in found]

@@ -6,11 +6,12 @@ routes are loop-free sequences of connected arcs; contiguous slices of a
 route (sub-routes) are the building blocks of energy paths.
 
 A network holds only its junction ids and its arcs by id; code that walks
-it builds its own index, as the route index and the generator do. The
-route index and scenarios check routes with :func:`venplan.paths.read_routes`.
+it builds its own index, as the route index and the generator do, and a
+scenario's route index checks its routes (:func:`venplan.paths.read_routes`).
 
-Networks and routes are immutable once built, so they can be shared freely
-between concurrent consumers.
+Networks and routes are immutable once built, and a scenario's route index
+stores each cache value it fills on first use only once it is complete, so
+all three can be shared freely between concurrent consumers.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ it visits. So the search runs over stretch sequences and expands their route
 labellings only for the paths it returns, each storing the delay and the
 bottleneck flow that the search computed for it.
 
-A route index and a scenario check their routes with one function,
-:func:`read_routes`, so no route the search walks passes a junction twice.
+A scenario keeps one route index for all its searches. Building it checks
+the routes with :func:`read_routes`, so no route the search walks passes a
+junction twice.
 
 Two routing-information modes are supported:
 
@@ -108,7 +109,8 @@ def read_routes(network: RoadNetwork, routes: Sequence[VehicularRoute]) -> tuple
 
     Returns each junction's dense row, the routes in id order, their
     lengths, and each member arc's route (its place in that order), row in
-    ``network.arcs``, tail row and head row.
+    ``network.arcs``, tail row and head row. :class:`RouteIndex` builds from
+    them, so building an index, as every scenario does, is the route check.
     """
     rows = {j: row for row, j in enumerate(network.junctions)}
     arc_rows = {a: row for row, a in enumerate(network.arcs)}
@@ -169,9 +171,9 @@ class RouteIndex:
     """Index of a route set over flat numpy arrays of member arcs.
 
     It depends on the network and the routes only, not on a source or a
-    target, so one index serves every pair searched over the same routes:
-    build it once per route set and pass it to :func:`enumerate_paths`.
-    It checks the routes as a scenario does, with :func:`read_routes`.
+    target, so one index serves every pair searched over the same routes.
+    A scenario builds one as its ``index``, and :func:`read_routes`, run
+    here, is the scenario's route check.
 
     Every network junction gets a dense row, and every member arc of every
     route one slot in three arrays: tail row, head row and delay. The slots
@@ -202,11 +204,12 @@ class RouteIndex:
         self.route_ids = [r.id for r in ordered]
         self.routes = dict(zip(self.route_ids, ordered))
 
-        # members in (route id, position) order, so that a stable sort by
-        # tail lists each junction's entries already sorted
+        # members in (route id, position) order, so that a stable sort by tail
+        # lists each junction's entries sorted; a narrow key sorts by radix
         ends = np.cumsum(lengths)
         positions = np.arange(1, members.size + 1) - (ends - lengths)[route_of]
-        self._entry_members = np.argsort(tails, kind="stable")
+        narrow = tails.astype(np.min_scalar_type(len(self.rows)))
+        self._entry_members = np.argsort(narrow, kind="stable")
         self._entry_routes = route_of[self._entry_members]
         self._entry_positions = positions[self._entry_members]
         counts = np.bincount(tails, minlength=len(self.junction_ids))
@@ -242,12 +245,12 @@ class RouteIndex:
 
     def _per_hop_layout(self) -> RouteIndex:
         """This index with member ``i`` a run of its own, at slot ``2 i`` before
-        a sentinel, in one table block. Built once; it shares all but entries."""
+        a sentinel, in one table block. Built once and stored whole; it shares all but entries."""
         if self._per_hop is None:
-            layout = self._per_hop = copy.copy(self)
+            layout = copy.copy(self)
             layout._lay_out(2 * np.arange(self._tails.size), [(0, self._tails.size)])
             layout._entries = {}
-            layout._per_hop = layout
+            layout._per_hop = self._per_hop = layout  # left to right: stored last
         return self._per_hop
 
     def entries(self, junction: int) -> tuple[tuple[int, int, int], ...]:
@@ -279,7 +282,7 @@ class RouteIndex:
 
     def slice(self, route_id: int, span: tuple[int, int]) -> SubRoute:
         """The route's ``n``-th to ``m``-th arcs for ``span = (n, m)``, one object
-        per index, with their delays summed left to right from 0.0."""
+        per index even when searches race, with their delays summed left to right from 0.0."""
         key = (route_id, span)
         found = self._slices.get(key)
         if found is None:
@@ -288,9 +291,9 @@ class RouteIndex:
             delay = 0.0
             for arc_delay in delays[n - 1 : m]:
                 delay += arc_delay
-            found = self._slices[key] = SubRoute(
+            found = self._slices.setdefault(key, SubRoute(
                 route_id, n, m, junctions[n - 1], junctions[m], delay, self.routes[route_id].flow
-            )
+            ))
         return found
 
     def bound_table(

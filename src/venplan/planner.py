@@ -31,7 +31,7 @@ import numpy as np
 
 from .energetics import EnergyParams, PathTable, path_economics
 from .errors import ValidationError
-from .paths import EnergyPath, RouteIndex, enumerate_paths
+from .paths import EnergyPath, enumerate_paths
 from .scenario import Scenario
 
 MAX_ENERGY = "max-energy"
@@ -201,9 +201,8 @@ def solve_scenario(
     pair_plans = []
     transferred = 0.0
     loss = 0.0
-    index = RouteIndex(scenario.network, scenario.routes)
     for source, target in scenario.pairs:
-        paths = enumerate_paths(index, source, target, scenario.enumeration)
+        paths = enumerate_paths(scenario.index, source, target, scenario.enumeration)
         table = PathTable(paths)
         plan = solve(table, scenario.params, objective, cap, floor, scenario.penetration)
         rates, _, lams = path_economics(table, scenario.params, scenario.penetration)

@@ -20,7 +20,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Any, NoReturn, Optional
@@ -28,9 +28,7 @@ from typing import Any, NoReturn, Optional
 from .energetics import EnergyParams
 from .errors import ScenarioFormatError, ValidationError
 from .network import Arc, RoadNetwork, VehicularRoute, build_network
-from .paths import (
-    FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths, read_routes,
-)
+from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths
 
 SCHEMA_VERSION = 1
 UNITS = {
@@ -43,7 +41,8 @@ UNITS = {
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete, validated planning instance."""
+    """A complete, validated planning instance. Its route ``index``, built
+    with it and so checking its routes, is left out of equality and repr."""
 
     network: RoadNetwork
     routes: tuple[VehicularRoute, ...]
@@ -54,6 +53,7 @@ class Scenario:
     loss_cap: float = math.inf  # kWh
     delivery_floor: float = 0.0  # kWh
     seed: Optional[int] = None
+    index: RouteIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.penetration <= 1:
@@ -62,7 +62,7 @@ class Scenario:
             raise ValidationError("loss_cap must be nonnegative")
         if not (self.delivery_floor >= 0 and math.isfinite(self.delivery_floor)):
             raise ValidationError("delivery_floor must be finite and nonnegative")
-        read_routes(self.network, self.routes)  # the route rules; the arrays are not kept
+        object.__setattr__(self, "index", RouteIndex(self.network, self.routes))
         for s, t in self.pairs:
             if s not in self.network.junctions:
                 raise ValidationError(f"pair source {s} is not a junction")

@@ -2,7 +2,7 @@
 
 One parameter varies per sweep (round-trip efficiency, window, packet size,
 or penetration) while the others sit at fixed nominal values. Paths are
-enumerated once per pair, over one route index for the scenario, and read
+enumerated once per pair, over the scenario's own route index, and read
 once into the pair's :class:`PathTable`, which every sweep value prices and
 fills: the path set depends only on the network and routes.
 """
@@ -18,7 +18,7 @@ from typing import Optional
 from ._version import __version__
 from .energetics import EnergyParams, PathTable
 from .errors import ValidationError
-from .paths import RouteIndex, enumerate_paths
+from .paths import enumerate_paths
 from .planner import GREEDY, MAX_ENERGY, solve
 from .scenario import Scenario, scenario_hash
 
@@ -111,10 +111,9 @@ def run_sweep(
     """
     if method != GREEDY:
         raise ValidationError(f"unknown method {method!r}; the solver is {GREEDY!r}")
-    index = RouteIndex(scenario.network, scenario.routes)
     pair_tables = [
-        (source, target, PathTable(enumerate_paths(index, source, target, scenario.enumeration)))
-        for source, target in scenario.pairs
+        (s, t, PathTable(enumerate_paths(scenario.index, s, t, scenario.enumeration)))
+        for s, t in scenario.pairs
     ]
 
     points = []

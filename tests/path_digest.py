@@ -30,7 +30,6 @@ from venplan import (
     EnumerationConfig,
     GeneratorConfig,
     PathTable,
-    RouteIndex,
     enumerate_paths,
     generate_scenario,
     solve,
@@ -73,14 +72,13 @@ def main() -> None:
         city = generate_scenario(GeneratorConfig(
             seed=seed, junction_count=14, arc_count=28, route_count=24, pair_count=4,
         ))
-        index = RouteIndex(city.network, city.routes)
         pairs = [pair for s, t in city.pairs for pair in ((s, t), (t, s))]
         for mode, max_hops, cap in itertools.product(
             (FULL_ROUTE, PER_HOP), (1, 2, 4, 6), (None, 1, 3, 17)
         ):
             config = EnumerationConfig(max_hops=max_hops, max_paths=cap, mode=mode)
             for source, target in pairs:
-                paths = enumerate_paths(index, source, target, config)
+                paths = enumerate_paths(city.index, source, target, config)
                 for path in paths:
                     digest.update(path_record(path))
                     count += 1

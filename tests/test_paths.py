@@ -5,6 +5,8 @@ import io
 import json
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -881,20 +883,117 @@ class TestSharedRouteIndex:
         monkeypatch.setattr(RouteIndex, "__init__", counting)
         return count
 
-    def test_one_build_per_call(self, builds, tmp_path, capsys):
+    def test_one_build_per_scenario(self, builds, tmp_path, capsys):
+        # every scenario builds its index once; searches over it build none
         scenario = shared_index_city(5)
-        assert len(builds) == 1  # the generator's pair probes
+        assert len(builds) == 2  # the generator's pair probes, then its scenario
         assert len(scenario.pairs) == 4
+        scenario = dataclasses.replace(scenario, pairs=scenario.pairs[::-1])
+        assert len(builds) == 3
         venplan.planner.solve_scenario(scenario)
-        assert len(builds) == 2
         spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.9))
         venplan.sweep.run_sweep(scenario, spec)
         assert len(builds) == 3
-        path = tmp_path / "city.json"
-        path.write_text(venplan.scenario.serialize_scenario(scenario))
-        assert venplan.cli.main(["enumerate", str(path)]) == 0
+        text = venplan.scenario.serialize_scenario(scenario)
+        parse_scenario(text)
         assert len(builds) == 4
+        path = tmp_path / "city.json"
+        path.write_text(text)
+        assert venplan.cli.main(["enumerate", str(path)]) == 0
+        assert len(builds) == 5  # the one its parse built
         assert capsys.readouterr().out.count(" paths\n") == 4
+
+    def test_a_held_index_answers_as_a_fresh_parse(self):
+        # one parsed scenario serves a full-route solve, per-hop searches, a
+        # sweep and the solve again; whatever each leaves in the index's
+        # caches, the next answers as it would on a scenario parsed afresh
+        text = venplan.scenario.serialize_scenario(shared_index_city(5))
+        held = parse_scenario(text)
+        per_hop = dataclasses.replace(held.enumeration, mode=PER_HOP)
+        spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.9))
+        calls = [
+            venplan.planner.solve_scenario,
+            lambda s: [enumerate_paths(s.index, *pair, per_hop) for pair in s.pairs],
+            lambda s: venplan.sweep.run_sweep(s, spec),
+            venplan.planner.solve_scenario,
+        ]
+        assert any(calls[1](held))
+        for call in calls:
+            assert repr(call(held)) == repr(call(parse_scenario(text)))
+
+    @pytest.mark.parametrize("laid_out", [False, True])
+    def test_per_hop_layout_is_stored_whole(self, three_routes_text, monkeypatch, laid_out):
+        # a per-hop search that runs while another search builds the per-hop
+        # layout, before or after the copy's slots are laid out, finds no
+        # half-built layout: it returns per-hop paths and leaves no per-hop
+        # entries in the full-route cache
+        held = parse_scenario(three_routes_text)
+        full = held.enumeration
+        per_hop = dataclasses.replace(full, mode=PER_HOP)
+        (source, target), fresh = held.pairs[0], parse_scenario(three_routes_text).index
+        expected = {c.mode: enumerate_paths(fresh, source, target, c) for c in (full, per_hop)}
+        assert expected[FULL_ROUTE] != expected[PER_HOP]
+        lay_out, layouts, nested = RouteIndex._lay_out, [], []
+
+        def interleaved(layout, slots, blocks):
+            layouts.append(layout)
+            if len(layouts) > 1:  # the nested search's own layout
+                return lay_out(layout, slots, blocks)
+            if laid_out:
+                lay_out(layout, slots, blocks)
+            nested.append(enumerate_paths(held.index, source, target, per_hop))
+            if not laid_out:
+                lay_out(layout, slots, blocks)
+
+        monkeypatch.setattr(RouteIndex, "_lay_out", interleaved)
+        assert enumerate_paths(held.index, source, target, per_hop) == expected[PER_HOP]
+        assert nested == [expected[PER_HOP]]
+        assert enumerate_paths(held.index, source, target, full) == expected[FULL_ROUTE]
+
+    def test_threads_share_one_index(self):
+        # more threads than cores search one fresh scenario's index at once,
+        # in both modes and in different orders, with the interpreter
+        # switching threads often: each gets the answers of its own index,
+        # and each slice is still one object
+        text = venplan.scenario.serialize_scenario(shared_index_city(5))
+        fresh = parse_scenario(text)
+        pairs = fresh.pairs
+        configs = [dataclasses.replace(fresh.enumeration, mode=m) for m in (PER_HOP, FULL_ROUTE)]
+        expected = {
+            (c.mode, pair): enumerate_paths(fresh.index, *pair, c)
+            for c in configs
+            for pair in pairs
+        }
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                held = parse_scenario(text)
+                found, errors = {}, []
+
+                def search(i):
+                    try:
+                        for c in configs[:: 1 if i % 2 else -1]:
+                            for pair in pairs[:: 1 if i < 2 else -1]:
+                                found[i, c.mode, pair] = enumerate_paths(held.index, *pair, c)
+                    except Exception as exc:  # reported by the main thread
+                        errors.append(exc)
+
+                threads = [threading.Thread(target=search, args=(i,)) for i in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                assert errors == []
+                assert found == {
+                    (i, *key): paths for i in range(4) for key, paths in expected.items()
+                }
+                segments = [seg for paths in found.values() for p in paths for seg in p.segments]
+                slices = {(seg.route_id, seg.start, seg.end): seg for seg in segments}
+                assert all(slices[seg.route_id, seg.start, seg.end] is seg for seg in segments)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.fixture()
     def layouts(self, monkeypatch):
