@@ -11,7 +11,6 @@ Run from the repository root:  python3 demos/worked_example.py
 from venplan import (
     MAX_ENERGY,
     MIN_LOSS,
-    PathTable,
     enumerate_paths,
     parse_scenario,
     path_economics,
@@ -29,7 +28,8 @@ print(f"moving energy {source} -> {target}, window {params.window} h, "
 
 # --- enumerate the energy paths -------------------------------------------
 index = scenario.index  # built with the scenario; one index serves every pair
-paths = enumerate_paths(index, source, target, scenario.enumeration)
+table = enumerate_paths(index, source, target, scenario.enumeration)
+paths = list(table)  # the table builds its path objects on demand, for reports
 print(f"\n{len(paths)} energy paths, cheapest cycle count first:")
 for path in paths:
     chain = " + ".join(
@@ -40,9 +40,8 @@ for path in paths:
     print(f"  {path.hops} hop(s), delay {path.delay} h: {chain}")
 
 # --- price each path --------------------------------------------------------
-# the table reads each path's hops, delay and bottleneck flow once; pricing
-# and planning work on its arrays, however often the parameters change
-table = PathTable(paths)
+# pricing and planning read the table's hops, delays and bottleneck flows
+# as arrays, however often the parameters change
 print("\nper-path economics (rate = packet size x slowest segment flow):")
 rates, capacities, loss_factors = path_economics(table, params, scenario.penetration)
 for path, rate, capacity, lam in zip(paths, rates, capacities, loss_factors):

@@ -29,12 +29,12 @@ from .paths import (
     PER_HOP,
     EnergyPath,
     EnumerationConfig,
+    PathTable,
     RouteIndex,
     enumerate_paths,
 )
 from .energetics import (
     EnergyParams,
-    PathTable,
     path_economics,
 )
 from .planner import (
@@ -84,10 +84,10 @@ __all__ = [
     "PER_HOP",
     "EnergyPath",
     "EnumerationConfig",
+    "PathTable",
     "RouteIndex",
     "enumerate_paths",
     "EnergyParams",
-    "PathTable",
     "path_economics",
     "OPTIMAL",
     "INFEASIBLE",

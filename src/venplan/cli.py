@@ -200,10 +200,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         pairs = [(args.source, args.target)]
     else:
         pairs = list(scenario.pairs)
-    # every pair is enumerated, and its JSON built, before anything is
-    # printed, so a rejected run prints nothing
+    # every pair is enumerated, and with -o its paths built once for both reports
+    # and its JSON built, before anything is printed, so a rejected run prints nothing
     found = [(s, t, enumerate_paths(scenario.index, s, t, config)) for s, t in pairs]
     if args.output:
+        found = [(s, t, list(table)) for s, t, table in found]
         report = [{"source": s, "target": t, "paths": [_path_to_dict(p) for p in paths]}
                   for s, t, paths in found]
         text = _json_text({"provenance": _provenance(scenario), "pairs": report})

@@ -8,10 +8,10 @@ way. Within a transfer window, the deliverable amount is further limited by
 the time left once carrier vehicles have propagated down the path, and by
 the packet rate the slowest segment's vehicle flow can sustain.
 
-A :class:`PathTable` reads what pricing needs of one pair's paths, once;
-:func:`path_economics`, the one pricing function, prices a whole table into
-rate, capacity and loss-factor arrays, from one z**k per distinct hop count,
-which only :func:`_retained` computes, exactly and without libm.
+:func:`path_economics`, the one pricing function, prices the whole
+:class:`~venplan.paths.PathTable` that path enumeration returns for a pair
+into rate, capacity and loss-factor arrays, from one z**k per distinct hop
+count, which only :func:`_retained` computes, exactly and without libm.
 
 All quantities use kWh, hours, and vehicles per hour.
 """
@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .paths import EnergyPath
+from .paths import PathTable
 
 
 @dataclass(frozen=True)
@@ -86,22 +85,6 @@ def _retained(params: EnergyParams, hops: int) -> float:
             f"energy after {hops} cycles"
         )
     return retained
-
-
-class PathTable:
-    """One pair's ``delays`` and bottleneck ``flows`` as arrays in path order,
-    read from the numbers each path stores, with the ``distinct_hops`` (ints)
-    that ``hop_index`` maps each path to; none depends on the energy
-    parameters, so a sweep prices one table. The search emits paths in
-    ascending hop count, so their loss factors come out non-decreasing."""
-
-    def __init__(self, paths: Sequence[EnergyPath]) -> None:
-        n = len(paths)
-        hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
-        distinct, self.hop_index = np.unique(hops, return_inverse=True)
-        self.distinct_hops = distinct.tolist()
-        self.delays = np.fromiter((p.delay for p in paths), dtype=float, count=n)
-        self.flows = np.fromiter((p.bottleneck_flow for p in paths), dtype=float, count=n)
 
 
 def path_economics(

@@ -75,12 +75,6 @@ class RoadNetwork:
     junctions: frozenset[int]
     arcs: Mapping[int, Arc]
 
-    def arc(self, arc_id: int) -> Arc:
-        try:
-            return self.arcs[arc_id]
-        except KeyError:
-            raise ValidationError(f"unknown arc id {arc_id}") from None
-
 
 def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
     """Validate junctions and arcs and assemble a road network.

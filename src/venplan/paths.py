@@ -12,11 +12,10 @@ valuable paths ahead of any result cap.
 Many routes often share a stretch of road, and which of them carries each
 segment changes neither a path's hop count, nor its delay, nor the junctions
 it visits. So the search runs over stretch sequences and expands their route
-labellings only for the paths it returns, each storing the delay and the
-bottleneck flow that the search computed for it.
-
-A scenario keeps one route index for all its searches. Building it checks
-the routes with :func:`read_routes`, so no route the search walks passes a
+labellings only for the paths it returns, into one :class:`PathTable` of
+columns per pair, from which a report builds each :class:`EnergyPath` on
+demand. A scenario's route index serves all its searches; building it checks
+the routes (:func:`read_routes`), so no route the search walks passes a
 junction twice.
 
 Two routing-information modes are supported:
@@ -32,6 +31,7 @@ Two routing-information modes are supported:
 
 from __future__ import annotations
 
+import bisect
 import copy
 import heapq
 import itertools
@@ -56,8 +56,8 @@ class EnergyPath:
 
     ``delay`` is the propagation time in hours, every member arc delay summed
     left to right from 0.0, and ``bottleneck_flow`` the smallest segment flow
-    in vehicles per hour, the first of equal ones. :func:`enumerate_paths`
-    stores both as its search computes them.
+    in vehicles per hour, the first of equal ones, both as the search
+    computed them; a :class:`PathTable` builds paths for reports.
     """
 
     source: int
@@ -221,6 +221,7 @@ class RouteIndex:
             last[: np.count_nonzero(lengths > q)] - q
             for q in range(int(lengths.max(initial=0)))
         ]
+        self._width = 1 << len(blocks).bit_length()  # a power of two above every position
         self._table_members = np.concatenate(blocks) if blocks else members
         self._tails = tails[self._table_members]
         self._heads = heads[self._table_members]
@@ -377,19 +378,51 @@ class RouteIndex:
         return table, reach.data
 
 
+class PathTable:
+    """One pair's paths as :func:`enumerate_paths` returns them: ``hops``,
+    ``delays`` and bottleneck ``flows`` in path order, each path's
+    ``hop_index`` into ``distinct_hops`` (ints), none depending on the energy
+    parameters, and the labels flat over all segments, path ``i``'s from
+    ``offsets[i]`` to ``offsets[i + 1]``: each segment's route as its row in
+    ``index.route_ids`` (``routes``) and its 1-based first and last arc
+    (``starts``, ``ends``). Length and truth value are the path count; an
+    index or an iteration builds each :class:`EnergyPath` on demand."""
+
+    def __init__(self, index, source, target, hops, delays, flows, routes, starts, ends):
+        self.index, self.source, self.target = index, source, target
+        self.hops, self.delays, self.flows = hops, delays, flows
+        distinct, self.hop_index = np.unique(hops, return_inverse=True)
+        self.distinct_hops = distinct.tolist()
+        self.routes, self.starts, self.ends = routes, starts, ends
+        self.offsets = np.concatenate(([0], np.cumsum(hops)))
+
+    def __len__(self) -> int:
+        return len(self.hops)
+
+    def __getitem__(self, i: int) -> EnergyPath:
+        i = range(len(self))[i]  # IndexError past either end, which ends iteration
+        lo, hi = self.offsets[i : i + 2].tolist()
+        ids = map(self.index.route_ids.__getitem__, self.routes[lo:hi].tolist())
+        spans = zip(self.starts[lo:hi].tolist(), self.ends[lo:hi].tolist())
+        segments = tuple(map(self.index.slice, ids, spans))
+        return EnergyPath(self.source, self.target, segments, self.delays[i].item(),
+                          self.flows[i].item())
+
+
 def enumerate_paths(
     index: RouteIndex,
     source: int,
     target: int,
     config: EnumerationConfig,
-) -> list[EnergyPath]:
+) -> PathTable:
     """Enumerate energy paths from ``source`` to ``target`` over the index's routes.
 
-    Returns up to ``config.max_paths`` distinct valid paths of at most
-    ``config.max_hops`` segments, in ascending (hop count, total delay,
-    route-id sequence) order; ties beyond that are broken by the segments'
-    (start, end) index pairs, so the output is fully deterministic. Per-hop
-    mode searches the index's per-hop layout, whose slices are single arcs.
+    Returns the :class:`PathTable` of up to ``config.max_paths`` distinct
+    valid paths of at most ``config.max_hops`` segments, in ascending (hop
+    count, total delay, route-id sequence) order; ties beyond that are broken
+    by the segments' (start, end) index pairs, so the output is fully
+    deterministic. Per-hop mode searches the index's per-hop layout, whose
+    slices are single arcs.
 
     The search runs over *stretch sequences*, not over labelled paths. A
     stretch is an arc tuple that at least one route slice covers, and it
@@ -425,16 +458,15 @@ def enumerate_paths(
     are merged by (route ids, spans) up to the cap; without a cap, all of
     them are returned, so they are sorted at once. This is the implicit path
     representation of Eppstein's k-shortest-paths algorithm (1998), applied
-    to parallel route labels. Each path stores the group's key as its delay,
-    a left-to-right sum from 0.0 like the fold over its segments, and the
-    running minimum of its walk as its bottleneck flow.
+    to parallel route labels. Each path's row takes the group's key as its
+    delay, a left-to-right sum from 0.0 like the fold over its segments, and
+    the running minimum of its walk as its bottleneck flow.
 
-    The bound table and the reach are computed for each call from the
-    index's flat arrays, for all routes at once. The search itself runs on
-    Python tuples that the index builds on first use and keeps for later
-    calls: the entries of each popped junction and the arcs of each route it
-    touches. Each ``(route, n, m)`` slice in the output is built only when a
-    returned path uses it, and is one object shared by every path that does.
+    The bound table and the reach are computed per call, for all routes at
+    once, and the search runs on the Python tuples the index keeps. It builds
+    no path and no slice: a row holds one label code per segment, ``(route
+    row * w + n) * w + m`` for a power of two ``w`` above every position, and
+    a chunk of rows at a time moves into a narrow unsigned array.
     """
     if source not in index.network.junctions:
         raise ValidationError(f"unknown source junction {source}")
@@ -450,8 +482,6 @@ def enumerate_paths(
     if config.mode == PER_HOP:
         index = index._per_hop_layout()
     bound, reach = index.bound_table(target, max_hops)
-    if source not in bound:
-        return []
     # no list holds more than sys.maxsize paths, the largest stop islice takes
     max_paths = None if config.max_paths is None else min(config.max_paths, sys.maxsize)
 
@@ -468,11 +498,18 @@ def enumerate_paths(
     # ahead of partial states with the same key. The stretch ids name a
     # sequence uniquely, so no comparison reaches the junction or the visited
     # set, whose frozenset order is not total.
-    k, d = bound[source]
-    heap: list[tuple] = [
-        (k, d * (1.0 - 1e-9) - 1e-9, 1, (), source, 0.0, frozenset((source,)), None)
-    ]
-    results: list[EnergyPath] = []
+    heap: list[tuple] = []
+    if source in bound:
+        k, d = bound[source]
+        heap.append((k, d * (1.0 - 1e-9) - 1e-9, 1, (), source, 0.0, frozenset((source,)), None))
+    # each group's (hops, delay, path count), and the rows that wait for a
+    # chunk to fill before their label codes and flows move into arrays
+    groups: list[tuple[int, float, int]] = []
+    rows: list[tuple] = []
+    count = 0
+    width = index._width
+    code_type = np.min_scalar_type(len(index.route_ids) * width * width)
+    codes, flows = [np.empty(0, code_type)], [np.empty(0)]  # array chunks
     leaving: dict[tuple[int, int], list[tuple]] = {}
     stretches: list[tuple] = []  # by stretch id
     segments_of: dict[int, list[tuple]] = {}
@@ -520,41 +557,49 @@ def enumerate_paths(
         return [stretch for stretch in stretches[first:] if stretch[3] is not None]
 
     def segments(sid: int) -> list[tuple]:
-        """``(route id, span, slice, slot, follow, flow)`` of each label of a
-        stretch, the first three as 1-tuples, with ``follow`` the slot of
-        the slice that would continue it, a sentinel at a run's end. Built
-        when a complete sequence first uses the stretch."""
+        """``(route, code, slot, follow, flow)`` per label of a stretch: route row and
+        code as 1-tuples, ``follow`` the slot continuing it. Built on first use."""
         found = segments_of.get(sid)
         if found is None:
             *_, labels, arc_count = stretches[sid]
             found = segments_of[sid] = []
             for route_id, n, slot in labels:
-                span = (n, n + arc_count - 1)
-                found.append(((route_id,), (span,), (index.slice(route_id, span),),
-                              slot, slot + arc_count, index.routes[route_id].flow))
+                row = bisect.bisect_left(index.route_ids, route_id)
+                code = (row * width + n) * width + n + arc_count - 1
+                found.append(((row,), (code,), slot, slot + arc_count,
+                              index.routes[route_id].flow))
         return found
 
     def labellings(seq: tuple[int, ...]):
         """Every labelling of a stretch sequence that continues no route, as
-        ``(route ids, spans, segments, bottleneck flow)`` rows in route-id
+        ``(route rows, label codes, bottleneck flow)`` rows in route-id
         order, from one depth-first walk on its own stack; a dead-end prefix
-        yields nothing. The flow is a running minimum down the stack that
-        keeps the first of equal flows, as ``min`` does."""
+        yields nothing. Route rows sort as ids do, and codes under equal
+        rows as their ``(n, m)`` spans do. The flow is a running minimum down
+        the stack that keeps the first of equal flows, as ``min`` does."""
         lists = [segments(sid) for sid in seq]
-        stack = [((), (), (), None, math.inf, iter(lists[0]))]
+        stack = [((), (), None, math.inf, iter(lists[0]))]
         while stack:
-            ids, spans, segs, follow, least, labels = stack[-1]
-            for route_id, span, seg, slot, next_follow, flow in labels:
+            route_rows, label_codes, follow, least, labels = stack[-1]
+            deeper = len(stack) < len(lists)
+            for route, code, slot, next_follow, flow in labels:
                 if slot == follow:
                     continue  # it would continue the previous segment
                 flow = flow if flow < least else least
-                if len(stack) < len(lists):
-                    stack.append((ids + route_id, spans + span, segs + seg,
+                if deeper:
+                    stack.append((route_rows + route, label_codes + code,
                                   next_follow, flow, iter(lists[len(stack)])))
                     break
-                yield ids + route_id, spans + span, segs + seg, flow
+                yield route_rows + route, label_codes + code, flow
             else:
                 stack.pop()
+
+    def flush() -> None:
+        if rows:
+            _, label_codes, row_flows = zip(*rows)
+            codes.append(np.fromiter(itertools.chain.from_iterable(label_codes), code_type))
+            flows.append(np.array(row_flows))
+            rows.clear()
 
     while heap:
         entry = heapq.heappop(heap)
@@ -567,14 +612,17 @@ def enumerate_paths(
             group = [seq]
             while heap and not heap[0][2] and heap[0][1] == delay and heap[0][0] == hops:
                 group.append(heapq.heappop(heap)[3])
+            before = len(rows)
             if max_paths is None:  # every row is returned, and one sort beats a lazy merge
-                ordered, room = sorted(itertools.chain(*map(labellings, group))), None
+                rows += sorted(itertools.chain(*map(labellings, group)))
             else:
-                ordered, room = heapq.merge(*map(labellings, group)), max_paths - len(results)
-            results += [EnergyPath(source, target, segs, delay, flow)
-                        for _, _, segs, flow in itertools.islice(ordered, room)]
-            if len(results) == max_paths:
-                return results
+                rows += itertools.islice(heapq.merge(*map(labellings, group)), max_paths - count)
+            groups.append((hops, delay, len(rows) - before))
+            count += len(rows) - before
+            if count == max_paths:
+                break
+            if len(rows) >= 1 << 10:
+                flush()
             continue
         _, _, _, seq, junction, delay_so_far, visited, only = entry
         hops = len(seq)
@@ -604,4 +652,9 @@ def enumerate_paths(
                 hops + 1 + k, (delay + d) * (1.0 - 1e-9) - 1e-9, 1, child,
                 head, delay, visited | seen, child_only,
             ))
-    return results
+    flush()
+    routes, spans = np.divmod(np.concatenate(codes), width * width)
+    hops, delays, sizes = zip(*groups) if groups else ((), (), ())
+    return PathTable(index, source, target, np.repeat(np.array(hops, np.int64), sizes),
+                     np.repeat(np.array(delays, float), sizes), np.concatenate(flows),
+                     routes, *np.divmod(spans, width))

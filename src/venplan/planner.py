@@ -10,10 +10,10 @@ it against a general LP solver and a vertex-enumeration oracle.
 
 A plan is plain data: the energy each path delivers, in the order the paths
 were given, plus the two totals and a status. :func:`solve` plans one pair
-from its :class:`PathTable`, which a sweep builds once and prices at every
-point, and creates no per-path objects; :func:`solve_scenario` prices each
-pair's table once more to record every path's rate and loss next to its
-energy in ``PairPlan.assignments`` for reports.
+from the :class:`PathTable` that path enumeration returns, which a sweep
+prices at every point, and creates no per-path objects; :func:`solve_scenario`
+prices each table once more to record every path, built by the table, with
+its rate and loss next to its energy in ``PairPlan.assignments``.
 
 Modelling assumption: each path is priced as if it had its routes' packet
 rate to itself. Paths that share a route (even within one pair) are not
@@ -29,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .energetics import EnergyParams, PathTable, path_economics
+from .energetics import EnergyParams, path_economics
 from .errors import ValidationError
-from .paths import EnergyPath, enumerate_paths
+from .paths import EnergyPath, PathTable, enumerate_paths
 from .scenario import Scenario
 
 MAX_ENERGY = "max-energy"
@@ -194,7 +194,7 @@ def solve_scenario(
     penetration scales flows when rates and capacities are computed. Caps
     default to the scenario's own; explicit arguments override them. Each
     pair's :class:`PathTable` is priced once more for the assignments' rates
-    and loss factors, each loss as loss factor x energy.
+    and loss factors, each loss as loss factor x energy, and builds their paths.
     """
     cap = scenario.loss_cap if loss_cap is None else loss_cap
     floor = scenario.delivery_floor if delivery_floor is None else delivery_floor
@@ -202,18 +202,12 @@ def solve_scenario(
     transferred = 0.0
     loss = 0.0
     for source, target in scenario.pairs:
-        paths = enumerate_paths(scenario.index, source, target, scenario.enumeration)
-        table = PathTable(paths)
+        table = enumerate_paths(scenario.index, source, target, scenario.enumeration)
         plan = solve(table, scenario.params, objective, cap, floor, scenario.penetration)
         rates, _, lams = path_economics(table, scenario.params, scenario.penetration)
         losses = [lam * x for lam, x in zip(lams.tolist(), plan.energies)]
-        assignments = tuple(map(PathAssignment, paths, plan.energies, rates.tolist(), losses))
+        assignments = tuple(map(PathAssignment, table, plan.energies, rates.tolist(), losses))
         pair_plans.append(PairPlan(source, target, plan, assignments))
         transferred += plan.transferred
         loss += plan.loss
-    return ScenarioSolution(
-        pairs=tuple(pair_plans),
-        transferred=transferred,
-        loss=loss,
-        objective=objective,
-    )
+    return ScenarioSolution(tuple(pair_plans), transferred, loss, objective)

@@ -2,9 +2,9 @@
 
 One parameter varies per sweep (round-trip efficiency, window, packet size,
 or penetration) while the others sit at fixed nominal values. Paths are
-enumerated once per pair, over the scenario's own route index, and read
-once into the pair's :class:`PathTable`, which every sweep value prices and
-fills: the path set depends only on the network and routes.
+enumerated once per pair, over the scenario's own route index, into the
+pair's :class:`PathTable`, which every sweep value prices and fills with no
+path objects built: the path set depends only on the network and routes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._version import __version__
-from .energetics import EnergyParams, PathTable
+from .energetics import EnergyParams
 from .errors import ValidationError
 from .paths import enumerate_paths
 from .planner import GREEDY, MAX_ENERGY, solve
@@ -76,23 +76,16 @@ class SweepResult:
     tool_version: str
 
 
+def _nominals(spec: SweepSpec) -> dict[str, float]:
+    """The nominal value of each sweep parameter, by name."""
+    return {"z": spec.nominal_efficiency, "T": spec.nominal_window,
+            "w": spec.nominal_packet_size, "penetration": spec.nominal_penetration}
+
+
 def _point_params(spec: SweepSpec, value: float) -> tuple[EnergyParams, float]:
-    efficiency = spec.nominal_efficiency
-    window = spec.nominal_window
-    packet = spec.nominal_packet_size
-    penetration = spec.nominal_penetration
-    if spec.parameter == "z":
-        efficiency = value
-    elif spec.parameter == "T":
-        window = value
-    elif spec.parameter == "w":
-        packet = value
-    else:
-        penetration = value
-    params = EnergyParams.with_round_trip(
-        packet_size=packet, efficiency=efficiency, window=window
-    )
-    return params, penetration
+    point = {**_nominals(spec), spec.parameter: value}
+    params = EnergyParams.with_round_trip(point["w"], point["z"], point["T"])
+    return params, point["penetration"]
 
 
 def run_sweep(
@@ -112,7 +105,7 @@ def run_sweep(
     if method != GREEDY:
         raise ValidationError(f"unknown method {method!r}; the solver is {GREEDY!r}")
     pair_tables = [
-        (s, t, PathTable(enumerate_paths(scenario.index, s, t, scenario.enumeration)))
+        (s, t, enumerate_paths(scenario.index, s, t, scenario.enumeration))
         for s, t in scenario.pairs
     ]
 
@@ -127,22 +120,9 @@ def run_sweep(
             breakdown.append((source, target, plan.transferred, plan.loss))
             transferred += plan.transferred
             loss += plan.loss
-        points.append(
-            SweepPoint(
-                value=value,
-                transferred=transferred,
-                loss=loss,
-                pair_breakdown=tuple(breakdown),
-            )
-        )
-    return SweepResult(
-        spec=spec,
-        objective=objective,
-        points=tuple(points),
-        scenario_digest=scenario_hash(scenario),
-        seed=scenario.seed,
-        tool_version=__version__,
-    )
+        points.append(SweepPoint(value, transferred, loss, pair_breakdown=tuple(breakdown)))
+    return SweepResult(spec, objective, tuple(points), scenario_digest=scenario_hash(scenario),
+                       seed=scenario.seed, tool_version=__version__)
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -169,12 +149,7 @@ def sweep_metadata(result: SweepResult) -> dict:
         "scenario_sha256": result.scenario_digest,
         "seed": result.seed,
         "tool_version": result.tool_version,
-        "nominals": {
-            "z": result.spec.nominal_efficiency,
-            "T": result.spec.nominal_window,
-            "w": result.spec.nominal_packet_size,
-            "penetration": result.spec.nominal_penetration,
-        },
+        "nominals": _nominals(result.spec),
         "pair_breakdown": {
             repr(p.value): [list(entry) for entry in p.pair_breakdown]
             for p in result.points

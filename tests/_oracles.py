@@ -1,11 +1,15 @@
 """Independent reference implementations used only to cross-check the library.
 
-The route oracle ``validate_route`` checks one route at a time, arc by arc,
-where the library's ``read_routes`` checks all routes at once. The slice
-oracle ``sub_route`` builds one route slice by reading each member arc from
-the network, independently of ``RouteIndex.slice``. The path builder
-``energy_path`` folds a segment chain's delay and bottleneck flow, which the
-search stores as it computes them. The path
+``arc`` reads one arc of a network by id, raising ValidationError for an
+unknown one. The route oracle ``validate_route`` checks one route at a time,
+arc by arc, where the library's ``read_routes`` checks all routes at once.
+The slice oracle ``sub_route`` builds one route slice by reading each member
+arc from the network, independently of ``RouteIndex.slice``. The path
+builder ``energy_path`` folds a segment chain's delay and bottleneck flow,
+which the search stores as it computes them. The table oracle ``PathTable``
+reads the columns the planner prices (hop counts, delays, bottleneck flows)
+from a list of paths, one attribute at a time, where the library's search
+writes them as it emits its rows; it also prices hand-built paths. The path
 oracle materializes every sub-route up front and recursively tries all
 concatenations; the LP oracle enumerates candidate vertices from all
 n-subsets of the active constraint set. Both are deliberately brute force
@@ -127,14 +131,22 @@ def path_economics(path, params, penetration=1.0):
     )
 
 
+def arc(network, arc_id):
+    """The network's arc ``arc_id``; ValidationError if there is none."""
+    try:
+        return network.arcs[arc_id]
+    except KeyError:
+        raise ValidationError(f"unknown arc id {arc_id}") from None
+
+
 def route_junctions(network, route):
     """Junction sequence a route visits: tail of the first arc, then every head."""
     if not route.arcs:
         raise ValidationError(f"route {route.id} has no arcs")
-    first = network.arc(route.arcs[0])
+    first = arc(network, route.arcs[0])
     seq = [first.tail]
     for arc_id in route.arcs:
-        seq.append(network.arc(arc_id).head)
+        seq.append(arc(network, arc_id).head)
     return tuple(seq)
 
 
@@ -148,8 +160,8 @@ def validate_route(network, route):
         raise ValidationError(f"route {route.id} flow must be finite and nonnegative")
     seq = route_junctions(network, route)
     for k in range(len(route.arcs) - 1):
-        here = network.arc(route.arcs[k])
-        nxt = network.arc(route.arcs[k + 1])
+        here = arc(network, route.arcs[k])
+        nxt = arc(network, route.arcs[k + 1])
         if here.head != nxt.tail:
             raise ValidationError(
                 f"route {route.id}: arc {nxt.id} does not start where arc {here.id} ends"
@@ -166,10 +178,10 @@ def sub_route(network, route, n, m):
             f"sub-route indices ({n}, {m}) out of range for route {route.id} "
             f"of length {len(route.arcs)}"
         )
-    members = [network.arc(a) for a in route.arcs[n - 1 : m]]
+    members = [arc(network, a) for a in route.arcs[n - 1 : m]]
     delay = 0.0
-    for arc in members:
-        delay += arc.delay
+    for member in members:
+        delay += member.delay
     return SubRoute(
         route_id=route.id,
         start=n,
@@ -190,6 +202,20 @@ def energy_path(source, target, segments):
     return EnergyPath(source, target, tuple(segments), delay, min(s.flow for s in segments))
 
 
+class PathTable:
+    """The columns of ``paths`` that pricing reads, read path by path: int64
+    ``hops``, ``distinct_hops`` (ints) with each path's ``hop_index``, and
+    the ``delays`` and bottleneck ``flows`` each path stores."""
+
+    def __init__(self, paths):
+        n = len(paths)
+        hops = np.fromiter((p.hops for p in paths), dtype=np.int64, count=n)
+        distinct, self.hop_index = np.unique(hops, return_inverse=True)
+        self.hops, self.distinct_hops = hops, distinct.tolist()
+        self.delays = np.fromiter((p.delay for p in paths), dtype=float, count=n)
+        self.flows = np.fromiter((p.bottleneck_flow for p in paths), dtype=float, count=n)
+
+
 def materialized_sub_routes(network, routes, mode):
     segments = []
     for route in routes:
@@ -208,7 +234,7 @@ def brute_force_paths(network, routes, source, target, max_hops, mode="full-rout
 
     def body_junctions(seg):
         arcs = route_map[seg.route_id].arcs[seg.start - 1 : seg.end]
-        return [network.arc(a).head for a in arcs]
+        return [arc(network, a).head for a in arcs]
 
     def extend(chain, visited):
         here = chain[-1].exit if chain else source
@@ -254,7 +280,7 @@ def reference_bound_table(network, routes, target, mode, max_hops):
     per_hop = mode == PER_HOP
     geometry = []
     for route in routes:
-        members = [network.arc(a) for a in route.arcs]
+        members = [arc(network, a) for a in route.arcs]
         geometry.append(
             ([a.tail for a in members], [a.head for a in members], [a.delay for a in members])
         )
@@ -289,7 +315,7 @@ def reference_reach(network, routes, table):
         least = out
         values = []
         for arc_id in reversed(route.arcs):
-            k = table.get(network.arc(arc_id).head, (out,))[0]
+            k = table.get(arc(network, arc_id).head, (out,))[0]
             if k < least:
                 least = k
             values.append(least)
@@ -679,7 +705,7 @@ def junction_sequence(path, network, route_map):
     seq = [path.segments[0].entry]
     for seg in path.segments:
         for arc_id in route_map[seg.route_id].arcs[seg.start - 1 : seg.end]:
-            seq.append(network.arc(arc_id).head)
+            seq.append(arc(network, arc_id).head)
     return tuple(seq)
 
 

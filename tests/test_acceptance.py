@@ -43,7 +43,6 @@ from venplan import (
     MAX_ENERGY,
     MIN_LOSS,
     OPTIMAL,
-    PathTable,
     RouteIndex,
     SweepSpec,
     enumerate_paths,
@@ -59,6 +58,7 @@ from venplan import (
 from venplan.energetics import EnergyParams
 
 from _oracles import (
+    PathTable,
     brute_force_paths,
     lp_assign,
     path_loss,
@@ -104,7 +104,7 @@ def test_criterion_1_worked_example(three_routes_scenario):
     if got != expected:
         failures.append(f"paths {got} != {expected}")
     rerun = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)
-    if rerun != paths:
+    if list(rerun) != list(paths):
         failures.append("enumeration is not deterministic")
     if elapsed >= 1.0:
         failures.append(f"took {elapsed:.3f}s (budget 1s)")
@@ -128,7 +128,7 @@ def test_criterion_2_enumeration_completeness():
                 found = enumerate_paths(index, s, t, config)
                 expected = brute_force_paths(net, routes, s, t, hops)
                 pair_checks += 1
-                if found != expected:
+                if list(found) != expected:
                     failures.append(f"seed {seed} pair ({s},{t}) mismatch")
     elapsed = time.perf_counter() - started
     if elapsed >= 30.0:

@@ -11,7 +11,6 @@ from venplan import (
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
-    PathTable,
     PER_HOP,
     RouteIndex,
     ValidationError,
@@ -22,7 +21,7 @@ from venplan import (
 )
 from venplan.energetics import _retained
 
-from _oracles import loss_factor, max_transferable, path_loss, source_injection
+from _oracles import PathTable, loss_factor, max_transferable, path_loss, source_injection
 from _oracles import path_economics as oracle_economics
 from conftest import chain_network, single_arc_path
 
@@ -95,7 +94,7 @@ class TestPathDelay:
                 flat = 0.0
                 for seg in path.segments:
                     for arc_id in routes[seg.route_id].arcs[seg.start - 1 : seg.end]:
-                        flat += s.network.arc(arc_id).delay
+                        flat += s.network.arcs[arc_id].delay
                 assert path.delay.hex() == flat.hex(), path
 
 
@@ -337,7 +336,7 @@ class TestLossFactorOrder:
                     ))
                     index = RouteIndex(s.network, s.routes)
                     for source, target in s.pairs:
-                        table = PathTable(enumerate_paths(index, source, target, config))
+                        table = enumerate_paths(index, source, target, config)
                         tables += 1
                         for z in zs:
                             _, _, lams = path_economics(table, params(z=z))

@@ -11,7 +11,7 @@ from venplan import (
     build_network,
 )
 
-from _oracles import route_junctions, sub_route
+from _oracles import arc, route_junctions, sub_route
 from _oracles import validate_route as oracle_validate_route
 from conftest import chain_network
 
@@ -48,7 +48,10 @@ def fig_arcs():
 class TestBuildNetwork:
     def test_minimal_network(self):
         net = build_network([1, 2], [Arc(1, 1, 2, 3.0, 10.0)])
-        assert net.arc(1).delay == 3.0
+        assert net.arcs[1].delay == 3.0
+        assert arc(net, 1) is net.arcs[1]
+        with pytest.raises(ValidationError, match="^unknown arc id 7$"):
+            arc(net, 7)
 
     def test_three_route_topology(self):
         net = build_network([1, 2, 3, 4, 5], fig_arcs())
@@ -155,7 +158,7 @@ class TestRouteDelay:
         route = VehicularRoute(1, tuple(range(1, 11)), 4.0)
         resummed = 0.0
         for arc_id in route.arcs:
-            resummed += net.arc(arc_id).delay
+            resummed += net.arcs[arc_id].delay
         assert slice_of(net, route, 1, 10).delay == resummed
 
     def test_subroute_delay_accessor(self):

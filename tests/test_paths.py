@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import random
@@ -10,6 +11,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import venplan.cli
 import venplan.energetics
@@ -34,6 +36,7 @@ from venplan import (
 )
 
 from _oracles import (
+    PathTable,
     brute_force_paths,
     energy_path,
     reference_bound_table,
@@ -164,7 +167,7 @@ class TestThreeRouteExample:
     def test_matches_brute_force(self, three_routes_scenario):
         s = three_routes_scenario
         expected = brute_force_paths(s.network, s.routes, 1, 4, 4)
-        assert self.paths(s) == expected
+        assert list(self.paths(s)) == expected
 
     def test_all_paths_validate(self, three_routes_scenario):
         s = three_routes_scenario
@@ -192,12 +195,12 @@ class TestEnumerationProperties:
     def test_unreachable_target_gives_empty_list(self):
         net = build_network([1, 2, 3], [Arc(1, 1, 2, 1.0, 5.0)])
         routes = [VehicularRoute(1, (1,), 5.0)]
-        assert enumerate_paths(RouteIndex(net, routes), 1, 3, EnumerationConfig()) == []
+        assert list(enumerate_paths(RouteIndex(net, routes), 1, 3, EnumerationConfig())) == []
 
     def test_junction_without_route_coverage_unreachable(self):
         net = build_network([1, 2, 3], [Arc(1, 1, 2, 1.0, 5.0), Arc(2, 2, 3, 1.0, 5.0)])
         routes = [VehicularRoute(1, (1,), 5.0)]  # arc 2 carries no route
-        assert enumerate_paths(RouteIndex(net, routes), 1, 3, EnumerationConfig()) == []
+        assert list(enumerate_paths(RouteIndex(net, routes), 1, 3, EnumerationConfig())) == []
 
     def test_unknown_junctions_rejected(self, three_routes_scenario):
         s = three_routes_scenario
@@ -213,8 +216,9 @@ class TestEnumerationProperties:
         index = RouteIndex(s.network, s.routes)
         first = enumerate_paths(index, 1, 4, s.enumeration)
         second = enumerate_paths(index, 1, 4, s.enumeration)
-        assert first == second
-        assert enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration) == first
+        assert list(first) == list(second)
+        fresh = enumerate_paths(RouteIndex(s.network, s.routes), 1, 4, s.enumeration)
+        assert list(fresh) == list(first)
 
     def test_result_cap_is_a_prefix_of_the_full_list(self, three_routes_scenario):
         s = three_routes_scenario
@@ -222,7 +226,7 @@ class TestEnumerationProperties:
         full = enumerate_paths(index, 1, 4, EnumerationConfig(max_hops=4, max_paths=None))
         for k in (1, 2, 3):
             capped = enumerate_paths(index, 1, 4, EnumerationConfig(max_hops=4, max_paths=k))
-            assert capped == full[:k]
+            assert list(capped) == list(full)[:k]
 
     def test_hop_cap_respected(self, three_routes_scenario):
         s = three_routes_scenario
@@ -256,12 +260,13 @@ class TestEnumerationProperties:
                                 continue
                             found = enumerate_paths(index, s, t, config)
                             expected = brute_force_paths(net, routes, s, t, hops, mode)
-                            assert found == expected, (seed, hops, mode, s, t)
+                            assert list(found) == expected, (seed, hops, mode, s, t)
                             for cap in {1, max(1, len(expected) // 2)}:
                                 capped = enumerate_paths(
                                     index, s, t, dataclasses.replace(config, max_paths=cap)
                                 )
-                                assert capped == expected[:cap], (seed, hops, mode, s, t, cap)
+                                where = (seed, hops, mode, s, t, cap)
+                                assert list(capped) == expected[:cap], where
 
     def test_delay_is_a_left_to_right_fold(self):
         # the stored delay is the search's key, summed left to right from 0.0
@@ -287,7 +292,7 @@ class TestEnumerationProperties:
             for hops in (1, 2, 3):
                 config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
                 found = enumerate_paths(index, 1, 4, config)
-                assert found == brute_force_paths(net, routes, 1, 4, hops, mode)
+                assert list(found) == brute_force_paths(net, routes, 1, 4, hops, mode)
                 assert found[0].delay == 20.0, (mode, hops)
             assert min(found, key=lambda p: p.delay).hops == 3, mode
 
@@ -300,7 +305,7 @@ class TestEnumerationProperties:
                 for source in (1, 2, 3, 11):
                     found = enumerate_paths(index, source, 9, config)
                     expected = brute_force_paths(net, routes, source, 9, hops, mode)
-                    assert found == expected, (mode, hops, source)
+                    assert list(found) == expected, (mode, hops, source)
         config = EnumerationConfig(max_hops=4, max_paths=None)
         assert [segment_shape(p) for p in enumerate_paths(index, 1, 9, config)] == [
             ((4, 1, 3),),
@@ -316,13 +321,13 @@ class TestEnumerationProperties:
                 config = EnumerationConfig(max_hops=hops, max_paths=None, mode=mode)
                 found = enumerate_paths(index, 1, 4, config)
                 expected = brute_force_paths(net, routes, 1, 4, hops, mode)
-                assert found == expected
+                assert list(found) == expected
                 assert all(p.delay == 1.5 for p in found), (mode, hops)
                 for cap in range(1, len(expected) + 1):
                     capped = enumerate_paths(
                         index, 1, 4, dataclasses.replace(config, max_paths=cap)
                     )
-                    assert capped == expected[:cap], (mode, hops, cap)
+                    assert list(capped) == expected[:cap], (mode, hops, cap)
             assert len(found) == 8, mode  # 2 + 4 + 2 and 2**3 paths
         config = EnumerationConfig(max_hops=3, max_paths=None)
         assert [segment_shape(p) for p in enumerate_paths(index, 1, 4, config)] == [
@@ -338,8 +343,9 @@ class TestEnumerationProperties:
 
     def test_pops_a_complete_path_only_to_return_it(self, heap_pops, monkeypatch):
         # every path ties with all others on (hops, delay) at its hop count,
-        # so a capped search must stop without building the tied rest or
-        # expanding a partial state keyed past its last path
+        # so a capped search must stop without emitting the tied rest or
+        # expanding a partial state keyed past its last path; it builds no
+        # path, and the table builds each of its rows once when iterated
         built = []
 
         def counting(*fields):
@@ -354,8 +360,10 @@ class TestEnumerationProperties:
                 heap_pops.clear()
                 built.clear()
                 config = EnumerationConfig(max_hops=3, max_paths=cap, mode=mode)
-                found = enumerate_paths(index, 1, 4, config)
-                assert len(found) == cap and built == found, (mode, cap)
+                table = enumerate_paths(index, 1, 4, config)
+                assert len(table) == cap and built == [], (mode, cap)
+                found = list(table)
+                assert built == found, (mode, cap)
                 last = (found[-1].hops, found[-1].delay)
                 assert all(entry[:2] <= last for entry in heap_pops), (mode, cap)
                 # complete entries carry flag 0, and each popped one's group
@@ -453,7 +461,7 @@ class TestStretchLabels:
                     for cap in (None, 1, 3):
                         config = EnumerationConfig(max_hops=hops, max_paths=cap, mode=mode)
                         result = enumerate_paths(index, source, target, config)
-                        assert result == expected[:cap], (mode, hops, source, target, cap)
+                        assert list(result) == expected[:cap], (mode, hops, source, target, cap)
                     found[mode, hops, source, target] = [segment_shape(p) for p in expected]
         return found
 
@@ -590,7 +598,7 @@ class TestBoundTable:
                 found_reach = {}
                 for junction in net.junctions:
                     for route_id, n, slot in per_hop.entries(junction):
-                        head = net.arc(route_map[route_id].arcs[n - 1]).head
+                        head = net.arcs[route_map[route_id].arcs[n - 1]].head
                         assert reach[slot] == expected.get(head, (out,))[0], where
                         assert reach[slot + 1] == out, where
                         found_reach[route_id, n] = slot
@@ -635,9 +643,9 @@ def unshift_path(path, shift):
 class TestRouteIndexEdges:
     def test_no_routes_gives_empty_list(self, three_routes_scenario):
         s = three_routes_scenario
-        assert enumerate_paths(RouteIndex(s.network, []), 1, 4, EnumerationConfig()) == []
+        assert list(enumerate_paths(RouteIndex(s.network, []), 1, 4, EnumerationConfig())) == []
         per_hop = EnumerationConfig(mode=PER_HOP)
-        assert enumerate_paths(RouteIndex(s.network, ()), 1, 4, per_hop) == []
+        assert list(enumerate_paths(RouteIndex(s.network, ()), 1, 4, per_hop)) == []
 
     def test_unknown_arc_id_rejected(self, three_routes_scenario):
         s = three_routes_scenario
@@ -667,8 +675,8 @@ class TestRouteIndexEdges:
         index = RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             config = EnumerationConfig(mode=mode)
-            assert enumerate_paths(index, 1, 4, config) == []
-            assert enumerate_paths(index, 1, 3, config) != []
+            assert list(enumerate_paths(index, 1, 4, config)) == []
+            assert list(enumerate_paths(index, 1, 3, config)) != []
 
     @pytest.mark.parametrize("shift", [2**70, -(2**70)])
     def test_ids_beyond_int64(self, three_routes_scenario, shift):
@@ -677,7 +685,7 @@ class TestRouteIndexEdges:
         index, shifted = RouteIndex(s.network, s.routes), RouteIndex(net, routes)
         for mode in (FULL_ROUTE, PER_HOP):
             config = EnumerationConfig(max_hops=4, max_paths=None, mode=mode)
-            expected = enumerate_paths(index, 1, 4, config)
+            expected = list(enumerate_paths(index, 1, 4, config))
             found = enumerate_paths(shifted, 1 + shift, 4 + shift, config)
             assert expected
             assert [unshift_path(p, shift) for p in found] == expected, mode
@@ -695,7 +703,7 @@ class TestRouteIndexEdges:
                     max_hops=len(s.network.junctions), max_paths=None, mode=mode
                 ),
             )
-            assert found == expected and found, mode
+            assert list(found) == list(expected) and found, mode
 
     def test_path_cap_beyond_int64(self, three_routes_scenario):
         s = three_routes_scenario
@@ -703,7 +711,7 @@ class TestRouteIndexEdges:
         for mode in (FULL_ROUTE, PER_HOP):
             found = enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=2**63, mode=mode))
             expected = enumerate_paths(index, 1, 4, EnumerationConfig(max_paths=None, mode=mode))
-            assert found == expected and found, mode
+            assert list(found) == list(expected) and found, mode
 
     def test_entries_sorted_by_route_then_position(self, three_routes_scenario):
         s = three_routes_scenario
@@ -828,6 +836,48 @@ def signed_zero_document(three_routes_text):
     return doc
 
 
+class TestPathTableColumns:
+    """The table's columns are the fold of the paths it builds, row for row."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([FULL_ROUTE, PER_HOP]),
+        max_hops=st.sampled_from([2, 6]),
+        cap=st.sampled_from([None, 1, 3, 17]),
+    )
+    def test_columns_are_the_fold_of_the_rows(self, seed, mode, max_hops, cap):
+        scenario = generate_scenario(GeneratorConfig(
+            seed=seed, junction_count=8, arc_count=20, route_count=8, pair_count=2
+        ))
+        net, routes, index = scenario.network, scenario.routes, scenario.index
+        config = EnumerationConfig(max_hops=max_hops, max_paths=cap, mode=mode)
+        for source, target in [*scenario.pairs, *((t, s) for s, t in scenario.pairs)]:
+            table = enumerate_paths(index, source, target, config)
+            paths = list(table)
+            assert paths == brute_force_paths(net, routes, source, target, max_hops, mode)[:cap]
+            assert len(table) == len(paths) and bool(table) == bool(paths)
+            for i, path in enumerate(paths):
+                fold = energy_path(source, target, path.segments)
+                row = (int(table.hops[i]), float(table.delays[i]).hex(),
+                       float(table.flows[i]).hex())
+                assert row == (len(fold.segments), fold.delay.hex(),
+                               fold.bottleneck_flow.hex()), (i, path)
+                assert table[i] == path == table[i - len(paths)]
+            oracle = PathTable(paths)
+            for name in ("hops", "delays", "flows", "hop_index"):
+                assert getattr(table, name).tobytes() == getattr(oracle, name).tobytes(), name
+            assert table.distinct_hops == oracle.distinct_hops
+            labels = zip(table.routes.tolist(), table.starts.tolist(), table.ends.tolist())
+            assert [(index.route_ids[r], n, m) for r, n, m in labels] == [
+                (g.route_id, g.start, g.end) for p in paths for g in p.segments
+            ]
+            hops = [len(p.segments) for p in paths]
+            assert table.offsets.tolist() == [0, *itertools.accumulate(hops)]
+            with pytest.raises(IndexError):
+                table[len(paths)]
+
+
 class TestSignedZeros:
     """Zero flows of either sign and -0.0 arc delays pass the route check; the
     stored numbers keep the fold's bits, and min's first-minimum rule picks
@@ -841,7 +891,8 @@ class TestSignedZeros:
             config = dataclasses.replace(s.enumeration, mode=mode)
             for source, target in s.pairs:
                 found = enumerate_paths(index, source, target, config)
-                assert found == brute_force_paths(s.network, s.routes, source, target, 4, mode)
+                expected = brute_force_paths(s.network, s.routes, source, target, 4, mode)
+                assert list(found) == expected
                 for path in found:
                     assert validate_path(path, s.network, s.routes) is None, path
                     zeros = [math.copysign(1.0, g.flow) for g in path.segments if g.flow == 0]
@@ -913,7 +964,7 @@ class TestSharedRouteIndex:
         spec = venplan.sweep.SweepSpec(parameter="z", values=(0.5, 0.9))
         calls = [
             venplan.planner.solve_scenario,
-            lambda s: [enumerate_paths(s.index, *pair, per_hop) for pair in s.pairs],
+            lambda s: [list(enumerate_paths(s.index, *pair, per_hop)) for pair in s.pairs],
             lambda s: venplan.sweep.run_sweep(s, spec),
             venplan.planner.solve_scenario,
         ]
@@ -931,7 +982,9 @@ class TestSharedRouteIndex:
         full = held.enumeration
         per_hop = dataclasses.replace(full, mode=PER_HOP)
         (source, target), fresh = held.pairs[0], parse_scenario(three_routes_text).index
-        expected = {c.mode: enumerate_paths(fresh, source, target, c) for c in (full, per_hop)}
+        expected = {
+            c.mode: list(enumerate_paths(fresh, source, target, c)) for c in (full, per_hop)
+        }
         assert expected[FULL_ROUTE] != expected[PER_HOP]
         lay_out, layouts, nested = RouteIndex._lay_out, [], []
 
@@ -941,14 +994,14 @@ class TestSharedRouteIndex:
                 return lay_out(layout, slots, blocks)
             if laid_out:
                 lay_out(layout, slots, blocks)
-            nested.append(enumerate_paths(held.index, source, target, per_hop))
+            nested.append(list(enumerate_paths(held.index, source, target, per_hop)))
             if not laid_out:
                 lay_out(layout, slots, blocks)
 
         monkeypatch.setattr(RouteIndex, "_lay_out", interleaved)
-        assert enumerate_paths(held.index, source, target, per_hop) == expected[PER_HOP]
+        assert list(enumerate_paths(held.index, source, target, per_hop)) == expected[PER_HOP]
         assert nested == [expected[PER_HOP]]
-        assert enumerate_paths(held.index, source, target, full) == expected[FULL_ROUTE]
+        assert list(enumerate_paths(held.index, source, target, full)) == expected[FULL_ROUTE]
 
     def test_threads_share_one_index(self):
         # more threads than cores search one fresh scenario's index at once,
@@ -960,7 +1013,7 @@ class TestSharedRouteIndex:
         pairs = fresh.pairs
         configs = [dataclasses.replace(fresh.enumeration, mode=m) for m in (PER_HOP, FULL_ROUTE)]
         expected = {
-            (c.mode, pair): enumerate_paths(fresh.index, *pair, c)
+            (c.mode, pair): list(enumerate_paths(fresh.index, *pair, c))
             for c in configs
             for pair in pairs
         }
@@ -975,7 +1028,8 @@ class TestSharedRouteIndex:
                     try:
                         for c in configs[:: 1 if i % 2 else -1]:
                             for pair in pairs[:: 1 if i < 2 else -1]:
-                                found[i, c.mode, pair] = enumerate_paths(held.index, *pair, c)
+                                table = enumerate_paths(held.index, *pair, c)
+                                found[i, c.mode, pair] = list(table)
                     except Exception as exc:  # reported by the main thread
                         errors.append(exc)
 
@@ -1022,7 +1076,7 @@ class TestSharedRouteIndex:
             }
             pairs = [*scenario.pairs, *((t, s) for s, t in scenario.pairs)]
             fresh = {
-                (m, pair): enumerate_paths(RouteIndex(net, routes), *pair, config)
+                (m, pair): list(enumerate_paths(RouteIndex(net, routes), *pair, config))
                 for m, config in configs.items()
                 for pair in pairs
             }
@@ -1034,9 +1088,10 @@ class TestSharedRouteIndex:
                     for pair in order:
                         for m in modes:
                             probe = dataclasses.replace(configs[m], max_paths=1)
-                            assert enumerate_paths(index, *pair, probe) == fresh[m, pair][:1]
+                            probed = enumerate_paths(index, *pair, probe)
+                            assert list(probed) == fresh[m, pair][:1]
                             found = enumerate_paths(index, *pair, configs[m])
-                            assert found == fresh[m, pair], (m, pair)
+                            assert list(found) == fresh[m, pair], (m, pair)
                     assert len(layouts) == 1  # the per-hop layout, built once
 
     def test_modes_share_one_arc_slices(self, layouts):
@@ -1174,6 +1229,6 @@ class TestEnumerationConfig:
         s = three_routes_scenario
         index = RouteIndex(s.network, s.routes)
         config = EnumerationConfig(max_hops=np.int64(2), max_paths=np.int32(2))
-        assert enumerate_paths(index, 1, 4, config) == enumerate_paths(
+        assert list(enumerate_paths(index, 1, 4, config)) == list(enumerate_paths(
             index, 1, 4, EnumerationConfig(max_hops=2, max_paths=2)
-        )
+        ))

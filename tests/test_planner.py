@@ -16,7 +16,6 @@ from venplan import (
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
-    PathTable,
     RouteIndex,
     TransferPlan,
     ValidationError,
@@ -30,7 +29,7 @@ from venplan import (
 )
 
 from _oracles import (
-    energy_path, lp_assign, path_economics, reference_fill, reference_plan, sub_route,
+    PathTable, energy_path, lp_assign, path_economics, reference_fill, reference_plan, sub_route,
     vertex_enumeration_lp,
 )
 from _properties import check_tradeoff_properties

@@ -21,7 +21,6 @@ from venplan import (
     EnergyParams,
     EnumerationConfig,
     GeneratorConfig,
-    PathTable,
     RouteIndex,
     ScenarioFormatError,
     ValidationError,
@@ -191,14 +190,14 @@ class TestGenerator:
     def test_route_flow_is_min_of_member_arc_flows(self):
         scenario = generate_scenario(self.CONFIG)
         for route in scenario.routes:
-            flows = [scenario.network.arc(a).flow for a in route.arcs]
+            flows = [scenario.network.arcs[a].flow for a in route.arcs]
             assert route.flow == min(flows)
 
     def test_route_length_cap(self):
         config = dataclasses.replace(self.CONFIG, max_route_length=120.0)
         scenario = generate_scenario(config)
         for route in scenario.routes:
-            total = sum(scenario.network.arc(a).length for a in route.arcs)
+            total = sum(scenario.network.arcs[a].length for a in route.arcs)
             assert total <= 120.0 + 1e-9
 
     def test_generated_routes_validate(self):
@@ -224,9 +223,9 @@ class TestGenerator:
         scenario = generate_scenario(self.CONFIG)
         index = RouteIndex(scenario.network, scenario.routes)
         for s, t in scenario.pairs:
-            paths = enumerate_paths(index, s, t, scenario.enumeration)
-            half = path_economics(PathTable(paths), scenario.params, 0.5)[0]
-            full = path_economics(PathTable(paths), scenario.params, 1.0)[0]
+            table = enumerate_paths(index, s, t, scenario.enumeration)
+            half = path_economics(table, scenario.params, 0.5)[0]
+            full = path_economics(table, scenario.params, 1.0)[0]
             assert (2.0 * half).tolist() == full.tolist()
 
     def test_unsatisfiable_configs_reported(self):

@@ -11,8 +11,10 @@ from venplan import (
     ValidationError,
     find_crossover,
     generate_scenario,
+    parse_scenario,
     run_sweep,
     scenario_hash,
+    serialize_scenario,
     solve_scenario,
     sweep_metadata,
     sweep_to_csv,
@@ -158,18 +160,20 @@ class TestCrossover:
 
 
 class TestPathTables:
-    """Each pair's paths are read into one table, however many points a sweep has."""
+    """The search returns one table per pair, however many points a sweep has,
+    and a sweep plans from the tables without building a path."""
+
+    CONFIG = GeneratorConfig(seed=3, junction_count=12, arc_count=30, route_count=12,
+                             pair_count=3)
 
     def test_one_table_per_pair(self, monkeypatch):
-        scenario = generate_scenario(GeneratorConfig(
-            seed=3, junction_count=12, arc_count=30, route_count=12, pair_count=3
-        ))
+        scenario = generate_scenario(self.CONFIG)
         built = []
         real_init = PathTable.__init__
 
-        def counting(self, paths):
-            built.append(len(paths))
-            real_init(self, paths)
+        def counting(self, *columns):
+            real_init(self, *columns)
+            built.append(len(self))
 
         monkeypatch.setattr(PathTable, "__init__", counting)
         run_sweep(scenario, SweepSpec(parameter="z", values=(0.5, 0.7, 0.9)))
@@ -177,3 +181,12 @@ class TestPathTables:
         built.clear()
         solve_scenario(scenario)
         assert len(built) == len(scenario.pairs)
+
+    def test_a_sweep_builds_no_paths(self):
+        scenario = parse_scenario(serialize_scenario(generate_scenario(self.CONFIG)))
+        run_sweep(scenario, SweepSpec(parameter="z", values=(0.5, 0.7, 0.9)))
+        assert scenario.index._slices == {}
+        solution = solve_scenario(scenario)  # its assignments are a report
+        assert len(scenario.index._slices) == len(
+            {seg for pair in solution.pairs for path in pair.paths for seg in path.segments}
+        ) > 0
