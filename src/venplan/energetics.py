@@ -18,12 +18,11 @@ All quantities use kWh, hours, and vehicles per hour.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FLOAT_MAX, ValidationError
 from .paths import PathTable
 
 
@@ -37,13 +36,13 @@ class EnergyParams:
     window: float  # hours available to complete the transfer
 
     def __post_init__(self) -> None:
-        if not 0 < self.packet_size < math.inf:
+        if not 0.0 < self.packet_size <= FLOAT_MAX:
             raise ValidationError("packet_size must be positive and finite")
         for name in ("charge_efficiency", "discharge_efficiency"):
             value = getattr(self, name)
             if not 0 < value <= 1:
                 raise ValidationError(f"{name} must be within (0, 1]")
-        if not 0 <= self.window < math.inf:
+        if not 0.0 <= self.window <= FLOAT_MAX:
             raise ValidationError("window must be finite and nonnegative")
 
     @property

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the largest float, with
+which every finiteness check compares its value."""
+
+import sys
+
+# an integer beyond the float range compares above it, where math.isfinite
+# would raise OverflowError; nan, inf and -inf fail every comparison with it
+FLOAT_MAX = sys.float_info.max
 
 
 class VenplanError(Exception):

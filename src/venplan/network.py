@@ -5,9 +5,9 @@ whose arcs carry a constant traversal delay and a vehicle flow. Vehicular
 routes are loop-free sequences of connected arcs; contiguous slices of a
 route (sub-routes) are the building blocks of energy paths.
 
-A network holds only its junction ids and its arcs by id; code that walks
-it builds its own index, as the route index and the generator do, and a
-scenario's route index checks its routes (:func:`venplan.paths.read_routes`).
+A network holds only its junction ids and its arcs by id. Code that walks
+it builds its own index, as the generator does, or a scenario's route index,
+which checks routes (:func:`venplan.paths.read_routes`) and works on rows.
 
 Networks and routes are immutable once built, and a scenario's route index
 stores each cache value it fills on first use only once it is complete, so
@@ -16,11 +16,10 @@ all three can be shared freely between concurrent consumers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import ValidationError
+from .errors import FLOAT_MAX, ValidationError
 
 
 @dataclass(frozen=True)
@@ -54,9 +53,9 @@ class VehicularRoute:
 class SubRoute:
     """Contiguous slice of a route, from its n-th to its m-th arc.
 
-    Indices are 1-based and inclusive. The slice inherits the parent route's
-    flow; its delay is the sum of the member arcs' delays. Slices are built
-    by :meth:`venplan.RouteIndex.slice`.
+    Indices are 1-based and inclusive. The slice keeps the route's id and
+    flow as given; its delay is the sum of the member arcs' delays. Slices
+    are built by :meth:`venplan.RouteIndex.slice` from a route row.
     """
 
     route_id: int
@@ -103,7 +102,7 @@ def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
             raise ValidationError(f"arc {arc.id} references an undeclared junction")
         for field in ("delay", "flow", "length"):
             value = getattr(arc, field)
-            if not (value >= 0 and math.isfinite(value)):
+            if not 0.0 <= value <= FLOAT_MAX:
                 raise ValidationError(f"arc {arc.id} {field} must be finite and nonnegative")
         arc_map[arc.id] = arc
 

@@ -16,7 +16,9 @@ labellings only for the paths it returns, into one :class:`PathTable` of
 columns per pair, from which a report builds each :class:`EnergyPath` on
 demand. A scenario's route index serves all its searches; building it checks
 the routes (:func:`read_routes`), so no route the search walks passes a
-junction twice.
+junction twice. Inside the index and the search, junctions, routes and
+arcs are rows: ids are read by the check and at the search's arguments, and
+written only into the slices a report builds.
 
 Two routing-information modes are supported:
 
@@ -31,7 +33,6 @@ Two routing-information modes are supported:
 
 from __future__ import annotations
 
-import bisect
 import copy
 import heapq
 import itertools
@@ -43,7 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FLOAT_MAX, ValidationError
 from .network import RoadNetwork, SubRoute, VehicularRoute
 
 FULL_ROUTE = "full-route"
@@ -107,10 +108,10 @@ def read_routes(network: RoadNetwork, routes: Sequence[VehicularRoute]) -> tuple
     route in input order to break a rule raises ValidationError naming the
     first rule it breaks, in that order; then route ids must be unique.
 
-    Returns each junction's dense row, the routes in id order, their
-    lengths, and each member arc's route (its place in that order), row in
-    ``network.arcs``, tail row and head row. :class:`RouteIndex` builds from
-    them, so building an index, as every scenario does, is the route check.
+    Returns junction rows by id, the route ids in id order (a route's row is
+    its place there) with their flows as given and lengths, each member arc's
+    route row and arc row (its place in ``network.arcs``), and each arc's tail
+    and head rows. Building a :class:`RouteIndex` on them is the route check.
     """
     rows = {j: row for row, j in enumerate(network.junctions)}
     arc_rows = {a: row for row, a in enumerate(network.arcs)}
@@ -140,8 +141,8 @@ def read_routes(network: RoadNetwork, routes: Sequence[VehicularRoute]) -> tuple
     width = len(rows) + 1
     visits = np.concatenate((route_of * width + heads, route_of[starts] * width + tails[starts]))
     visits.sort()
-    flows = np.fromiter((r.flow for r in ordered), float, len(ordered))
-    bad_flow = ~(np.isfinite(flows) & (flows >= 0))
+    flows = [r.flow for r in ordered]
+    bad_flow = np.fromiter((not 0.0 <= f <= FLOAT_MAX for f in flows), bool, len(flows))
     bad = bad_flow | (lengths == 0)
     bad[route_of[(members < 0) | broken]] = True
     bad[visits[1:][visits[1:] == visits[:-1]] // width] = True
@@ -164,7 +165,7 @@ def read_routes(network: RoadNetwork, routes: Sequence[VehicularRoute]) -> tuple
         raise ValidationError(f"route {route.id} visits a junction twice")
     if len(set(ids)) != len(ids):
         raise ValidationError("duplicate route ids")
-    return rows, ordered, lengths, route_of, members, tails, heads
+    return rows, [ids[i] for i in order], flows, lengths, route_of, members, arc_tails, arc_heads
 
 
 class RouteIndex:
@@ -175,38 +176,40 @@ class RouteIndex:
     A scenario builds one as its ``index``, and :func:`read_routes`, run
     here, is the scenario's route check.
 
-    Every network junction gets a dense row, and every member arc of every
-    route one slot in three arrays: tail row, head row and delay. The slots
-    are laid out by position counted from the route's end: block ``q`` holds
-    the ``q``-th last arc of each route longer than ``q``, longest routes
-    first, so each block's routes are a prefix of the previous block's.
-    ``bound_table`` runs its backward passes over these blocks, all routes at
-    once, and the running minimum that gives each position its reach. Ids
-    only key Python dicts, so ids of any int size work.
+    A junction's row is ``rows[id]`` and a route's its place in
+    ``route_ids``, which is in id order, so rows sort as ids do and ids of
+    any int size work. Every member arc of every route has one slot in three
+    arrays: tail row, head row and delay. The slots are laid out by position
+    counted from the route's end: block ``q`` holds the ``q``-th last arc of
+    each route longer than ``q``, longest routes first, so each block's
+    routes are a prefix of the previous block's. ``bound_table`` runs its
+    backward passes over these blocks, all routes at once, and the running
+    minimum that gives each position its reach.
 
     The search reads Python tuples that are built on first use and then
     kept for the index's lifetime, since none depends on the target: a
-    junction's sorted ``(route id, 1-based position, reach slot)`` entries,
-    a route's geometry (the junctions it visits and its member arc delays)
-    and each ``(route, n, m)`` slice, which is built from that geometry.
+    junction row's sorted ``(route row, 1-based position, reach slot)``
+    entries, a route row's geometry (read from its span of member arcs) and
+    each ``(route row, n, m)`` slice, which is built from that geometry.
     Reach slots come in runs, each its members' positions in order and then
     an out-of-budget sentinel, and a slice is a stretch of one run. Here each
     route is a run, in id order; the per-hop layout makes each member arc a
-    run of its own, keeping its ``(route id, position)``.
+    run of its own, keeping its ``(route row, position)``.
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
-        self.network = network
-        self.rows, ordered, lengths, route_of, members, tails, heads = read_routes(
-            network, routes
-        )
+        (self.rows, self.route_ids, self.flows, lengths, route_of, members, arc_tails,
+         arc_heads) = read_routes(network, routes)
         self.junction_ids = list(self.rows)
-        self.route_ids = [r.id for r in ordered]
-        self.routes = dict(zip(self.route_ids, ordered))
+        arc_delays = np.fromiter((a.delay for a in network.arcs.values()), float)
+        tails, heads = arc_tails[members], arc_heads[members]
+        ends = np.cumsum(lengths)
+        self._ends = np.concatenate(([0], ends))
+        self._members = members.astype(np.min_scalar_type(arc_delays.size))
+        self._arc_tails, self._arc_heads, self._arc_delays = arc_tails, arc_heads, arc_delays
 
         # members in (route id, position) order, so that a stable sort by tail
         # lists each junction's entries sorted; a narrow key sorts by radix
-        ends = np.cumsum(lengths)
         positions = np.arange(1, members.size + 1) - (ends - lengths)[route_of]
         narrow = tails.astype(np.min_scalar_type(len(self.rows)))
         self._entry_members = np.argsort(narrow, kind="stable")
@@ -225,14 +228,13 @@ class RouteIndex:
         self._table_members = np.concatenate(blocks) if blocks else members
         self._tails = tails[self._table_members]
         self._heads = heads[self._table_members]
-        arc_delays = np.fromiter((a.delay for a in network.arcs.values()), float)
         self._delays = arc_delays[members[self._table_members]]
         bounds = [0, *np.cumsum([b.size for b in blocks]).tolist()]
         # one run of reach slots per route: member i of route r has slot i + r
         self._lay_out(np.arange(members.size) + route_of, list(zip(bounds, bounds[1:])))
 
         self._entries: dict[int, tuple[tuple[int, int, int], ...]] = {}
-        self._geometry: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {}
+        self._geometry: dict[int, tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]] = {}
         self._slices: dict[tuple[int, tuple[int, int]], SubRoute] = {}
         self._per_hop: Optional[RouteIndex] = None
 
@@ -255,53 +257,54 @@ class RouteIndex:
         return self._per_hop
 
     def entries(self, junction: int) -> tuple[tuple[int, int, int], ...]:
-        """``(route id, 1-based position, reach slot)`` of every member arc
-        leaving ``junction``, sorted."""
+        """``(route row, 1-based position, reach slot)`` of every member arc
+        leaving junction row ``junction``, sorted."""
         found = self._entries.get(junction)
         if found is None:
-            row = self.rows[junction]
-            lo, hi = self._entry_starts[row], self._entry_starts[row + 1]
-            found = tuple(
-                zip(
-                    map(self.route_ids.__getitem__, self._entry_routes[lo:hi].tolist()),
-                    self._entry_positions[lo:hi].tolist(),
-                    self._entry_slots[lo:hi].tolist(),
-                )
-            )
-            self._entries[junction] = found
+            lo, hi = self._entry_starts[junction], self._entry_starts[junction + 1]
+            found = self._entries[junction] = tuple(zip(
+                self._entry_routes[lo:hi].tolist(),
+                self._entry_positions[lo:hi].tolist(),
+                self._entry_slots[lo:hi].tolist(),
+            ))
         return found
 
-    def geometry(self, route_id: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
-        """Junctions a route visits (its first arc's tail, then every head)
-        and its member arcs' delays, in travel order."""
-        found = self._geometry.get(route_id)
+    def geometry(self, route: int) -> tuple[tuple[int, ...], tuple[float, ...], tuple[int, ...]]:
+        """Junction rows route row ``route`` visits (its first arc's tail, then
+        every head), its member arcs' delays and their arc rows, in travel order."""
+        found = self._geometry.get(route)
         if found is None:
-            arcs = [self.network.arcs[a] for a in self.routes[route_id].arcs]
-            junctions = (arcs[0].tail, *(a.head for a in arcs))
-            found = self._geometry[route_id] = (junctions, tuple(a.delay for a in arcs))
+            lo, hi = self._ends[route : route + 2].tolist()
+            arcs = self._members[lo:hi]
+            found = self._geometry[route] = (
+                (self._arc_tails[arcs[0]].item(), *self._arc_heads[arcs].tolist()),
+                tuple(self._arc_delays[arcs].tolist()),
+                tuple(arcs.tolist()),
+            )
         return found
 
-    def slice(self, route_id: int, span: tuple[int, int]) -> SubRoute:
-        """The route's ``n``-th to ``m``-th arcs for ``span = (n, m)``, one object
-        per index even when searches race, with their delays summed left to right from 0.0."""
-        key = (route_id, span)
+    def slice(self, route: int, span: tuple[int, int]) -> SubRoute:
+        """The ``(n, m) = span`` slice of route row ``route``, named by ids: one object
+        per index even when searches race, its delays summed left to right from 0.0."""
+        key = (route, span)
         found = self._slices.get(key)
         if found is None:
-            junctions, delays = self.geometry(route_id)
+            junctions, delays, _ = self.geometry(route)
             n, m = span
             delay = 0.0
             for arc_delay in delays[n - 1 : m]:
                 delay += arc_delay
             found = self._slices.setdefault(key, SubRoute(
-                route_id, n, m, junctions[n - 1], junctions[m], delay, self.routes[route_id].flow
+                self.route_ids[route], n, m, self.junction_ids[junctions[n - 1]],
+                self.junction_ids[junctions[m]], delay, self.flows[route],
             ))
         return found
 
     def bound_table(
         self, target: int, max_hops: int
     ) -> tuple[dict[int, tuple[int, float]], memoryview]:
-        """Map each junction to (fewest slices, least delay) left to ``target``,
-        and give each member position its reach.
+        """Map each junction row to (fewest slices, least delay) left to
+        junction row ``target``, and give each member position its reach.
 
         Layer ``k`` holds the least delay from each junction to ``target`` in
         at most ``k`` slices. Each layer comes from the previous one by one
@@ -325,11 +328,10 @@ class RouteIndex:
         count can walk a run until the reach exceeds the budget without
         checking the run's length.
         """
-        target_row = self.rows[target]
         layer = np.full(len(self.junction_ids), math.inf)
-        layer[target_row] = 0.0
+        layer[target] = 0.0
         first_hops = np.full(len(self.junction_ids), -1)
-        first_hops[target_row] = 0
+        first_hops[target] = 0
         first_delays = layer.copy()
         best = np.empty(self._tails.size)  # least delay to the target per slot
         try:
@@ -353,16 +355,11 @@ class RouteIndex:
                     first_delays[new] = nxt[new]
                     layer = nxt
         except FloatingPointError:
-            raise ValidationError(
-                f"path delays to junction {target} overflow; the arc delays are too large"
-            ) from None
+            raise ValidationError(f"path delays to junction {self.junction_ids[target]} "
+                                  "overflow; the arc delays are too large") from None
         rows = np.flatnonzero(first_hops >= 0)
-        table = dict(
-            zip(
-                map(self.junction_ids.__getitem__, rows.tolist()),
-                zip(first_hops[rows].tolist(), first_delays[rows].tolist()),
-            )
-        )
+        table = dict(zip(rows.tolist(), zip(first_hops[rows].tolist(),
+                                            first_delays[rows].tolist())))
         out = len(self.junction_ids)
         hops = np.where(first_hops >= 0, first_hops, out).astype(np.min_scalar_type(out))
         slot_reach = hops[self._heads]
@@ -402,9 +399,8 @@ class PathTable:
     def __getitem__(self, i: int) -> EnergyPath:
         i = range(len(self))[i]  # IndexError past either end, which ends iteration
         lo, hi = self.offsets[i : i + 2].tolist()
-        ids = map(self.index.route_ids.__getitem__, self.routes[lo:hi].tolist())
         spans = zip(self.starts[lo:hi].tolist(), self.ends[lo:hi].tolist())
-        segments = tuple(map(self.index.slice, ids, spans))
+        segments = tuple(map(self.index.slice, self.routes[lo:hi].tolist(), spans))
         return EnergyPath(self.source, self.target, segments, self.delays[i].item(),
                           self.flows[i].item())
 
@@ -426,7 +422,7 @@ def enumerate_paths(
 
     The search runs over *stretch sequences*, not over labelled paths. A
     stretch is an arc tuple that at least one route slice covers, and it
-    carries the ``(route id, (n, m))`` labels of every slice that covers it.
+    carries the ``(route row, (n, m))`` labels of every slice that covers it.
     A path is a stretch sequence plus one label per stretch, and the labels
     change neither its hop count, nor its delay, nor the junctions it
     visits. The only rule that couples them is the one against continuing
@@ -463,17 +459,19 @@ def enumerate_paths(
     the running minimum of its walk as its bottleneck flow.
 
     The bound table and the reach are computed per call, for all routes at
-    once, and the search runs on the Python tuples the index keeps. It builds
-    no path and no slice: a row holds one label code per segment, ``(route
-    row * w + n) * w + m`` for a power of two ``w`` above every position, and
-    a chunk of rows at a time moves into a narrow unsigned array.
+    once, and the search runs on the rows and Python tuples the index keeps.
+    It builds no path and no slice: a path's row holds one label code per
+    segment, ``(route row * w + n) * w + m`` for a power of two ``w`` above
+    every position, and a chunk of rows at a time moves into a narrow
+    unsigned array.
     """
-    if source not in index.network.junctions:
+    if source not in index.rows:
         raise ValidationError(f"unknown source junction {source}")
-    if target not in index.network.junctions:
+    if target not in index.rows:
         raise ValidationError(f"unknown target junction {target}")
     if source == target:
         raise ValidationError("source and target must differ")
+    start, goal = index.rows[source], index.rows[target]
 
     # a loop-free path has at most one segment per junction after the source,
     # so the cap drops only states that cannot finish; it also keeps every
@@ -481,12 +479,12 @@ def enumerate_paths(
     max_hops = min(config.max_hops, len(index.junction_ids) - 1)
     if config.mode == PER_HOP:
         index = index._per_hop_layout()
-    bound, reach = index.bound_table(target, max_hops)
+    bound, reach = index.bound_table(goal, max_hops)
     # no list holds more than sys.maxsize paths, the largest stop islice takes
     max_paths = None if config.max_paths is None else min(config.max_paths, sys.maxsize)
 
     # Partial entries: (hops + k, (delay + d) lowered, 1, stretch ids,
-    # junction, delay so far, visited, only), with (k, d) the bound table's
+    # junction row, delay so far, visited rows, only), with (k, d) the table's
     # entry and ``only`` the reach slot that the one possible last label of
     # the prefix would continue at, or None if two or more labels can end it.
     # The table sums delays in another order than a path does, so d may
@@ -499,9 +497,9 @@ def enumerate_paths(
     # sequence uniquely, so no comparison reaches the junction or the visited
     # set, whose frozenset order is not total.
     heap: list[tuple] = []
-    if source in bound:
-        k, d = bound[source]
-        heap.append((k, d * (1.0 - 1e-9) - 1e-9, 1, (), source, 0.0, frozenset((source,)), None))
+    if start in bound:
+        k, d = bound[start]
+        heap.append((k, d * (1.0 - 1e-9) - 1e-9, 1, (), start, 0.0, frozenset((start,)), None))
     # each group's (hops, delay, path count), and the rows that wait for a
     # chunk to fill before their label codes and flows move into arrays
     groups: list[tuple[int, float, int]] = []
@@ -520,7 +518,7 @@ def enumerate_paths(
         further segments may use: ``entry`` is the head's bound table entry
         and ``junctions`` the set the stretch visits after ``junction``.
 
-        The labels are the junction's entries ``(route id, n, slot)`` of the
+        The labels are the junction's entries ``(route row, n, slot)`` of the
         routes that cover the stretch; with ``c`` arcs, one names the slice
         ``(n, n + c - 1)``, and a slice continuing it starts at ``slot + c``.
         Each route is walked as far as a slice can still be used: up to the
@@ -530,13 +528,12 @@ def enumerate_paths(
         None if the head is out of reach.
         """
         first = len(stretches)
-        node_of: dict[tuple[int, int], int] = {}  # (previous stretch, arc id) -> stretch
+        node_of: dict[tuple[int, int], int] = {}  # (previous stretch, arc row) -> stretch
         for label in index.entries(junction):
-            route_id, n, slot = label
+            route, n, slot = label
             if reach[slot] > budget:
                 continue
-            junctions, delays = index.geometry(route_id)
-            arcs = index.routes[route_id].arcs
+            junctions, delays, arcs = index.geometry(route)
             node, seen, seg_delay = -1, frozenset(), 0.0  # -1: the walk's start
             for m in itertools.count(n):
                 head = junctions[m]
@@ -552,7 +549,7 @@ def enumerate_paths(
                 seen = stretches[node][4]
                 # past the target every slice revisits it; the run's
                 # sentinel ends the walk at the run's end at the latest
-                if head == target or reach[slot + m - n + 1] > budget:
+                if head == goal or reach[slot + m - n + 1] > budget:
                     break
         return [stretch for stretch in stretches[first:] if stretch[3] is not None]
 
@@ -563,11 +560,9 @@ def enumerate_paths(
         if found is None:
             *_, labels, arc_count = stretches[sid]
             found = segments_of[sid] = []
-            for route_id, n, slot in labels:
-                row = bisect.bisect_left(index.route_ids, route_id)
-                code = (row * width + n) * width + n + arc_count - 1
-                found.append(((row,), (code,), slot, slot + arc_count,
-                              index.routes[route_id].flow))
+            for route, n, slot in labels:
+                code = (route * width + n) * width + n + arc_count - 1
+                found.append(((route,), (code,), slot, slot + arc_count, index.flows[route]))
         return found
 
     def labellings(seq: tuple[int, ...]):
@@ -644,7 +639,7 @@ def enumerate_paths(
             child_only = labels[0][2] + arc_count if len(labels) == 1 else None
             delay = delay_so_far + seg_delay
             child = seq + (sid,)
-            if head == target:
+            if head == goal:
                 heapq.heappush(heap, (hops + 1, delay, 0, child))
                 continue
             k, d = bound_entry

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .energetics import EnergyParams, path_economics
-from .errors import ValidationError
+from .errors import FLOAT_MAX, ValidationError
 from .paths import EnergyPath, PathTable, enumerate_paths
 from .scenario import Scenario
 
@@ -97,9 +97,11 @@ def knapsack_assign(
             raise ValidationError("loss cap must be nonnegative")
         if bound == math.inf:  # nothing is spent: every path fills, whatever it costs
             return caps.copy(), OPTIMAL
+        if not bound <= FLOAT_MAX:
+            raise ValidationError("loss cap must be finite or inf")
         costs = lams
     elif objective == MIN_LOSS:
-        if not (bound >= 0 and math.isfinite(bound)):
+        if not 0.0 <= bound <= FLOAT_MAX:
             raise ValidationError("delivery floor must be finite and nonnegative")
         with np.errstate(over="ignore"):  # an infinite total meets any floor
             total = float(caps.sum())

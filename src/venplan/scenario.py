@@ -26,7 +26,7 @@ from operator import attrgetter, itemgetter
 from typing import Any, NoReturn, Optional
 
 from .energetics import EnergyParams
-from .errors import ScenarioFormatError, ValidationError
+from .errors import FLOAT_MAX, ScenarioFormatError, ValidationError
 from .network import Arc, RoadNetwork, VehicularRoute, build_network
 from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths
 
@@ -60,7 +60,9 @@ class Scenario:
             raise ValidationError("penetration must be within [0, 1]")
         if not self.loss_cap >= 0:
             raise ValidationError("loss_cap must be nonnegative")
-        if not (self.delivery_floor >= 0 and math.isfinite(self.delivery_floor)):
+        if not (self.loss_cap <= FLOAT_MAX or self.loss_cap == math.inf):
+            raise ValidationError("loss_cap must be finite or inf")
+        if not 0.0 <= self.delivery_floor <= FLOAT_MAX:
             raise ValidationError("delivery_floor must be finite and nonnegative")
         object.__setattr__(self, "index", RouteIndex(self.network, self.routes))
         for s, t in self.pairs:

@@ -44,7 +44,10 @@ class SweepSpec:
                 f"unknown sweep parameter {self.parameter!r}; "
                 f"expected one of {SWEEP_PARAMETERS}"
             )
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        try:
+            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        except OverflowError:  # an integer beyond the float range
+            raise ValidationError("sweep values must be finite") from None
         if not self.values:
             raise ValidationError("sweep values must be non-empty")
         if not all(math.isfinite(v) for v in self.values):

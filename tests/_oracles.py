@@ -37,6 +37,11 @@ and every route with ``validate_route``, in the scenario invariants' order.
 The library's fixed-layout writer and bulk-checked parser must match them
 byte for byte and message for message.
 
+``IdView`` reads a route index by ids: the index names junctions and
+routes by their rows, and the view maps the ids a test holds to rows and
+the rows the index returns back to ids, so tests can compare the index
+with oracles that know only ids.
+
 The remaining helpers check or re-read library output: ``validate_path``
 names the first construction rule a path breaks, then checks its stored
 numbers against ``energy_path``'s fold, ``path_loss`` and
@@ -191,6 +196,27 @@ def sub_route(network, route, n, m):
         delay=delay,
         flow=route.flow,
     )
+
+
+class IdView:
+    """``entries``, ``bound_table`` and ``slice`` of a route index, taking
+    and returning junction and route ids where the index takes rows."""
+
+    def __init__(self, index):
+        self.index = index
+        self.route_rows = {route_id: row for row, route_id in enumerate(index.route_ids)}
+
+    def entries(self, junction):
+        route_ids = self.index.route_ids
+        found = self.index.entries(self.index.rows[junction])
+        return tuple((route_ids[route], n, slot) for route, n, slot in found)
+
+    def bound_table(self, target, max_hops):
+        table, reach = self.index.bound_table(self.index.rows[target], max_hops)
+        return {self.index.junction_ids[row]: entry for row, entry in table.items()}, reach
+
+    def slice(self, route_id, span):
+        return self.index.slice(self.route_rows[route_id], span)
 
 
 def energy_path(source, target, segments):

@@ -11,7 +11,7 @@ from venplan import (
     build_network,
 )
 
-from _oracles import arc, route_junctions, sub_route
+from _oracles import IdView, arc, route_junctions, sub_route
 from _oracles import validate_route as oracle_validate_route
 from conftest import chain_network
 
@@ -31,7 +31,7 @@ def validate_route(network, route):
 
 def slice_of(network, route, n, m):
     """The route index's slice of ``route`` from its n-th to its m-th arc."""
-    return RouteIndex(network, [route]).slice(route.id, (n, m))
+    return IdView(RouteIndex(network, [route])).slice(route.id, (n, m))
 
 
 def fig_arcs():

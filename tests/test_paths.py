@@ -36,6 +36,7 @@ from venplan import (
 )
 
 from _oracles import (
+    IdView,
     PathTable,
     brute_force_paths,
     energy_path,
@@ -563,8 +564,8 @@ class TestBoundTable:
     """Both layouts' tables equal the scalar reference exactly, float bits too."""
 
     def check(self, net, routes):
-        index = RouteIndex(net, routes)
-        per_hop = index._per_hop_layout()
+        built = RouteIndex(net, routes)
+        index, per_hop = IdView(built), IdView(built._per_hop_layout())
         route_map = {r.id: r for r in routes}
         members = sum(len(r.arcs) for r in routes)
         out = len(net.junctions)
@@ -715,7 +716,7 @@ class TestRouteIndexEdges:
 
     def test_entries_sorted_by_route_then_position(self, three_routes_scenario):
         s = three_routes_scenario
-        index = RouteIndex(s.network, s.routes[::-1])
+        index = IdView(RouteIndex(s.network, s.routes[::-1]))
         entries = [index.entries(j) for j in (1, 2, 3, 4, 5)]
         assert [[e[:2] for e in found] for found in entries] == [
             [(1, 1), (3, 1)],
@@ -748,7 +749,20 @@ def shared_index_city(seed, mode=FULL_ROUTE):
 
 
 class TestRouteSlices:
-    """``RouteIndex.slice`` builds every slice as the network-reading oracle does."""
+    """``RouteIndex.slice`` builds every slice as the network-reading oracle
+    does, down to the types of the ids and flows it was given."""
+
+    def check(self, net, routes):
+        index = IdView(RouteIndex(net, routes))
+        for route in routes:
+            for n in range(1, len(route.arcs) + 1):
+                for m in range(n, len(route.arcs) + 1):
+                    found = index.slice(route.id, (n, m))
+                    expected = sub_route(net, route, n, m)
+                    assert found == expected
+                    assert repr(found) == repr(expected)
+                    assert found.delay.hex() == expected.delay.hex()
+                    assert index.slice(route.id, (n, m)) is found
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3])
     def test_every_slice_matches_the_oracle(self, three_routes_scenario, seed):
@@ -759,15 +773,48 @@ class TestRouteSlices:
                 seed=seed, junction_count=40, arc_count=110, route_count=60, pair_count=2,
             ))
             net, routes = city.network, city.routes
-        index = RouteIndex(net, routes)
-        for route in routes:
-            for n in range(1, len(route.arcs) + 1):
-                for m in range(n, len(route.arcs) + 1):
-                    found = index.slice(route.id, (n, m))
-                    expected = sub_route(net, route, n, m)
-                    assert found == expected
-                    assert found.delay.hex() == expected.delay.hex()
-                    assert index.slice(route.id, (n, m)) is found
+        self.check(net, routes)
+
+    def test_int_flow_and_int_delay(self):
+        # a flow of 5 stays the int 5; the delay is a sum from 0.0 either way
+        net = build_network([1, 2, 3], [Arc(1, 1, 2, 2, 5.0), Arc(2, 2, 3, 0.5, 5.0)])
+        self.check(net, [VehicularRoute(7, (1, 2), 5), VehicularRoute(3, (2,), 0.5)])
+        assert repr(IdView(RouteIndex(net, [VehicularRoute(7, (1,), 5)])).slice(7, (1, 1))) == (
+            "SubRoute(route_id=7, start=1, end=1, entry=1, exit=2, delay=2.0, flow=5)"
+        )
+
+
+class TestRowsFollowIdOrder:
+    """Route rows are places in id order, so the order in which the routes
+    are given changes no row, entry, bound table or path table column."""
+
+    @pytest.mark.parametrize("mode", [FULL_ROUTE, PER_HOP])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_shuffled_routes_give_the_same_index(self, seed, mode):
+        city = shared_index_city(seed, mode)  # its pairs have paths in this mode
+        routes = list(city.routes)
+        random.Random(seed).shuffle(routes)
+        assert routes != sorted(routes, key=lambda r: r.id)
+        given, shuffled = RouteIndex(city.network, city.routes), RouteIndex(city.network, routes)
+        assert given.route_ids == shuffled.route_ids == sorted(r.id for r in routes)
+        assert given.junction_ids == shuffled.junction_ids
+        a, b = given, shuffled
+        if mode == PER_HOP:
+            a, b = a._per_hop_layout(), b._per_hop_layout()
+        for junction in range(len(given.junction_ids)):
+            assert a.entries(junction) == b.entries(junction), junction
+            for max_hops in (1, 4):
+                table, reach = a.bound_table(junction, max_hops)
+                other, other_reach = b.bound_table(junction, max_hops)
+                assert table_bits(table) == table_bits(other), junction
+                assert bytes(reach) == bytes(other_reach), junction
+        config = EnumerationConfig(max_hops=4, max_paths=None, mode=mode)
+        for source, target in city.pairs:
+            found = enumerate_paths(given, source, target, config)
+            expected = enumerate_paths(shuffled, source, target, config)
+            assert found, (source, target)
+            for column in ("hops", "delays", "flows", "routes", "starts", "ends", "offsets"):
+                assert np.array_equal(getattr(found, column), getattr(expected, column))
 
 
 class TestDelayOverflow:

@@ -16,6 +16,8 @@ import venplan.planner
 import venplan.scenario
 import venplan.sweep
 from venplan import (
+    MAX_ENERGY,
+    MIN_LOSS,
     PER_HOP,
     Arc,
     EnergyParams,
@@ -23,11 +25,13 @@ from venplan import (
     GeneratorConfig,
     RouteIndex,
     ScenarioFormatError,
+    SweepSpec,
     ValidationError,
     VehicularRoute,
     build_network,
     enumerate_paths,
     generate_scenario,
+    knapsack_assign,
     parse_scenario,
     path_economics,
     scenario_hash,
@@ -37,6 +41,8 @@ from venplan.cli import main
 
 from _oracles import _reference_invariants, reference_parse, reference_serialize, validate_route
 from conftest import THREE_ROUTES, shift_ids
+
+HUGE = 10**400  # an integer beyond the float range
 
 MINIMAL = """
 {
@@ -253,6 +259,32 @@ class TestScenarioInvariants:
     def test_pair_validation(self, three_routes_scenario):
         with pytest.raises(ValidationError, match="must differ"):
             dataclasses.replace(three_routes_scenario, pairs=((1, 1),))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda s: build_network([1, 2], [Arc(1, 1, 2, HUGE, 1.0)]),
+         "arc 1 delay must be finite and nonnegative"),
+        (lambda s: build_network([1, 2], [Arc(1, 1, 2, 1.0, HUGE)]),
+         "arc 1 flow must be finite and nonnegative"),
+        (lambda s: build_network([1, 2], [Arc(1, 1, 2, 1.0, 1.0, HUGE)]),
+         "arc 1 length must be finite and nonnegative"),
+        (lambda s: RouteIndex(s.network, [VehicularRoute(1, (1,), HUGE)]),
+         "route 1 flow must be finite and nonnegative"),
+        (lambda s: EnergyParams(HUGE, 0.9, 1.0, 5.0), "packet_size must be positive and finite"),
+        (lambda s: EnergyParams(0.1, 0.9, 1.0, HUGE), "window must be finite and nonnegative"),
+        (lambda s: dataclasses.replace(s, loss_cap=HUGE), "loss_cap must be finite or inf"),
+        (lambda s: dataclasses.replace(s, delivery_floor=HUGE),
+         "delivery_floor must be finite and nonnegative"),
+        (lambda s: knapsack_assign([1.0], [0.5], MAX_ENERGY, HUGE),
+         "loss cap must be finite or inf"),
+        (lambda s: knapsack_assign([1.0], [0.5], MIN_LOSS, HUGE),
+         "delivery floor must be finite and nonnegative"),
+        (lambda s: SweepSpec("z", (0.5, HUGE)), "sweep values must be finite"),
+    ], ids=["arc-delay", "arc-flow", "arc-length", "route-flow", "packet-size", "window",
+            "loss-cap", "delivery-floor", "knapsack-cap", "knapsack-floor", "sweep-value"])
+    def test_integers_beyond_the_float_range_rejected(self, three_routes_scenario, build, message):
+        # an integer too large for a float is no OverflowError anywhere
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build(three_routes_scenario)
 
 
 class TestFloatFields:
