@@ -44,7 +44,6 @@ from .planner import (
     MIN_LOSS,
     OPTIMAL,
     PairPlan,
-    PathAssignment,
     ScenarioSolution,
     TransferPlan,
     knapsack_assign,
@@ -95,7 +94,6 @@ __all__ = [
     "MAX_ENERGY",
     "MIN_LOSS",
     "PairPlan",
-    "PathAssignment",
     "ScenarioSolution",
     "TransferPlan",
     "knapsack_assign",

@@ -108,12 +108,14 @@ def _solution_to_dict(scenario: Scenario, solution: ScenarioSolution) -> dict:
                 "loss_kwh": pair.plan.loss,
                 "assignments": [
                     {
-                        "path": _path_to_dict(a.path),
-                        "energy_kwh": a.energy,
-                        "rate_kwh_per_hour": a.rate,
-                        "loss_kwh": a.loss,
+                        "path": _path_to_dict(path),
+                        "energy_kwh": energy,
+                        "rate_kwh_per_hour": rate,
+                        "loss_kwh": loss,
                     }
-                    for a in pair.assignments
+                    for path, energy, rate, loss in zip(
+                        pair.paths, pair.plan.energies, pair.rates, pair.losses
+                    )
                 ],
             }
             for pair in solution.pairs

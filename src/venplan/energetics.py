@@ -101,8 +101,11 @@ def path_economics(
     z**k is evaluated once per distinct hop count k, correctly rounded, by
     :func:`_retained`; both the capacities and the loss factors take it
     from there. Overflow leaves inf or nan in the arrays without a warning;
-    the planner rejects non-finite capacities.
+    the planner rejects non-finite capacities. A penetration outside [0, 1]
+    raises ValidationError.
     """
+    if not 0 <= penetration <= 1:
+        raise ValidationError("penetration must be within [0, 1]")
     retained_k = [_retained(params, k) for k in table.distinct_hops]
     retained = np.array(retained_k)[table.hop_index]
     lams = np.array([1.0 / r - 1.0 for r in retained_k])[table.hop_index]

@@ -12,8 +12,9 @@ A plan is plain data: the energy each path delivers, in the order the paths
 were given, plus the two totals and a status. :func:`solve` plans one pair
 from the :class:`PathTable` that path enumeration returns, which a sweep
 prices at every point, and creates no per-path objects; :func:`solve_scenario`
-prices each table once more to record every path, built by the table, with
-its rate and loss next to its energy in ``PairPlan.assignments``.
+prices each table once more and keeps each pair's paths, built by the table,
+with their rates and losses as columns in path order beside the plan's
+energies in :class:`PairPlan`.
 
 Modelling assumption: each path is priced as if it had its routes' packet
 rate to itself. Paths that share a route (even within one pair) are not
@@ -39,16 +40,6 @@ MIN_LOSS = "min-loss"
 GREEDY = "greedy"  # the solver that output provenance records
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class PathAssignment:
-    """Energy assigned to one path, sent at the path's maximum rate."""
-
-    path: EnergyPath
-    energy: float  # kWh delivered over this path
-    rate: float  # kWh per hour
-    loss: float  # kWh, the path's loss factor times its energy
 
 
 @dataclass(frozen=True)
@@ -142,11 +133,9 @@ def solve(
     which keeps sweeps informative. :func:`knapsack_assign` checks the
     objective and the bound it uses.
 
-    The paths are priced together by one :func:`path_economics` call, and
-    the plan's totals are exact in-order sums.
+    The paths are priced together by one :func:`path_economics` call, which
+    checks ``penetration`` first, and the plan's totals are exact in-order sums.
     """
-    if not 0 <= penetration <= 1:
-        raise ValidationError("penetration must be within [0, 1]")
     bound = loss_cap if objective == MAX_ENERGY else delivery_floor
     _, caps, lams = path_economics(table, params, penetration)
     x, status = knapsack_assign(caps, lams, objective, bound)
@@ -158,20 +147,19 @@ def solve(
 
 @dataclass(frozen=True)
 class PairPlan:
-    """Plan and per-path assignments of one pair.
+    """Plan of one pair with its paths, their rates and their losses.
 
-    ``assignments`` pairs each enumerated path, in order, with its energy in
-    ``plan``, its rate and its loss.
+    ``paths``, ``rates`` and ``losses`` are columns in path order, like
+    ``plan.energies``: each path is sent at its maximum rate, and its loss is
+    its loss factor times its energy.
     """
 
     source: int
     target: int
     plan: TransferPlan
-    assignments: tuple[PathAssignment, ...]
-
-    @property
-    def paths(self) -> tuple[EnergyPath, ...]:
-        return tuple(a.path for a in self.assignments)
+    paths: tuple[EnergyPath, ...]
+    rates: tuple[float, ...]  # kWh per hour
+    losses: tuple[float, ...]  # kWh
 
 
 @dataclass(frozen=True)
@@ -195,8 +183,8 @@ def solve_scenario(
     Paths are enumerated over the declared routes; the scenario's
     penetration scales flows when rates and capacities are computed. Caps
     default to the scenario's own; explicit arguments override them. Each
-    pair's :class:`PathTable` is priced once more for the assignments' rates
-    and loss factors, each loss as loss factor x energy, and builds their paths.
+    pair's :class:`PathTable` builds its paths and is priced once more for
+    their rates and loss factors, each loss as loss factor x energy.
     """
     cap = scenario.loss_cap if loss_cap is None else loss_cap
     floor = scenario.delivery_floor if delivery_floor is None else delivery_floor
@@ -207,9 +195,9 @@ def solve_scenario(
         table = enumerate_paths(scenario.index, source, target, scenario.enumeration)
         plan = solve(table, scenario.params, objective, cap, floor, scenario.penetration)
         rates, _, lams = path_economics(table, scenario.params, scenario.penetration)
-        losses = [lam * x for lam, x in zip(lams.tolist(), plan.energies)]
-        assignments = tuple(map(PathAssignment, table, plan.energies, rates.tolist(), losses))
-        pair_plans.append(PairPlan(source, target, plan, assignments))
+        losses = tuple(lam * x for lam, x in zip(lams.tolist(), plan.energies))
+        pair = PairPlan(source, target, plan, tuple(table), tuple(rates.tolist()), losses)
+        pair_plans.append(pair)
         transferred += plan.transferred
         loss += plan.loss
     return ScenarioSolution(tuple(pair_plans), transferred, loss, objective)

@@ -392,6 +392,8 @@ class GeneratorConfig:
         lo, hi = self.delay_range
         if not 0 <= lo <= hi:
             raise ValidationError("delay_range must satisfy 0 <= low <= high")
+        if not hi <= FLOAT_MAX:
+            raise ValidationError("delay_range must be finite")
         if LENGTH_RANGE[0] > self.max_route_length:
             raise ValidationError("shortest possible arc already exceeds the route cap")
 

@@ -61,6 +61,27 @@ def test_readme_states_the_sweep_defaults():
     )
 
 
+PUBLIC_API = [
+    "Arc", "EnergyParams", "EnergyPath", "EnumerationConfig", "FULL_ROUTE", "GREEDY",
+    "GeneratorConfig", "INFEASIBLE", "MAX_ENERGY", "MIN_LOSS", "OPTIMAL", "PER_HOP",
+    "PairPlan", "PathTable", "RoadNetwork", "RouteIndex", "SWEEP_PARAMETERS", "Scenario",
+    "ScenarioFormatError", "ScenarioSolution", "SubRoute", "SweepPoint", "SweepResult",
+    "SweepSpec", "TransferPlan", "ValidationError", "VehicularRoute", "VenplanError",
+    "__version__", "build_network", "enumerate_paths", "find_crossover", "generate_scenario",
+    "knapsack_assign", "parse_scenario", "path_economics", "run_sweep", "scenario_hash",
+    "serialize_scenario", "solve", "solve_scenario", "sweep_metadata", "sweep_to_csv",
+]
+
+
+def test_public_api_is_pinned():
+    # the exported names are the package's size in names: adding one is a decision
+    assert len(PUBLIC_API) == 43
+    assert sorted(venplan.__all__) == PUBLIC_API
+    assert len(set(venplan.__all__)) == len(venplan.__all__)
+    for name in PUBLIC_API:
+        assert hasattr(venplan, name), name
+
+
 def test_demos_found():
     assert [p.name for p in DEMOS] == [
         "parameter_sweeps.py", "routing_information_modes.py", "worked_example.py"

@@ -268,6 +268,12 @@ class TestPathEconomics:
         assert half_capacity == pytest.approx(full_capacity / 2, rel=1e-12)
         assert half_lam == full_lam
 
+    def test_negative_penetration_rejected(self):
+        # checked before pricing, which would give negative rates
+        path, _, _ = single_arc_path([0.5], [100.0])
+        with pytest.raises(ValidationError, match=r"^penetration must be within \[0, 1\]$"):
+            price(path, params(), penetration=-0.5)
+
 
 class TestEconomicsArrays:
     """``path_economics`` equals the scalar oracle value for value."""

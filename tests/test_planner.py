@@ -340,11 +340,13 @@ class TestPlanRequests:
                                                       arc_count=30, route_count=12))
         assert generated.penetration != three_routes_scenario.penetration
         for s in (three_routes_scenario, generated):
-            for a in (a for pair in solve_scenario(s).pairs for a in pair.assignments):
-                # the scalar oracle prices each path alone, to the same bits
-                econ = path_economics(a.path, s.params, s.penetration)
-                assert a.rate == econ.max_rate
-                assert a.loss == econ.loss_factor * a.energy
+            for pair in solve_scenario(s).pairs:
+                columns = zip(pair.paths, pair.plan.energies, pair.rates, pair.losses)
+                for path, energy, rate, loss in columns:
+                    # the scalar oracle prices each path alone, to the same bits
+                    econ = path_economics(path, s.params, s.penetration)
+                    assert rate == econ.max_rate
+                    assert loss == econ.loss_factor * energy
 
     def test_totals_recompute_from_assignments(self, three_routes_scenario):
         plan = self.make_plan(MAX_ENERGY)
@@ -354,9 +356,9 @@ class TestPlanRequests:
         )
         for pair in solution.pairs:
             plan = pair.plan
-            assert tuple(a.energy for a in pair.assignments) == plan.energies
-            assert plan.transferred == sum(a.energy for a in pair.assignments)
-            assert plan.loss == sum(a.loss for a in pair.assignments)
+            assert len(pair.paths) == len(pair.rates) == len(pair.losses) == len(plan.energies)
+            assert plan.transferred == sum(plan.energies)
+            assert plan.loss == sum(pair.losses)
 
 
 def assert_same_plan(plan, ref):
@@ -481,7 +483,7 @@ class TestPlainDataPlans:
         solution = solve_scenario(three_routes_scenario)
         pair = solution.pairs[0]
         plans = [solve_paths(**self.request(three_routes_scenario)), solution, pair, pair.plan]
-        for obj in plans + list(pair.assignments):
+        for obj in plans:
             names = [f.name for f in dataclasses.fields(obj)]
             assert list(vars(obj)) == names, type(obj).__name__
 
@@ -511,22 +513,22 @@ class TestPlainDataPlans:
 class TestScenarioPipeline:
     def test_saturated_plan_on_fixture(self, three_routes_scenario):
         solution = solve_scenario(three_routes_scenario, objective=MAX_ENERGY)
-        assignments = solution.pairs[0].assignments
-        by_hops = {a.path.hops: [] for a in assignments}
-        for a in assignments:
-            by_hops[a.path.hops].append(a)
+        pair = solution.pairs[0]
+        by_hops = {path.hops: [] for path in pair.paths}
+        for path, energy in zip(pair.paths, pair.plan.energies):
+            by_hops[path.hops].append(energy)
         # direct route: (5 - 1.75) * 0.9 * 3.0
-        assert by_hops[1][0].energy == pytest.approx(8.775, rel=1e-9)
-        two_hop = sorted(a.energy for a in by_hops[2])
+        assert by_hops[1][0] == pytest.approx(8.775, rel=1e-9)
+        two_hop = sorted(by_hops[2])
         assert two_hop == [
             pytest.approx(7.8975, rel=1e-9),  # (5 - 1.75) * 0.81 * 3.0
             pytest.approx(15.795, rel=1e-9),  # (5 - 1.75) * 0.81 * 6.0
         ]
         assert solution.transferred == pytest.approx(32.4675, rel=1e-9)
         s = three_routes_scenario
-        for a in assignments:
-            capacity = path_economics(a.path, s.params, s.penetration).capacity
-            assert a.energy == pytest.approx(capacity, rel=1e-12)
+        for path, energy in zip(pair.paths, pair.plan.energies):
+            capacity = path_economics(path, s.params, s.penetration).capacity
+            assert energy == pytest.approx(capacity, rel=1e-12)
 
     def test_methods_agree_on_fixture(self, three_routes_scenario):
         s = three_routes_scenario
@@ -552,10 +554,10 @@ class TestScenarioPipeline:
         assert plan.transferred == pytest.approx(10.0, rel=1e-9)
         # cheapest loss first: the single-hop path saturates at 8.775 kWh,
         # the remainder rides the cheaper two-hop path
-        assignments = solution.pairs[0].assignments
-        energies = {a.path.hops: [] for a in assignments}
-        for a in assignments:
-            energies[a.path.hops].append(a.energy)
+        pair = solution.pairs[0]
+        energies = {path.hops: [] for path in pair.paths}
+        for path, energy in zip(pair.paths, pair.plan.energies):
+            energies[path.hops].append(energy)
         assert max(energies[1]) == pytest.approx(8.775, rel=1e-9)
 
     def test_infeasible_floor_reported(self, three_routes_scenario):

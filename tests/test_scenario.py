@@ -279,8 +279,16 @@ class TestScenarioInvariants:
         (lambda s: knapsack_assign([1.0], [0.5], MIN_LOSS, HUGE),
          "delivery floor must be finite and nonnegative"),
         (lambda s: SweepSpec("z", (0.5, HUGE)), "sweep values must be finite"),
+        (lambda s: path_economics(
+            enumerate_paths(s.index, *s.pairs[0], s.enumeration), s.params, HUGE
+        ), r"penetration must be within \[0, 1\]"),
+        (lambda s: generate_scenario(GeneratorConfig(
+            seed=3, junction_count=20, arc_count=40, route_count=20, pair_count=2,
+            delay_range=(0.05, HUGE),
+        )), "delay_range must be finite"),
     ], ids=["arc-delay", "arc-flow", "arc-length", "route-flow", "packet-size", "window",
-            "loss-cap", "delivery-floor", "knapsack-cap", "knapsack-floor", "sweep-value"])
+            "loss-cap", "delivery-floor", "knapsack-cap", "knapsack-floor", "sweep-value",
+            "path-economics-penetration", "generator-delay-range"])
     def test_integers_beyond_the_float_range_rejected(self, three_routes_scenario, build, message):
         # an integer too large for a float is no OverflowError anywhere
         with pytest.raises(ValidationError, match=f"^{message}$"):
@@ -744,7 +752,7 @@ class TestTracedCallSites:
 
         monkeypatch.setattr(venplan.planner, "path_economics", counting)
         solution = venplan.planner.solve_scenario(scenario)
-        # each pair's table, once inside solve and once for its assignments
+        # each pair's table, once inside solve and once for its rates and losses
         tables = calls[::2]
         assert calls == [table for table in tables for _ in range(2)]
         assert [table.delays.tolist() for table in tables] == [

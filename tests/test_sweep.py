@@ -186,7 +186,7 @@ class TestPathTables:
         scenario = parse_scenario(serialize_scenario(generate_scenario(self.CONFIG)))
         run_sweep(scenario, SweepSpec(parameter="z", values=(0.5, 0.7, 0.9)))
         assert scenario.index._slices == {}
-        solution = solve_scenario(scenario)  # its assignments are a report
+        solution = solve_scenario(scenario)  # its paths are a report
         assert len(scenario.index._slices) == len(
             {seg for pair in solution.pairs for path in pair.paths for seg in path.segments}
         ) > 0
