@@ -86,6 +86,11 @@ def _retained(params: EnergyParams, hops: int) -> float:
     return retained
 
 
+def _check_penetration(penetration: float) -> None:
+    if not 0 <= penetration <= 1:
+        raise ValidationError("penetration must be within [0, 1]")
+
+
 def path_economics(
     table: PathTable, params: EnergyParams, penetration: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,8 +109,7 @@ def path_economics(
     the planner rejects non-finite capacities. A penetration outside [0, 1]
     raises ValidationError.
     """
-    if not 0 <= penetration <= 1:
-        raise ValidationError("penetration must be within [0, 1]")
+    _check_penetration(penetration)
     retained_k = [_retained(params, k) for k in table.distinct_hops]
     retained = np.array(retained_k)[table.hop_index]
     lams = np.array([1.0 / r - 1.0 for r in retained_k])[table.hop_index]

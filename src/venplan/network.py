@@ -7,7 +7,7 @@ route (sub-routes) are the building blocks of energy paths.
 
 A network holds only its junction ids and its arcs by id. Code that walks
 it builds its own index, as the generator does, or a scenario's route index,
-which checks routes (:func:`venplan.paths.read_routes`) and works on rows.
+which works on rows; the ``RouteIndex`` constructor checks the routes.
 
 Networks and routes are immutable once built, and a scenario's route index
 stores each cache value it fills on first use only once it is complete, so

@@ -14,11 +14,11 @@ segment changes neither a path's hop count, nor its delay, nor the junctions
 it visits. So the search runs over stretch sequences and expands their route
 labellings only for the paths it returns, into one :class:`PathTable` of
 columns per pair, from which a report builds each :class:`EnergyPath` on
-demand. A scenario's route index serves all its searches; building it checks
-the routes (:func:`read_routes`), so no route the search walks passes a
-junction twice. Inside the index and the search, junctions, routes and
-arcs are rows: ids are read by the check and at the search's arguments, and
-written only into the slices a report builds.
+demand. A scenario's route index serves all its searches; the
+:class:`RouteIndex` constructor checks the routes, so no route the search
+walks passes a junction twice. Inside the index and the search, junctions,
+routes and arcs are rows: ids are read by the constructor and at the
+search's arguments, and written only into the slices a report builds.
 
 Two routing-information modes are supported:
 
@@ -98,93 +98,29 @@ class EnumerationConfig:
             raise ValidationError(f"unknown enumeration mode {self.mode!r}")
 
 
-def read_routes(network: RoadNetwork, routes: Sequence[VehicularRoute]) -> tuple:
-    """Read ``routes`` into member arrays in (route id, position) order,
-    checking the route rules for all routes at once.
-
-    A route's flow is finite and nonnegative, it has arcs, all of them
-    known, each starting where the previous one ends, and the junctions it
-    visits (its first arc's tail, then every head) are distinct. The first
-    route in input order to break a rule raises ValidationError naming the
-    first rule it breaks, in that order; then route ids must be unique.
-
-    Returns junction rows by id, the route ids in id order (a route's row is
-    its place there) with their flows as given and lengths, each member arc's
-    route row and arc row (its place in ``network.arcs``), and each arc's tail
-    and head rows. Building a :class:`RouteIndex` on them is the route check.
-    """
-    rows = {j: row for row, j in enumerate(network.junctions)}
-    arc_rows = {a: row for row, a in enumerate(network.arcs)}
-    # an unknown arc reads as row -1, the last, whose ends are a junction
-    # row of their own, so that no rule matches it with a known arc
-    arcs, outside = network.arcs.values(), (len(rows),)
-    arc_tails = np.fromiter(itertools.chain((rows[a.tail] for a in arcs), outside), np.intp)
-    arc_heads = np.fromiter(itertools.chain((rows[a.head] for a in arcs), outside), np.intp)
-    ids = [r.id for r in routes]
-    order = sorted(range(len(routes)), key=ids.__getitem__)
-    ordered = [routes[i] for i in order]
-    lengths = np.fromiter((len(r.arcs) for r in ordered), np.intp, len(ordered))
-    members = np.fromiter(
-        map(arc_rows.get, itertools.chain.from_iterable(r.arcs for r in ordered),
-            itertools.repeat(-1)),
-        np.intp,
-        int(lengths.sum()),
-    )
-    tails, heads = arc_tails[members], arc_heads[members]
-    route_of = np.repeat(np.arange(len(ordered)), lengths)
-    firsts = np.cumsum(lengths) - lengths  # member index of each route's first arc
-    starts = firsts[lengths > 0]
-    broken = np.zeros(members.size, bool)
-    broken[1:] = tails[1:] != heads[:-1]
-    broken[starts] = False
-    # a junction visited twice is a (route, junction) key met twice
-    width = len(rows) + 1
-    visits = np.concatenate((route_of * width + heads, route_of[starts] * width + tails[starts]))
-    visits.sort()
-    flows = [r.flow for r in ordered]
-    bad_flow = np.fromiter((not 0.0 <= f <= FLOAT_MAX for f in flows), bool, len(flows))
-    bad = bad_flow | (lengths == 0)
-    bad[route_of[(members < 0) | broken]] = True
-    bad[visits[1:][visits[1:] == visits[:-1]] // width] = True
-    if bad.any():
-        k = min(np.flatnonzero(bad).tolist(), key=order.__getitem__)
-        route, at = ordered[k], firsts[k]
-        unknown = np.flatnonzero(members[at : at + len(route.arcs)] < 0)
-        link = np.flatnonzero(broken[at : at + len(route.arcs)])
-        if bad_flow[k]:
-            raise ValidationError(f"route {route.id} flow must be finite and nonnegative")
-        if not route.arcs:
-            raise ValidationError(f"route {route.id} has no arcs")
-        if unknown.size:
-            raise ValidationError(f"unknown arc id {route.arcs[unknown[0]]}")
-        if link.size:
-            here, nxt = route.arcs[link[0] - 1], route.arcs[link[0]]
-            raise ValidationError(
-                f"route {route.id}: arc {nxt} does not start where arc {here} ends"
-            )
-        raise ValidationError(f"route {route.id} visits a junction twice")
-    if len(set(ids)) != len(ids):
-        raise ValidationError("duplicate route ids")
-    return rows, [ids[i] for i in order], flows, lengths, route_of, members, arc_tails, arc_heads
-
-
 class RouteIndex:
     """Index of a route set over flat numpy arrays of member arcs.
 
     It depends on the network and the routes only, not on a source or a
     target, so one index serves every pair searched over the same routes.
-    A scenario builds one as its ``index``, and :func:`read_routes`, run
-    here, is the scenario's route check.
+    A scenario builds one as its ``index``, and building it is the
+    scenario's route check. A route's flow is finite and nonnegative, it has
+    arcs, all of them known, each starting where the previous one ends, and
+    the junctions it visits (its first arc's tail, then every head) are
+    distinct. The rules are checked for all routes at once: the first route
+    in input order to break one raises ValidationError naming the first rule
+    it breaks, in that order; then route ids must be unique.
 
     A junction's row is ``rows[id]`` and a route's its place in
     ``route_ids``, which is in id order, so rows sort as ids do and ids of
-    any int size work. Every member arc of every route has one slot in three
-    arrays: tail row, head row and delay. The slots are laid out by position
-    counted from the route's end: block ``q`` holds the ``q``-th last arc of
-    each route longer than ``q``, longest routes first, so each block's
-    routes are a prefix of the previous block's. ``bound_table`` runs its
-    backward passes over these blocks, all routes at once, and the running
-    minimum that gives each position its reach.
+    any int size work; ``flows`` follow the same order. Every member arc of
+    every route has one slot in three arrays: tail row, head row and delay.
+    The slots are laid out by position counted from the route's end: block
+    ``q`` holds the ``q``-th last arc of each route longer than ``q``,
+    longest routes first, so each block's routes are a prefix of the
+    previous block's. ``bound_table`` runs its backward passes over these
+    blocks, all routes at once, and the running minimum that gives each
+    position its reach.
 
     The search reads Python tuples that are built on first use and then
     kept for the index's lifetime, since none depends on the target: a
@@ -198,24 +134,78 @@ class RouteIndex:
     """
 
     def __init__(self, network: RoadNetwork, routes: Sequence[VehicularRoute]):
-        (self.rows, self.route_ids, self.flows, lengths, route_of, members, arc_tails,
-         arc_heads) = read_routes(network, routes)
-        self.junction_ids = list(self.rows)
-        arc_delays = np.fromiter((a.delay for a in network.arcs.values()), float)
-        tails, heads = arc_tails[members], arc_heads[members]
-        ends = np.cumsum(lengths)
-        self._ends = np.concatenate(([0], ends))
-        self._members = members.astype(np.min_scalar_type(arc_delays.size))
+        rows = self.rows = {j: row for row, j in enumerate(network.junctions)}
+        self.junction_ids = list(rows)
+        arc_rows = {a: row for row, a in enumerate(network.arcs)}
+        # an unknown arc reads as row -1, the last, whose ends are a junction
+        # row of their own, so that no rule matches it with a known arc
+        arcs, outside = network.arcs.values(), (len(rows),)
+        arc_tails = np.fromiter(itertools.chain((rows[a.tail] for a in arcs), outside), np.intp)
+        arc_heads = np.fromiter(itertools.chain((rows[a.head] for a in arcs), outside), np.intp)
+        arc_delays = np.fromiter((a.delay for a in arcs), float, len(arcs))
         self._arc_tails, self._arc_heads, self._arc_delays = arc_tails, arc_heads, arc_delays
 
         # members in (route id, position) order, so that a stable sort by tail
-        # lists each junction's entries sorted; a narrow key sorts by radix
-        positions = np.arange(1, members.size + 1) - (ends - lengths)[route_of]
-        narrow = tails.astype(np.min_scalar_type(len(self.rows)))
+        # lists each junction's entries sorted
+        ids = [r.id for r in routes]
+        order = sorted(range(len(routes)), key=ids.__getitem__)
+        ordered = [routes[i] for i in order]
+        lengths = np.fromiter((len(r.arcs) for r in ordered), np.intp, len(ordered))
+        members = np.fromiter(
+            map(arc_rows.get, itertools.chain.from_iterable(r.arcs for r in ordered),
+                itertools.repeat(-1)),
+            np.intp,
+            int(lengths.sum()),
+        )
+        tails, heads = arc_tails[members], arc_heads[members]
+        route_of = np.repeat(np.arange(len(ordered)), lengths)
+        ends = np.cumsum(lengths)
+        firsts = ends - lengths  # member index of each route's first arc
+        starts = firsts[lengths > 0]
+        broken = np.zeros(members.size, bool)
+        broken[1:] = tails[1:] != heads[:-1]
+        broken[starts] = False
+        # a junction visited twice is a (route, junction) key met twice
+        width = len(rows) + 1
+        keys = route_of * width
+        visits = np.concatenate((keys + heads, keys[starts] + tails[starts]))
+        visits.sort()
+        self.flows = [r.flow for r in ordered]
+        bad_flow = np.fromiter((not 0.0 <= f <= FLOAT_MAX for f in self.flows), bool, len(ordered))
+        bad = bad_flow | (lengths == 0)
+        bad[route_of[(members < 0) | broken]] = True
+        bad[visits[1:][visits[1:] == visits[:-1]] // width] = True
+        if bad.any():
+            k = min(np.flatnonzero(bad).tolist(), key=order.__getitem__)
+            route, at = ordered[k], firsts[k]
+            unknown = np.flatnonzero(members[at : at + len(route.arcs)] < 0)
+            link = np.flatnonzero(broken[at : at + len(route.arcs)])
+            if bad_flow[k]:
+                raise ValidationError(f"route {route.id} flow must be finite and nonnegative")
+            if not route.arcs:
+                raise ValidationError(f"route {route.id} has no arcs")
+            if unknown.size:
+                raise ValidationError(f"unknown arc id {route.arcs[unknown[0]]}")
+            if link.size:
+                here, nxt = route.arcs[link[0] - 1], route.arcs[link[0]]
+                raise ValidationError(
+                    f"route {route.id}: arc {nxt} does not start where arc {here} ends"
+                )
+            raise ValidationError(f"route {route.id} visits a junction twice")
+        if len(set(ids)) != len(ids):
+            raise ValidationError("duplicate route ids")
+        self.route_ids = [ids[i] for i in order]
+
+        self._ends = np.concatenate(([0], ends))
+        self._members = members.astype(np.min_scalar_type(arc_delays.size))
+
+        # a narrow key sorts by radix
+        positions = np.arange(1, members.size + 1) - firsts[route_of]
+        narrow = tails.astype(np.min_scalar_type(len(rows)))
         self._entry_members = np.argsort(narrow, kind="stable")
         self._entry_routes = route_of[self._entry_members]
         self._entry_positions = positions[self._entry_members]
-        counts = np.bincount(tails, minlength=len(self.junction_ids))
+        counts = np.bincount(tails, minlength=len(rows))
         self._entry_starts = [0, *np.cumsum(counts).tolist()]
 
         longest_first = np.argsort(-lengths, kind="stable")

@@ -68,6 +68,20 @@ def _check_instance(capacities, loss_factors) -> tuple[np.ndarray, np.ndarray]:
     return caps, lams
 
 
+def _check_bound(objective: str, bound: float) -> None:
+    """Reject an unknown objective, or a bound that :func:`knapsack_assign` cannot fill under."""
+    if objective == MAX_ENERGY:
+        if not bound >= 0:
+            raise ValidationError("loss cap must be nonnegative")
+        if not (bound <= FLOAT_MAX or bound == math.inf):
+            raise ValidationError("loss cap must be finite or inf")
+    elif objective == MIN_LOSS:
+        if not 0.0 <= bound <= FLOAT_MAX:
+            raise ValidationError("delivery floor must be finite and nonnegative")
+    else:
+        raise ValidationError(f"unknown objective {objective!r}")
+
+
 def knapsack_assign(
     capacities, loss_factors, objective: str, bound: float
 ) -> tuple[np.ndarray, str]:
@@ -82,25 +96,14 @@ def knapsack_assign(
     floor yields the fully saturated vector with status "infeasible".
     """
     caps, lams = _check_instance(capacities, loss_factors)
+    _check_bound(objective, bound)
     n = caps.size
-    if objective == MAX_ENERGY:
-        if not bound >= 0:
-            raise ValidationError("loss cap must be nonnegative")
-        if bound == math.inf:  # nothing is spent: every path fills, whatever it costs
-            return caps.copy(), OPTIMAL
-        if not bound <= FLOAT_MAX:
-            raise ValidationError("loss cap must be finite or inf")
-        costs = lams
-    elif objective == MIN_LOSS:
-        if not 0.0 <= bound <= FLOAT_MAX:
-            raise ValidationError("delivery floor must be finite and nonnegative")
-        with np.errstate(over="ignore"):  # an infinite total meets any floor
-            total = float(caps.sum())
-        if total < bound:
+    if objective == MAX_ENERGY and bound == math.inf:  # every path fills, whatever it costs
+        return caps.copy(), OPTIMAL
+    with np.errstate(over="ignore"):  # an infinite total meets any floor
+        if objective == MIN_LOSS and float(caps.sum()) < bound:
             return caps.copy(), INFEASIBLE
-        costs = np.ones(n)
-    else:
-        raise ValidationError(f"unknown objective {objective!r}")
+    costs = lams if objective == MAX_ENERGY else np.ones(n)
     order = np.argsort(lams, kind="stable")
     cost, cap = costs[order], caps[order]
     with np.errstate(over="ignore"):
@@ -188,6 +191,7 @@ def solve_scenario(
     """
     cap = scenario.loss_cap if loss_cap is None else loss_cap
     floor = scenario.delivery_floor if delivery_floor is None else delivery_floor
+    _check_bound(objective, cap if objective == MAX_ENERGY else floor)
     pair_plans = []
     transferred = 0.0
     loss = 0.0

@@ -25,7 +25,7 @@ from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import Any, NoReturn, Optional
 
-from .energetics import EnergyParams
+from .energetics import EnergyParams, _check_penetration
 from .errors import FLOAT_MAX, ScenarioFormatError, ValidationError
 from .network import Arc, RoadNetwork, VehicularRoute, build_network
 from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths
@@ -56,8 +56,7 @@ class Scenario:
     index: RouteIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.penetration <= 1:
-            raise ValidationError("penetration must be within [0, 1]")
+        _check_penetration(self.penetration)
         if not self.loss_cap >= 0:
             raise ValidationError("loss_cap must be nonnegative")
         if not (self.loss_cap <= FLOAT_MAX or self.loss_cap == math.inf):

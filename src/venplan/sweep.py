@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._version import __version__
-from .energetics import EnergyParams
+from .energetics import EnergyParams, _check_penetration
 from .errors import ValidationError
 from .paths import enumerate_paths
-from .planner import GREEDY, MAX_ENERGY, solve
+from .planner import GREEDY, MAX_ENERGY, _check_bound, solve
 from .scenario import Scenario, scenario_hash
 
 SWEEP_PARAMETERS = ("z", "T", "w", "penetration")
@@ -88,6 +88,7 @@ def _nominals(spec: SweepSpec) -> dict[str, float]:
 def _point_params(spec: SweepSpec, value: float) -> tuple[EnergyParams, float]:
     point = {**_nominals(spec), spec.parameter: value}
     params = EnergyParams.with_round_trip(point["w"], point["z"], point["T"])
+    _check_penetration(point["penetration"])
     return params, point["penetration"]
 
 
@@ -107,6 +108,7 @@ def run_sweep(
     """
     if method != GREEDY:
         raise ValidationError(f"unknown method {method!r}; the solver is {GREEDY!r}")
+    _check_bound(objective, loss_cap if objective == MAX_ENERGY else delivery_floor)
     pair_tables = [
         (s, t, enumerate_paths(scenario.index, s, t, scenario.enumeration))
         for s, t in scenario.pairs

@@ -2,9 +2,9 @@
 
 ``arc`` reads one arc of a network by id, raising ValidationError for an
 unknown one. The route oracle ``validate_route`` checks one route at a time,
-arc by arc, where the library's ``read_routes`` checks all routes at once.
-The slice oracle ``sub_route`` builds one route slice by reading each member
-arc from the network, independently of ``RouteIndex.slice``. The path
+arc by arc, where the library's ``RouteIndex`` constructor checks all routes
+at once. The slice oracle ``sub_route`` builds one route slice by reading
+each member arc from the network, independently of ``RouteIndex.slice``. The path
 builder ``energy_path`` folds a segment chain's delay and bottleneck flow,
 which the search stores as it computes them. The table oracle ``PathTable``
 reads the columns the planner prices (hop counts, delays, bottleneck flows)

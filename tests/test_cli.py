@@ -220,6 +220,31 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestPlanArgumentsWithoutPairs:
+    """A scenario without pairs rejects the plan arguments that one with
+    pairs rejects, with the same message."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve", "--loss-cap", "-1"], "loss cap must be nonnegative"),
+        (["solve", "--objective", "min-loss", "--delivery-floor", "nan"],
+         "delivery floor must be finite and nonnegative"),
+        (["sweep", "--parameter", "z", "--values", "0.5", "--loss-cap", "nan"],
+         "loss cap must be nonnegative"),
+        (["sweep", "--parameter", "penetration", "--values", "5"],
+         "penetration must be within [0, 1]"),
+    ], ids=["solve-loss-cap", "solve-delivery-floor", "sweep-loss-cap", "sweep-penetration"])
+    @pytest.mark.parametrize("pairs", ["no-pairs", "pairs"])
+    def test_exits_4(self, tmp_path, capsys, argv, message, pairs):
+        doc = json.loads(THREE_ROUTES.read_text())
+        if pairs == "no-pairs":
+            doc["pairs"] = []
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        command, *flags = argv
+        assert main([command, str(scenario), *flags]) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestGenerate:
     ARGS = ["generate", "--junctions", "12", "--arcs", "25", "--routes", "8",
             "--pairs", "2"]

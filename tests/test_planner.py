@@ -590,6 +590,12 @@ class TestScenarioPipeline:
         packets = [total(packet=v) for v in (0.05, 0.1, 0.2)]
         assert packets == sorted(packets)
 
+    def test_objective_checked_without_pairs(self, three_routes_scenario):
+        no_pairs = dataclasses.replace(three_routes_scenario, pairs=())
+        for scenario in (three_routes_scenario, no_pairs):
+            with pytest.raises(ValidationError, match="^unknown objective 'bogus'$"):
+                solve_scenario(scenario, objective="bogus")
+
 
 class TestMultiSource:
     """Scenario totals are the in-order sums of independent per-pair plans."""

@@ -88,6 +88,12 @@ class TestRunSweep:
         with pytest.raises(ValidationError, match="unknown method 'simplex'"):
             self.run(three_routes_scenario, "z", (0.5, 0.9), method="simplex")
 
+    def test_objective_checked_without_pairs(self, three_routes_scenario):
+        no_pairs = dataclasses.replace(three_routes_scenario, pairs=())
+        for scenario in (three_routes_scenario, no_pairs):
+            with pytest.raises(ValidationError, match="^unknown objective 'bogus'$"):
+                self.run(scenario, "z", (0.5, 0.9), objective="bogus")
+
 
 class TestCsv:
     def test_round_trip_is_bit_exact(self, three_routes_scenario):
