@@ -5,13 +5,14 @@ whose arcs carry a constant traversal delay and a vehicle flow. Vehicular
 routes are loop-free sequences of connected arcs; contiguous slices of a
 route (sub-routes) are the building blocks of energy paths.
 
-A network holds only its junction ids and its arcs by id. Code that walks
-it builds its own index, as the generator does, or a scenario's route index,
-which works on rows; the ``RouteIndex`` constructor checks the routes.
+A network holds only its junction ids and its arcs by id, checked when it
+is built. Code that walks it builds its own index, as the generator does, or
+a scenario's route index, which works on rows and checks the routes.
 
-Networks and routes are immutable once built, and a scenario's route index
-stores each cache value it fills on first use only once it is complete, so
-all three can be shared freely between concurrent consumers.
+Networks and routes are frozen once built, and a network's ``arcs`` must not
+be changed after construction. A scenario's route index stores each cache
+value it fills on first use only once it is complete, so all three can be
+shared freely between concurrent consumers.
 """
 
 from __future__ import annotations
@@ -69,41 +70,40 @@ class SubRoute:
 
 @dataclass(frozen=True)
 class RoadNetwork:
-    """Validated directed road graph: its junction ids and its arcs by id."""
+    """Validated directed road graph: its junction ids and its arcs by id, at
+    least one of each. Each arc is stored under its own id, joins two declared
+    junctions that differ, and has a finite, nonnegative delay, flow and length."""
 
     junctions: frozenset[int]
     arcs: Mapping[int, Arc]
 
+    def __post_init__(self) -> None:
+        if not self.junctions:
+            raise ValidationError("network needs at least one junction")
+        if not self.arcs:
+            raise ValidationError("network needs at least one arc")
+        for key, arc in self.arcs.items():
+            if arc.id != key:
+                raise ValidationError(f"arc {arc.id} is stored under id {key}")
+            if arc.tail == arc.head:
+                raise ValidationError(f"arc {arc.id} is a self-loop at junction {arc.tail}")
+            if arc.tail not in self.junctions or arc.head not in self.junctions:
+                raise ValidationError(f"arc {arc.id} references an undeclared junction")
+            for field in ("delay", "flow", "length"):
+                if not 0.0 <= getattr(arc, field) <= FLOAT_MAX:
+                    raise ValidationError(f"arc {arc.id} {field} must be finite and nonnegative")
+
 
 def build_network(junctions: Iterable[int], arcs: Iterable[Arc]) -> RoadNetwork:
-    """Validate junctions and arcs and assemble a road network.
-
-    Raises ValidationError on duplicate ids, dangling arc endpoints,
-    self-loops, or negative or non-finite delay/flow/length.
-    """
+    """Assemble a road network, which checks its arcs. Raises ValidationError
+    first on duplicate junction or arc ids, which a frozenset and a dict hide."""
     junction_list = list(junctions)
-    arc_list = list(arcs)
-    if not junction_list:
-        raise ValidationError("network needs at least one junction")
-    if not arc_list:
-        raise ValidationError("network needs at least one arc")
-
     junction_set = frozenset(junction_list)
     if len(junction_set) != len(junction_list):
         raise ValidationError("duplicate junction ids")
-
     arc_map: dict[int, Arc] = {}
-    for arc in arc_list:
+    for arc in arcs:
         if arc.id in arc_map:
             raise ValidationError(f"duplicate arc id {arc.id}")
-        if arc.tail == arc.head:
-            raise ValidationError(f"arc {arc.id} is a self-loop at junction {arc.tail}")
-        if arc.tail not in junction_set or arc.head not in junction_set:
-            raise ValidationError(f"arc {arc.id} references an undeclared junction")
-        for field in ("delay", "flow", "length"):
-            value = getattr(arc, field)
-            if not 0.0 <= value <= FLOAT_MAX:
-                raise ValidationError(f"arc {arc.id} {field} must be finite and nonnegative")
         arc_map[arc.id] = arc
-
     return RoadNetwork(junctions=junction_set, arcs=arc_map)

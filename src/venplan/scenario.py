@@ -28,7 +28,7 @@ from typing import Any, NoReturn, Optional
 from .energetics import EnergyParams, _check_penetration
 from .errors import FLOAT_MAX, ScenarioFormatError, ValidationError
 from .network import Arc, RoadNetwork, VehicularRoute, build_network
-from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths
+from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, _is_count, enumerate_paths
 
 SCHEMA_VERSION = 1
 UNITS = {
@@ -270,10 +270,6 @@ _ROUTE_RECORD = """\
 _MEMBER_SEPARATOR = ",\n        "
 
 
-def _floats(items: list, name: str) -> list[float]:
-    return list(map(float, map(attrgetter(name), items)))
-
-
 def _section(records: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(records) + "\n" + indent + "]" if records else "[]"
 
@@ -285,15 +281,15 @@ def serialize_scenario(scenario: Scenario) -> str:
     every float field is written as a float (``1.0``, never ``1``), and an
     unlimited loss cap as ``null``. The arc and route sections are written
     record by record from fixed templates and spliced into the ``json``
-    text of the rest. Raises ValueError on a non-finite number.
+    text of the rest.
     """
     network = scenario.network
     arcs = list(map(network.arcs.__getitem__, sorted(network.arcs)))
     routes = sorted(scenario.routes, key=attrgetter("id"))
-    delays, flows, lengths = (_floats(arcs, name) for name in ("delay", "flow", "length"))
-    route_flows = _floats(routes, "flow")
-    if not all(map(math.isfinite, chain(delays, flows, lengths, route_flows))):
-        raise ValueError("Out of range float values are not JSON compliant")
+    delays, flows, lengths = (
+        map(float, map(attrgetter(name), arcs)) for name in ("delay", "flow", "length")
+    )
+    route_flows = map(float, map(attrgetter("flow"), routes))
     heads, ids, tails = (map(attrgetter(name), arcs) for name in ("head", "id", "tail"))
     arc_records = list(
         map(_ARC_RECORD.__mod__, zip(delays, flows, heads, ids, lengths, tails))
@@ -356,7 +352,8 @@ NOMINAL_PARAMS = EnergyParams(
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Knobs for synthetic scenario generation; the seed is mandatory."""
+    """Knobs for synthetic scenario generation; the seed is mandatory and,
+    like the four counts, an integer."""
 
     seed: int
     junction_count: int = 100
@@ -369,6 +366,9 @@ class GeneratorConfig:
     enumeration: EnumerationConfig = EnumerationConfig(max_hops=4, max_paths=20)
 
     def __post_init__(self) -> None:
+        for name in ("seed", "junction_count", "arc_count", "route_count", "pair_count"):
+            if not _is_count(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer")
         if self.junction_count < 2:
             raise ValidationError("junction_count must be at least 2")
         if self.arc_count < self.junction_count - 1:
@@ -468,8 +468,6 @@ def generate_scenario(config: GeneratorConfig) -> Scenario:
     for arc in arcs:  # in ascending id order
         out_arcs[arc.tail].append(arc)
     starts = [j for j in junctions if out_arcs[j]]  # ascending
-    if not starts:
-        raise ValidationError("no junction has an outgoing arc")
     routes: list[VehicularRoute] = []
     members: list[Arc] = []  # every route's arcs, for the pair candidates
     for route_id in range(1, config.route_count + 1):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from venplan import (
     Arc,
+    RoadNetwork,
     RouteIndex,
     ValidationError,
     VehicularRoute,
@@ -43,6 +45,9 @@ def fig_arcs():
         Arc(5, 2, 5, 0.75, 40.0, 55.0),
         Arc(6, 5, 4, 0.5, 30.0, 45.0),
     ]
+
+
+UNIT_ARC = Arc(1, 1, 2, 1.0, 1.0, 1.0)
 
 
 class TestBuildNetwork:
@@ -91,6 +96,40 @@ class TestBuildNetwork:
             build_network([], [Arc(1, 1, 2, 1.0, 1.0)])
         with pytest.raises(ValidationError):
             build_network([1, 2], [])
+
+    def test_duplicate_ids_reported_first(self):
+        # build_network checks ids before the network checks its arcs
+        with pytest.raises(ValidationError, match="^duplicate arc id 1$"):
+            build_network([1, 2], [Arc(1, 1, 1, 1.0, 1.0), Arc(1, 1, 2, 1.0, 1.0)])
+        with pytest.raises(ValidationError, match="^duplicate junction ids$"):
+            build_network([1, 1], [])
+
+    @pytest.mark.parametrize("way", ["RoadNetwork", "replace"])
+    @pytest.mark.parametrize("junctions, arcs, message", [
+        pytest.param([1, 2], {1: Arc(1, 1, 1, 1.0, 1.0)},
+                     "arc 1 is a self-loop at junction 1", id="self-loop"),
+        pytest.param([1, 2], {1: Arc(1, 1, 9, 1.0, 1.0)},
+                     "arc 1 references an undeclared junction", id="dangling-endpoint"),
+        *(
+            pytest.param([1, 2], {1: dataclasses.replace(UNIT_ARC, **{field: value})},
+                         f"arc 1 {field} must be finite and nonnegative", id=field + suffix)
+            for suffix, value in (("", -0.1), ("-nan", math.nan), ("-inf", math.inf))
+            for field in ("delay", "flow", "length")
+        ),
+        pytest.param([], {1: UNIT_ARC},
+                     "network needs at least one junction", id="no-junctions"),
+        pytest.param([1, 2], {}, "network needs at least one arc", id="no-arcs"),
+        pytest.param([1, 2], {1: Arc(7, 1, 2, 1.0, 1.0)},
+                     "arc 7 is stored under id 1", id="mis-keyed"),
+    ])
+    def test_hand_built_network_checks_itself(self, way, junctions, arcs, message):
+        # a network built without build_network meets the same rules
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            if way == "RoadNetwork":
+                RoadNetwork(frozenset(junctions), arcs)
+            else:
+                valid = build_network([1, 2], [UNIT_ARC])
+                dataclasses.replace(valid, junctions=frozenset(junctions), arcs=arcs)
 
 
 class TestSubRoute:
