@@ -38,6 +38,7 @@ import heapq
 import itertools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -82,7 +83,7 @@ class EnumerationConfig:
     """Bounds and routing-information mode for path enumeration.
 
     ``max_hops`` and ``max_paths`` are integers, numpy's included, and not
-    bools; ``max_paths=None`` removes the result cap.
+    bools, stored as Python ints; ``max_paths=None`` removes the result cap.
     """
 
     max_hops: int = 6
@@ -96,6 +97,9 @@ class EnumerationConfig:
             raise ValidationError("max_paths must be an integer of at least 1")
         if self.mode not in (FULL_ROUTE, PER_HOP):
             raise ValidationError(f"unknown enumeration mode {self.mode!r}")
+        object.__setattr__(self, "max_hops", operator.index(self.max_hops))
+        if self.max_paths is not None:
+            object.__setattr__(self, "max_paths", operator.index(self.max_paths))
 
 
 class RouteIndex:
@@ -292,9 +296,11 @@ class RouteIndex:
 
     def bound_table(
         self, target: int, max_hops: int
-    ) -> tuple[dict[int, tuple[int, float]], memoryview]:
+    ) -> tuple[dict[int, tuple[int, float]], memoryview, list[float]]:
         """Map each junction row to (fewest slices, least delay) left to
-        junction row ``target``, and give each member position its reach.
+        junction row ``target``, give each member position its reach, and
+        list each junction row's least delay to ``target`` in any number of
+        slices up to ``max_hops``.
 
         Layer ``k`` holds the least delay from each junction to ``target`` in
         at most ``k`` slices. Each layer comes from the previous one by one
@@ -308,6 +314,9 @@ class RouteIndex:
         junctions absent from the result cannot reach the target in
         ``max_hops`` slices at all. A delay that overflows in the table raises
         ValidationError, since an infinite entry would read as unreachable.
+        The list of least delays is the last layer, inf where the target is
+        out of reach; unlike an entry's delay, which is least among
+        completions in its fewest slices only, it bounds every completion.
 
         A position's reach is the least table ``k`` over the heads at that
         position and every later one in its run, with absent heads counting
@@ -362,7 +371,7 @@ class RouteIndex:
         reach[self._reach_slots] = slot_reach
         # the search reads only the slots of the entries it lists; a view
         # reads each as a Python int without converting the whole array
-        return table, reach.data
+        return table, reach.data, layer.tolist()
 
 
 class PathTable:
@@ -400,15 +409,29 @@ def enumerate_paths(
     source: int,
     target: int,
     config: EnumerationConfig,
+    max_delay: float = math.inf,
 ) -> PathTable:
     """Enumerate energy paths from ``source`` to ``target`` over the index's routes.
 
     Returns the :class:`PathTable` of up to ``config.max_paths`` distinct
-    valid paths of at most ``config.max_hops`` segments, in ascending (hop
-    count, total delay, route-id sequence) order; ties beyond that are broken
-    by the segments' (start, end) index pairs, so the output is fully
-    deterministic. Per-hop mode searches the index's per-hop layout, whose
-    slices are single arcs.
+    valid paths of at most ``config.max_hops`` segments and delay below
+    ``max_delay``, in ascending (hop count, total delay, route-id sequence)
+    order; ties beyond that are broken by the segments' (start, end) index
+    pairs, so the output is fully deterministic. Per-hop mode searches the
+    index's per-hop layout, whose slices are single arcs.
+
+    A path whose delay is at least the transfer window delivers nothing, so
+    a planner passes its window as ``max_delay``. The search then drops a
+    complete sequence whose delay is at least a finite ``max_delay``, and a
+    state, the start included, whose delay plus its junction's least delay
+    to the target in up to ``max_hops`` slices, lowered by the margin below,
+    exceeds ``max_delay``. That sum bounds the delay of every completion
+    from below, whatever its hop count, so the prune is admissible, as a
+    resource limit is in a resource-constrained shortest-path search (Irnich
+    and Desaulniers 2005): the table is the unbounded one without its paths
+    of delay ``max_delay`` or more, whose overflow it no longer raises, and
+    a result cap counts the paths kept. The default, inf, drops nothing, and
+    neither does NaN.
 
     The search runs over *stretch sequences*, not over labelled paths. A
     stretch is an arc tuple that at least one route slice covers, and it
@@ -469,7 +492,7 @@ def enumerate_paths(
     max_hops = min(config.max_hops, len(index.junction_ids) - 1)
     if config.mode == PER_HOP:
         index = index._per_hop_layout()
-    bound, reach = index.bound_table(goal, max_hops)
+    bound, reach, least = index.bound_table(goal, max_hops)
     # no list holds more than sys.maxsize paths, the largest stop islice takes
     max_paths = None if config.max_paths is None else min(config.max_paths, sys.maxsize)
 
@@ -485,9 +508,10 @@ def enumerate_paths(
     # they pop after every state that could still finish before them and
     # ahead of partial states with the same key. The stretch ids name a
     # sequence uniquely, so no comparison reaches the junction or the visited
-    # set, whose frozenset order is not total.
+    # set, whose frozenset order is not total. The same margin lowers the
+    # delay bound's sums, whose least delays are summed like the table's.
     heap: list[tuple] = []
-    if start in bound:
+    if start in bound and not least[start] * (1.0 - 1e-9) - 1e-9 > max_delay:
         k, d = bound[start]
         heap.append((k, d * (1.0 - 1e-9) - 1e-9, 1, (), start, 0.0, frozenset((start,)), None))
     # each group's (hops, delay, path count), and the rows that wait for a
@@ -506,7 +530,8 @@ def enumerate_paths(
         """``(stretch id, head, delay, entry, junctions, labels, arc count)``
         of each stretch leaving ``junction`` that a path with ``budget``
         further segments may use: ``entry`` is the head's bound table entry
-        and ``junctions`` the set the stretch visits after ``junction``.
+        and its least delay, and ``junctions`` the set the stretch visits
+        after ``junction``.
 
         The labels are the junction's entries ``(route row, n, slot)`` of the
         routes that cover the stretch; with ``c`` arcs, one names the slice
@@ -533,7 +558,7 @@ def enumerate_paths(
                 if node is None:
                     node = node_of[key] = len(stretches)
                     entry = bound.get(head)
-                    entry = entry if entry and entry[0] <= budget else None
+                    entry = (*entry, least[head]) if entry and entry[0] <= budget else None
                     stretches.append((node, head, seg_delay, entry, seen | {head}, [], m - n + 1))
                 stretches[node][5].append(label)
                 seen = stretches[node][4]
@@ -630,9 +655,13 @@ def enumerate_paths(
             delay = delay_so_far + seg_delay
             child = seq + (sid,)
             if head == goal:
-                heapq.heappush(heap, (hops + 1, delay, 0, child))
+                # an overflowed delay raises at its pop unless a finite bound drops it
+                if delay < max_delay or not max_delay < math.inf:
+                    heapq.heappush(heap, (hops + 1, delay, 0, child))
                 continue
-            k, d = bound_entry
+            k, d, rest = bound_entry
+            if (delay + rest) * (1.0 - 1e-9) - 1e-9 > max_delay:
+                continue
             heapq.heappush(heap, (
                 hops + 1 + k, (delay + d) * (1.0 - 1e-9) - 1e-9, 1, child,
                 head, delay, visited | seen, child_only,

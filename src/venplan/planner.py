@@ -92,16 +92,21 @@ def knapsack_assign(
     One fill serves both: each path spends ``cost x capacity`` of what is
     left of ``bound``, or all of it at ``left / cost``, where ``cost`` is its
     loss factor under the cap and 1.0 under the floor; an infinite cap fills
-    every path. Returns the energy vector and a plan status; an unreachable
-    floor yields the fully saturated vector with status "infeasible".
+    every path. Returns the energy vector and a plan status; a floor above
+    the capacities' exact sum, correctly rounded, is unreachable and yields
+    the fully saturated vector with status "infeasible".
     """
     caps, lams = _check_instance(capacities, loss_factors)
     _check_bound(objective, bound)
     n = caps.size
     if objective == MAX_ENERGY and bound == math.inf:  # every path fills, whatever it costs
         return caps.copy(), OPTIMAL
-    with np.errstate(over="ignore"):  # an infinite total meets any floor
-        if objective == MIN_LOSS and float(caps.sum()) < bound:
+    if objective == MIN_LOSS:
+        try:  # correctly rounded, so no 0.0 term and no order changes it
+            total = math.fsum(caps.tolist())
+        except OverflowError:  # an infinite total meets any floor
+            total = math.inf
+        if total < bound:
             return caps.copy(), INFEASIBLE
     costs = lams if objective == MAX_ENERGY else np.ones(n)
     order = np.argsort(lams, kind="stable")
@@ -183,11 +188,14 @@ def solve_scenario(
 ) -> ScenarioSolution:
     """Enumerate and plan every (source, target) pair of a scenario.
 
-    Paths are enumerated over the declared routes; the scenario's
-    penetration scales flows when rates and capacities are computed. Caps
-    default to the scenario's own; explicit arguments override them. Each
-    pair's :class:`PathTable` builds its paths and is priced once more for
-    their rates and loss factors, each loss as loss factor x energy.
+    Paths are enumerated over the declared routes, with the scenario's
+    window as their delay bound: a path whose delay is at least the window
+    has no capacity, so it is neither listed nor planned, and leaving it out
+    changes no total. The scenario's penetration scales flows when rates
+    and capacities are computed. Caps default to the scenario's own;
+    explicit arguments override them. Each pair's :class:`PathTable` builds
+    its paths and is priced once more for their rates and loss factors, each
+    loss as loss factor x energy.
     """
     cap = scenario.loss_cap if loss_cap is None else loss_cap
     floor = scenario.delivery_floor if delivery_floor is None else delivery_floor
@@ -196,7 +204,8 @@ def solve_scenario(
     transferred = 0.0
     loss = 0.0
     for source, target in scenario.pairs:
-        table = enumerate_paths(scenario.index, source, target, scenario.enumeration)
+        table = enumerate_paths(scenario.index, source, target, scenario.enumeration,
+                                max_delay=scenario.params.window)
         plan = solve(table, scenario.params, objective, cap, floor, scenario.penetration)
         rates, _, lams = path_economics(table, scenario.params, scenario.penetration)
         losses = tuple(lam * x for lam, x in zip(lams.tolist(), plan.energies))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -353,7 +354,7 @@ NOMINAL_PARAMS = EnergyParams(
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Knobs for synthetic scenario generation; the seed is mandatory and,
-    like the four counts, an integer."""
+    like the four counts, an integer, numpy's included, stored as a Python int."""
 
     seed: int
     junction_count: int = 100
@@ -369,6 +370,7 @@ class GeneratorConfig:
         for name in ("seed", "junction_count", "arc_count", "route_count", "pair_count"):
             if not _is_count(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer")
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.junction_count < 2:
             raise ValidationError("junction_count must be at least 2")
         if self.arc_count < self.junction_count - 1:

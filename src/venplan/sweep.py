@@ -2,9 +2,9 @@
 
 One parameter varies per sweep (round-trip efficiency, window, packet size,
 or penetration) while the others sit at fixed nominal values. Paths are
-enumerated once per pair, over the scenario's own route index, into the
-pair's :class:`PathTable`, which every sweep value prices and fills with no
-path objects built: the path set depends only on the network and routes.
+enumerated once per pair, over the scenario's own route index and within
+the sweep's largest window, into the pair's :class:`PathTable`, which every
+sweep value prices and fills with no path objects built.
 """
 
 from __future__ import annotations
@@ -105,12 +105,18 @@ def run_sweep(
     Point totals are the exact sums of the per-pair breakdown entries, in
     pair order. ``method`` accepts only ``GREEDY``, the one solver; the
     keyword stays only because the benchmark's sweep workload passes it.
+
+    Each pair's paths are enumerated once, with the sweep's largest window
+    as their delay bound: the last value when it sweeps ``T``, whose values
+    increase, else the nominal window. A path past that window has no
+    capacity at any point, so leaving it out changes no total.
     """
     if method != GREEDY:
         raise ValidationError(f"unknown method {method!r}; the solver is {GREEDY!r}")
     _check_bound(objective, loss_cap if objective == MAX_ENERGY else delivery_floor)
+    window = spec.values[-1] if spec.parameter == "T" else spec.nominal_window
     pair_tables = [
-        (s, t, enumerate_paths(scenario.index, s, t, scenario.enumeration))
+        (s, t, enumerate_paths(scenario.index, s, t, scenario.enumeration, max_delay=window))
         for s, t in scenario.pairs
     ]
 

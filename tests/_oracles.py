@@ -19,6 +19,8 @@ in ``_simplex``, independently of the greedy fill.
 
 The bound-table oracle is the pure-Python table the search's array table
 must reproduce bit for bit: one scalar backward pass per route and layer.
+The least-delay oracle finds the same table's last layer by brute force
+over the path oracle's paths.
 
 The pricing oracle is the scalar form of the paper's path formulas:
 ``max_rate``, ``max_transferable``, ``loss_factor`` and ``path_economics``
@@ -27,8 +29,9 @@ price one path at a time into a ``PathEconomics`` record. The library's array
 the per-path planner: it prices each path with the scalar
 ``path_economics``, fills in ``sorted((loss factor, hops, index))`` order,
 with one fill loop per objective where the library fills both with array
-operations, and sums the totals path by path. The library's array planner
-must reproduce its energies, totals and status bit for bit.
+operations, and sums the totals path by path. It finds a floor out of reach
+by the capacities' exact rational sum, rounded once. The library's array
+planner must reproduce its energies, totals and status bit for bit.
 
 The scenario oracles are the dict-based writer and the per-field parser:
 ``reference_serialize`` runs ``json.dumps`` over a document dict, and
@@ -54,6 +57,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
@@ -212,8 +216,10 @@ class IdView:
         return tuple((route_ids[route], n, slot) for route, n, slot in found)
 
     def bound_table(self, target, max_hops):
-        table, reach = self.index.bound_table(self.index.rows[target], max_hops)
-        return {self.index.junction_ids[row]: entry for row, entry in table.items()}, reach
+        table, reach, least = self.index.bound_table(self.index.rows[target], max_hops)
+        ids = self.index.junction_ids
+        return ({ids[row]: entry for row, entry in table.items()}, reach,
+                dict(zip(ids, least)))
 
     def slice(self, route_id, span):
         return self.index.slice(self.route_rows[route_id], span)
@@ -331,6 +337,34 @@ def reference_bound_table(network, routes, target, mode, max_hops):
     return table
 
 
+def reference_least_delays(network, routes, target, mode, max_hops):
+    """Junction -> least delays to ``target`` in at most 1, 2, ...,
+    ``max_hops`` slices, inf where there is no such path, by brute force.
+
+    Each path's arc delays are summed right to left from 0.0, as the table's
+    backward passes sum them. Float addition is monotone, so a walk that
+    repeats a junction is never faster than the path that cuts its loop,
+    which takes no more slices; the least over loop-free paths is the
+    least over every walk, bit for bit.
+    """
+    least = {}
+    for junction in network.junctions:
+        found = [math.inf] * max_hops
+        if junction == target:
+            found = [0.0] * max_hops
+        else:
+            for path in brute_force_paths(network, routes, junction, target, max_hops, mode):
+                delay = 0.0
+                for seg in reversed(path.segments):
+                    route = next(r for r in routes if r.id == seg.route_id)
+                    for arc_id in reversed(route.arcs[seg.start - 1 : seg.end]):
+                        delay = arc(network, arc_id).delay + delay
+                for k in range(path.hops, max_hops + 1):
+                    found[k - 1] = min(found[k - 1], delay)
+        least[junction] = tuple(found)
+    return least
+
+
 def reference_reach(network, routes, table):
     """Route id -> reach of each position: the least table ``k`` over the
     heads at that position and every later one, a head absent from the
@@ -423,8 +457,10 @@ def reference_fill(capacities, loss_factors, objective, bound):
         return x, OPTIMAL
     if bound <= 0.0:
         return x, OPTIMAL
-    with np.errstate(over="ignore"):  # an infinite total meets any floor
-        total = float(caps.sum())
+    try:  # the exact sum, rounded once
+        total = float(sum(map(Fraction, caps.tolist()), Fraction(0)))
+    except OverflowError:  # an infinite total meets any floor
+        total = math.inf
     if total < bound:
         return caps.copy(), INFEASIBLE
     need = bound

@@ -633,6 +633,23 @@ def _infinite_rate(doc):
     doc["routes"][0]["flow"] = 1000.0
 
 
+def _infinite_rate_in_window(doc):
+    # the same overflowing rate, with path 1 -> 3 -> 4 (1.75 h) inside a 2 h window
+    _infinite_rate(doc)
+    doc["params"]["window"] = 2.0
+
+
+def _numbers(value):
+    """Every int and float in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield value
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, spoil, code",
@@ -694,15 +711,41 @@ class TestNonFiniteInput:
         )
 
     def test_non_finite_json_number_writes_no_file(self, tmp_path):
+        # an infinite rate inside the window makes an infinite capacity, which
+        # the fill rejects before any output is built
+        doc = json.loads(THREE_ROUTES.read_text())
+        _infinite_rate_in_window(doc)
+        scenario = tmp_path / "spoiled.json"
+        scenario.write_text(json.dumps(doc))
+        plan = tmp_path / "plan.json"
+        proc = run_module("solve", str(scenario), "-o", str(plan))
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: capacities and loss factors must be finite\n"
+        assert proc.stdout == "" and not plan.exists()
+
+    def test_infinite_rate_past_the_window_plans_nothing(self, tmp_path):
+        # every path is past the 1 h window, so the plan lists none, and no
+        # infinite rate reaches the output
         doc = json.loads(THREE_ROUTES.read_text())
         _infinite_rate(doc)
         scenario = tmp_path / "spoiled.json"
         scenario.write_text(json.dumps(doc))
         plan = tmp_path / "plan.json"
         proc = run_module("solve", str(scenario), "-o", str(plan))
-        assert proc.returncode == 4, proc.stderr
-        assert proc.stderr == "error: an output number is not finite; the inputs are too large\n"
-        assert proc.stdout == "" and not plan.exists()
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        written = json.loads(plan.read_text())
+        assert [pair["assignments"] for pair in written["pairs"]] == [[]]
+        assert written["transferred_kwh"] == written["loss_kwh"] == 0.0
+        assert all(map(math.isfinite, _numbers(written)))
+
+    def test_json_text_rejects_non_finite_numbers(self):
+        for number in (math.inf, -math.inf, math.nan):
+            with pytest.raises(venplan.ValidationError) as caught:
+                venplan.cli._json_text({"pairs": [{"rate_kwh_per_hour": number}]})
+            assert str(caught.value) == (
+                "an output number is not finite; the inputs are too large"
+            )
 
     def test_overflowing_total_capacity_meets_the_floor(self):
         # the capacities are finite, their sum is not: the floor is still met

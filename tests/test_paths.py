@@ -8,10 +8,11 @@ import math
 import random
 import sys
 import threading
+import unittest.mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import venplan.cli
 import venplan.energetics
@@ -21,18 +22,28 @@ import venplan.scenario
 import venplan.sweep
 from venplan import (
     Arc,
+    EnergyParams,
     EnergyPath,
     EnumerationConfig,
     FULL_ROUTE,
+    MAX_ENERGY,
+    MIN_LOSS,
+    OPTIMAL,
     PER_HOP,
+    SWEEP_PARAMETERS,
     GeneratorConfig,
     RouteIndex,
+    SweepSpec,
     ValidationError,
     VehicularRoute,
     build_network,
     enumerate_paths,
     generate_scenario,
     parse_scenario,
+    run_sweep,
+    solve,
+    sweep_metadata,
+    sweep_to_csv,
 )
 
 from _oracles import (
@@ -41,6 +52,7 @@ from _oracles import (
     brute_force_paths,
     energy_path,
     reference_bound_table,
+    reference_least_delays,
     reference_reach,
     sub_route,
     validate_path,
@@ -563,18 +575,29 @@ def table_bits(table):
 class TestBoundTable:
     """Both layouts' tables equal the scalar reference exactly, float bits too."""
 
-    def check(self, net, routes):
+    def check(self, net, routes, least=True):
+        """``least=False`` leaves out the brute-force least-delay check,
+        too slow for cities of more than a few junctions."""
         built = RouteIndex(net, routes)
         index, per_hop = IdView(built), IdView(built._per_hop_layout())
         route_map = {r.id: r for r in routes}
         members = sum(len(r.arcs) for r in routes)
         out = len(net.junctions)
+        least_delays = {
+            (mode, target): reference_least_delays(net, routes, target, mode, 6)
+            for mode in (FULL_ROUTE, PER_HOP) for target in net.junctions if least
+        }
         for max_hops in range(1, 7):
             for target in sorted(net.junctions):
-                found, reach = index.bound_table(target, max_hops)
+                found, reach, found_least = index.bound_table(target, max_hops)
                 expected = reference_bound_table(net, routes, target, FULL_ROUTE, max_hops)
                 where = (FULL_ROUTE, max_hops, target)
                 assert table_bits(found) == table_bits(expected), where
+                if least:
+                    expected_least = least_delays[FULL_ROUTE, target]
+                    assert {j: d.hex() for j, d in found_least.items()} == {
+                        j: ds[max_hops - 1].hex() for j, ds in expected_least.items()
+                    }, where
                 # every member arc is an entry at its tail
                 found_reach = {}
                 for junction in net.junctions:
@@ -592,10 +615,15 @@ class TestBoundTable:
 
                 # per-hop: every member arc is a run of its own, so its reach
                 # is its own head's k and a sentinel follows it
-                found, reach = per_hop.bound_table(target, max_hops)
+                found, reach, found_least = per_hop.bound_table(target, max_hops)
                 expected = reference_bound_table(net, routes, target, PER_HOP, max_hops)
                 where = (PER_HOP, max_hops, target)
                 assert table_bits(found) == table_bits(expected), where
+                if least:
+                    expected_least = least_delays[PER_HOP, target]
+                    assert {j: d.hex() for j, d in found_least.items()} == {
+                        j: ds[max_hops - 1].hex() for j, ds in expected_least.items()
+                    }, where
                 found_reach = {}
                 for junction in net.junctions:
                     for route_id, n, slot in per_hop.entries(junction):
@@ -623,7 +651,7 @@ class TestBoundTable:
         )
         scenario = generate_scenario(config)
         assert max(len(r.arcs) for r in scenario.routes) >= 4
-        self.check(scenario.network, scenario.routes)
+        self.check(scenario.network, scenario.routes, least=False)
 
 
 def unshift_path(path, shift):
@@ -804,8 +832,8 @@ class TestRowsFollowIdOrder:
         for junction in range(len(given.junction_ids)):
             assert a.entries(junction) == b.entries(junction), junction
             for max_hops in (1, 4):
-                table, reach = a.bound_table(junction, max_hops)
-                other, other_reach = b.bound_table(junction, max_hops)
+                table, reach, _ = a.bound_table(junction, max_hops)
+                other, other_reach, _ = b.bound_table(junction, max_hops)
                 assert table_bits(table) == table_bits(other), junction
                 assert bytes(reach) == bytes(other_reach), junction
         config = EnumerationConfig(max_hops=4, max_paths=None, mode=mode)
@@ -862,6 +890,256 @@ class TestDelayOverflow:
         partial_delays = [entry[1] for entry in heap_pops if entry[2]]
         assert math.inf in partial_delays
         assert not any(map(math.isnan, partial_delays))
+
+
+def window_city(seed, mode, max_hops, cap=None):
+    """A generated city of 5 to 10 junctions, its pairs and their reverses,
+    with the given enumeration."""
+    rng = random.Random(seed)
+    junctions = rng.randint(5, 10)
+    city = generate_scenario(GeneratorConfig(
+        seed=seed, junction_count=junctions,
+        arc_count=min(junctions * (junctions - 1), junctions + rng.randint(2, 12)),
+        route_count=rng.randint(3, 10), pair_count=2,
+    ))
+    config = EnumerationConfig(max_hops=max_hops, max_paths=cap, mode=mode)
+    return dataclasses.replace(city, enumeration=config), [
+        *city.pairs, *((t, s) for s, t in city.pairs)
+    ]
+
+
+def window_values(delays, pick):
+    """Windows around the path delays: 0, the ``pick`` share of the way up
+    the sorted delays exactly and one float either side, and past them all."""
+    if not delays:
+        return [0.0, 1.0]
+    delay = delays[int(pick * (len(delays) - 1))]
+    return sorted({0.0, math.nextafter(delay, 0.0), delay, math.nextafter(delay, math.inf),
+                   delays[-1] + 1.0})
+
+
+def same_column(found, expected):
+    return found.dtype == expected.dtype and found.tobytes() == expected.tobytes()
+
+
+def plan_bits(plan):
+    return [x.hex() for x in plan.energies], plan.transferred.hex(), plan.loss.hex(), plan.status
+
+
+class TestWindowBound:
+    """A delay bound drops exactly the paths whose delay is at least the
+    bound: they carry nothing within that window, so every uncapped plan and
+    sweep is bit for bit the same, and under a result cap the kept paths
+    only gain."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([FULL_ROUTE, PER_HOP]),
+        max_hops=st.integers(1, 6),
+        pick=st.floats(0.0, 1.0),
+    )
+    # a path whose state's fewest-slice completion is past the window
+    @example(seed=5, mode=FULL_ROUTE, max_hops=3, pick=0.25)
+    def test_bounded_table_is_the_filtered_table(self, seed, mode, max_hops, pick):
+        city, pairs = window_city(seed, mode, max_hops)
+        full = [enumerate_paths(city.index, s, t, city.enumeration) for s, t in pairs]
+        delays = sorted(itertools.chain.from_iterable(table.delays.tolist() for table in full))
+        for window in window_values(delays, pick):
+            for (source, target), table in zip(pairs, full):
+                bounded = enumerate_paths(city.index, source, target, city.enumeration,
+                                          max_delay=window)
+                rows = table.delays < window
+                labels = np.repeat(rows, table.hops)
+                for name in ("hops", "delays", "flows"):
+                    assert same_column(getattr(bounded, name), getattr(table, name)[rows])
+                for name in ("routes", "starts", "ends"):
+                    assert same_column(getattr(bounded, name), getattr(table, name)[labels])
+                for z in (0.5, 0.9, 1.0):
+                    params = EnergyParams.with_round_trip(0.1, z, window)
+                    self.check_plans(table, bounded, rows, params, city.penetration)
+
+    def check_plans(self, table, bounded, rows, params, penetration):
+        """Plans of ``bounded`` equal those of ``table``, whose paths outside
+        ``rows`` get 0.0, bit for bit: binding, zero and infinite caps, and
+        floors that bind, equal the total or exceed it."""
+        uncapped = solve(table, params, MAX_ENERGY, math.inf, 0.0, penetration)
+        total, loss = uncapped.transferred, uncapped.loss
+        requests = [(MAX_ENERGY, cap, 0.0) for cap in (math.inf, 0.5 * loss, 0.0)] + [
+            (MIN_LOSS, math.inf, floor)
+            for floor in (0.0, 0.5 * total, total, math.nextafter(total, math.inf))
+        ]
+        for objective, cap, floor in requests:
+            found = solve(bounded, params, objective, cap, floor, penetration)
+            expected = solve(table, params, objective, cap, floor, penetration)
+            energies = np.array(expected.energies)
+            assert not energies[~rows].any()
+            kept = dataclasses.replace(expected, energies=tuple(energies[rows].tolist()))
+            assert plan_bits(found) == plan_bits(kept), (objective, cap, floor)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([FULL_ROUTE, PER_HOP]),
+        max_hops=st.integers(1, 6),
+        pick=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_sweeps_are_unchanged(self, seed, mode, max_hops, pick, data):
+        city, _ = window_city(seed, mode, max_hops)
+        full = [enumerate_paths(city.index, s, t, city.enumeration) for s, t in city.pairs]
+        delays = sorted(itertools.chain.from_iterable(table.delays.tolist() for table in full))
+        windows = window_values(delays, pick)
+        window = data.draw(st.sampled_from(windows))
+        values = {
+            "z": (0.3, 0.9, 1.0),
+            "T": tuple(sorted(set(data.draw(st.lists(st.sampled_from(windows), min_size=1))))),
+            "w": (0.05, 0.2),
+            "penetration": (0.0, 0.01, 1.0),
+        }
+
+        def unbounded(index, source, target, config, max_delay=math.inf):
+            return enumerate_paths(index, source, target, config)
+
+        for parameter in SWEEP_PARAMETERS:
+            spec = SweepSpec(parameter, values[parameter], nominal_window=window)
+            for objective, bound in ((MAX_ENERGY, data.draw(st.floats(0.0, 0.1))),
+                                     (MAX_ENERGY, math.inf),
+                                     (MIN_LOSS, data.draw(st.floats(0.0, 0.5)))):
+                request = dict(objective=objective)
+                request["loss_cap" if objective == MAX_ENERGY else "delivery_floor"] = bound
+                found = run_sweep(city, spec, **request)
+                with unittest.mock.patch.object(venplan.sweep, "enumerate_paths", unbounded):
+                    expected = run_sweep(city, spec, **request)
+                assert sweep_to_csv(found) == sweep_to_csv(expected)
+                assert json.dumps(sweep_metadata(found)) == json.dumps(sweep_metadata(expected))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from([FULL_ROUTE, PER_HOP]),
+        max_hops=st.integers(1, 6),
+        cap=st.integers(1, 20),
+        pick=st.floats(0.0, 1.0),
+    )
+    def test_a_result_cap_counts_paths_within_the_bound(self, seed, mode, max_hops, cap, pick):
+        city, pairs = window_city(seed, mode, max_hops, cap)
+        uncapped = dataclasses.replace(city.enumeration, max_paths=None)
+        capped = [enumerate_paths(city.index, s, t, city.enumeration) for s, t in pairs]
+        delays = sorted(itertools.chain.from_iterable(table.delays.tolist() for table in capped))
+        for window in window_values(delays, pick):
+            for (source, target), table in zip(pairs, capped):
+                bounded = enumerate_paths(city.index, source, target, city.enumeration,
+                                          max_delay=window)
+                # the first ``cap`` paths of the whole filtered table, which
+                # begin with the capped table's paths within the window
+                whole = enumerate_paths(city.index, source, target, uncapped)
+                rows = np.flatnonzero(whole.delays < window)[:cap]
+                assert list(bounded) == [whole[i] for i in rows]
+                within = [path for path in table if path.delay < window]
+                assert list(bounded)[: len(within)] == within
+                # more paths to choose from: in exact arithmetic delivered
+                # energy cannot fall nor loss rise, and the in-order sums of
+                # different terms round apart by far less than 1e-12
+                for z in (0.5, 0.9):
+                    params = EnergyParams.with_round_trip(0.1, z, window)
+                    before = solve(table, params, MAX_ENERGY, math.inf, 0.0, city.penetration)
+                    for share in (0.0, 0.5, 1.0):
+                        loss_cap, floor = share * before.loss, share * before.transferred
+                        found = solve(bounded, params, MAX_ENERGY, loss_cap, 0.0,
+                                      city.penetration)
+                        expected = solve(table, params, MAX_ENERGY, loss_cap, 0.0,
+                                         city.penetration)
+                        assert found.transferred >= expected.transferred * (1 - 1e-12)
+                        found = solve(bounded, params, MIN_LOSS, math.inf, floor,
+                                      city.penetration)
+                        expected = solve(table, params, MIN_LOSS, math.inf, floor,
+                                         city.penetration)
+                        if expected.status == OPTIMAL:
+                            assert found.status == OPTIMAL, (window, share)
+                            assert found.loss <= expected.loss * (1 + 1e-12), (window, share)
+                        else:
+                            assert found.transferred >= expected.transferred * (1 - 1e-12)
+
+    @pytest.mark.parametrize("mode", [FULL_ROUTE, PER_HOP])
+    def test_bound_is_the_least_delay_in_any_slice_count(self, mode):
+        # from 1 the one-slice completion takes 20 h, the three-slice one 0.4 h
+        net, routes = fewest_segments_slower_network()
+        index = RouteIndex(net, routes)
+        found = enumerate_paths(index, 1, 4, EnumerationConfig(mode=mode), max_delay=1.0)
+        expected = [p for p in brute_force_paths(net, routes, 1, 4, 6, mode) if p.delay < 1.0]
+        assert list(found) == expected and expected
+
+    def test_boundary_delays(self):
+        # 1 -> 2 directly takes the float just below 2 h; via 3 exactly 2 h
+        arcs = [Arc(1, 1, 2, math.nextafter(2.0, 0.0), 5.0), Arc(2, 1, 3, 1.0, 5.0),
+                Arc(3, 3, 2, 1.0, 5.0)]
+        net = build_network([1, 2, 3], arcs)
+        index = RouteIndex(net, [VehicularRoute(1, (1,), 5.0), VehicularRoute(2, (2, 3), 5.0)])
+        config = EnumerationConfig()
+        every = [p.delay for p in enumerate_paths(index, 1, 2, config)]
+        assert every == [math.nextafter(2.0, 0.0), 2.0]
+        assert [p.delay for p in enumerate_paths(index, 1, 2, config, max_delay=math.inf)] == every
+        assert [p.delay for p in enumerate_paths(index, 1, 2, config, max_delay=2.0)] == every[:1]
+        bounded = enumerate_paths(index, 1, 2, config, max_delay=math.nextafter(2.0, 0.0))
+        assert not bounded
+
+    def test_start_dropped_only_above_its_lowered_least_delay(self, heap_pops):
+        net = build_network([1, 2], [Arc(1, 1, 2, 2.0, 5.0)])
+        index = RouteIndex(net, [VehicularRoute(1, (1,), 5.0)])
+        lowered = 2.0 * (1.0 - 1e-9) - 1e-9
+        # at the lowered least delay the start is searched, and its one path dropped
+        assert not enumerate_paths(index, 1, 2, EnumerationConfig(), max_delay=lowered)
+        assert [entry[:2] for entry in heap_pops] == [(1, lowered)]
+        heap_pops.clear()
+        below = math.nextafter(lowered, 0.0)
+        assert not enumerate_paths(index, 1, 2, EnumerationConfig(), max_delay=below)
+        assert heap_pops == []
+
+    def test_max_delay_inf_changes_no_table(self):
+        for seed in (1, 2, 3):
+            city, pairs = window_city(seed, FULL_ROUTE, 6)
+            for mode in (FULL_ROUTE, PER_HOP):
+                config = dataclasses.replace(city.enumeration, mode=mode)
+                for source, target in pairs:
+                    found = enumerate_paths(city.index, source, target, config,
+                                            max_delay=math.inf)
+                    expected = enumerate_paths(city.index, source, target, config)
+                    for name in ("hops", "delays", "flows", "routes", "starts", "ends"):
+                        assert same_column(getattr(found, name), getattr(expected, name))
+
+    def test_overflow_past_a_finite_bound_is_dropped(self):
+        # TestDelayOverflow's network: 1 -> 2 -> 4 takes 1e308 h, and
+        # 1 -> 2 -> 3 -> 4 overflows
+        arcs = [Arc(1, 1, 2, 1e308, 10.0), Arc(2, 2, 4, 1.0, 10.0), Arc(3, 2, 3, 1e308, 10.0),
+                Arc(4, 3, 4, 1.0, 10.0)]
+        net = build_network([1, 2, 3, 4], arcs)
+        routes = [VehicularRoute(1, (1,), 10.0), VehicularRoute(2, (2,), 10.0),
+                  VehicularRoute(3, (3, 4), 10.0)]
+        index = RouteIndex(net, routes)
+        for mode in (FULL_ROUTE, PER_HOP):
+            config = EnumerationConfig(max_paths=None, mode=mode)
+            with pytest.raises(ValidationError, match="^path delays to junction 4 overflow"):
+                enumerate_paths(index, 1, 4, config)
+            found = enumerate_paths(index, 1, 4, config, max_delay=sys.float_info.max)
+            assert [segment_shape(p) for p in found] == [((1, 1, 1), (2, 1, 1))]
+            assert not enumerate_paths(index, 1, 4, config, max_delay=5.0)
+
+    def test_callers_pass_their_windows(self, three_routes_scenario, monkeypatch):
+        bounds = []
+
+        def recording(index, source, target, config, max_delay=math.inf):
+            bounds.append(max_delay)
+            return enumerate_paths(index, source, target, config, max_delay=max_delay)
+
+        s = dataclasses.replace(three_routes_scenario,
+                                params=dataclasses.replace(three_routes_scenario.params, window=3.0))
+        monkeypatch.setattr(venplan.planner, "enumerate_paths", recording)
+        monkeypatch.setattr(venplan.sweep, "enumerate_paths", recording)
+        venplan.solve_scenario(s)
+        run_sweep(s, SweepSpec("T", (1.0, 4.0), nominal_window=2.0))
+        run_sweep(s, SweepSpec("z", (0.5,), nominal_window=2.0))
+        assert bounds == [3.0, 4.0, 2.0]
 
 
 def signed_zero_document(three_routes_text):

@@ -157,6 +157,16 @@ class TestSerialization:
         assert '"loss_cap": null' in serialize_scenario(scenario)
         assert math.isinf(parse_scenario(serialize_scenario(scenario)).loss_cap)
 
+    def test_numpy_enumeration_counts_serialize(self, three_routes_scenario):
+        # json.dumps takes no numpy integer; the config stores Python ints
+        config = EnumerationConfig(max_hops=np.int64(3), max_paths=np.int64(5))
+        assert (type(config.max_hops), type(config.max_paths)) == (int, int)
+        found = serialize_scenario(dataclasses.replace(three_routes_scenario, enumeration=config))
+        expected = serialize_scenario(dataclasses.replace(
+            three_routes_scenario, enumeration=EnumerationConfig(max_hops=3, max_paths=5)
+        ))
+        assert found == expected
+
     def test_hash_is_stable_and_sensitive(self, three_routes_scenario):
         h1 = scenario_hash(three_routes_scenario)
         h2 = scenario_hash(parse_scenario(serialize_scenario(three_routes_scenario)))
@@ -264,6 +274,14 @@ class TestGenerator:
         assert generate_scenario(GeneratorConfig(seed=3, **as_numpy)) == generate_scenario(
             GeneratorConfig(seed=3, **counts)
         )
+
+    def test_numpy_seed_accepted(self):
+        # random.Random takes no numpy integer; the config stores a Python int
+        config = GeneratorConfig(seed=3, junction_count=12, arc_count=30, route_count=10,
+                                 pair_count=2)
+        numpy_seeded = dataclasses.replace(config, seed=np.int64(3))
+        assert type(numpy_seeded.seed) is int
+        assert generate_scenario(numpy_seeded) == generate_scenario(config)
 
 
 class TestScenarioInvariants:
