@@ -17,10 +17,21 @@ shared freely between concurrent consumers.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import FLOAT_MAX, ValidationError
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _as_int(value):
+    """An integer, numpy's included, as a Python int; anything else as given."""
+    return operator.index(value) if _is_count(value) else value
 
 
 @dataclass(frozen=True)
@@ -72,12 +83,15 @@ class SubRoute:
 class RoadNetwork:
     """Validated directed road graph: its junction ids and its arcs by id, at
     least one of each. Each arc is stored under its own id, joins two declared
-    junctions that differ, and has a finite, nonnegative delay, flow and length."""
+    junctions that differ, and has a finite, nonnegative delay, flow and length.
+    Integer junction ids, numpy's included, are stored as Python ints."""
 
     junctions: frozenset[int]
     arcs: Mapping[int, Arc]
 
     def __post_init__(self) -> None:
+        if not all(type(j) is int for j in self.junctions):
+            object.__setattr__(self, "junctions", frozenset(map(_as_int, self.junctions)))
         if not self.junctions:
             raise ValidationError("network needs at least one junction")
         if not self.arcs:

@@ -37,8 +37,6 @@ import copy
 import heapq
 import itertools
 import math
-import numbers
-import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -46,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import FLOAT_MAX, ValidationError
-from .network import RoadNetwork, SubRoute, VehicularRoute
+from .network import RoadNetwork, SubRoute, VehicularRoute, _as_int, _is_count
 
 FULL_ROUTE = "full-route"
 PER_HOP = "per-hop"
@@ -74,10 +72,6 @@ class EnergyPath:
         return len(self.segments)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class EnumerationConfig:
     """Bounds and routing-information mode for path enumeration.
@@ -97,9 +91,8 @@ class EnumerationConfig:
             raise ValidationError("max_paths must be an integer of at least 1")
         if self.mode not in (FULL_ROUTE, PER_HOP):
             raise ValidationError(f"unknown enumeration mode {self.mode!r}")
-        object.__setattr__(self, "max_hops", operator.index(self.max_hops))
-        if self.max_paths is not None:
-            object.__setattr__(self, "max_paths", operator.index(self.max_paths))
+        object.__setattr__(self, "max_hops", _as_int(self.max_hops))
+        object.__setattr__(self, "max_paths", _as_int(self.max_paths))
 
 
 class RouteIndex:
@@ -296,41 +289,38 @@ class RouteIndex:
 
     def bound_table(
         self, target: int, max_hops: int
-    ) -> tuple[dict[int, tuple[int, float]], memoryview, list[float]]:
-        """Map each junction row to (fewest slices, least delay) left to
-        junction row ``target``, give each member position its reach, and
-        list each junction row's least delay to ``target`` in any number of
-        slices up to ``max_hops``.
+    ) -> tuple[list[tuple[int, float, float]], memoryview]:
+        """Give each junction row one bound record ``(k, d, least)`` to
+        junction row ``target``, and each member position its reach.
 
         Layer ``k`` holds the least delay from each junction to ``target`` in
         at most ``k`` slices. Each layer comes from the previous one by one
         backward pass over every run, taken block by block from the runs'
         ends: an arc's best is ``delay + min(layer[head], best of the next arc
         in its run)``, the same arithmetic as a scalar pass along each run,
-        and the layer keeps the least best at each tail, so the table equals
-        the scalar one bit for bit. A junction's entry is its first layer
-        ``k`` and that layer's delay; the target's is ``(0, 0.0)``.
-        Loop-freedom is ignored, so the entries are lower bounds, and
-        junctions absent from the result cannot reach the target in
-        ``max_hops`` slices at all. A delay that overflows in the table raises
-        ValidationError, since an infinite entry would read as unreachable.
-        The list of least delays is the last layer, inf where the target is
-        out of reach; unlike an entry's delay, which is least among
-        completions in its fewest slices only, it bounds every completion.
+        and the layer keeps the least best at each tail, so the records equal
+        the scalar ones bit for bit. A row's ``k`` is its first finite layer,
+        the fewest slices to ``target``, ``d`` that layer's delay and
+        ``least`` the last layer's: ``d`` is least only among completions in
+        ``k`` slices, while ``least`` bounds every completion in up to
+        ``max_hops``. The target's record is ``(0, 0.0, 0.0)``; a row that
+        cannot reach it in ``max_hops`` slices has ``(junction count, inf,
+        inf)``. Loop-freedom is ignored, so the records are lower bounds. A
+        delay that overflows raises ValidationError, since an infinite delay
+        would read as out of reach.
 
-        A position's reach is the least table ``k`` over the heads at that
-        position and every later one in its run, with absent heads counting
-        as the junction count, more than any table entry. It comes from one
-        pass over the same blocks, a running minimum from the runs' ends. The
-        reach view holds it at each entry's reach slot and the junction count
-        at each run's sentinel, so a search with a budget below the junction
-        count can walk a run until the reach exceeds the budget without
-        checking the run's length.
+        A position's reach is the least ``k`` over the heads at and after it
+        in its run, from one pass over the same blocks, a running minimum
+        from the runs' ends. The reach view holds it at each entry's reach
+        slot and the junction count at each run's sentinel, so a search with
+        a budget below the junction count can walk a run until the reach
+        exceeds the budget without checking the run's length.
         """
-        layer = np.full(len(self.junction_ids), math.inf)
+        out = len(self.junction_ids)
+        layer = np.full(out, math.inf)
         layer[target] = 0.0
-        first_hops = np.full(len(self.junction_ids), -1)
-        first_hops[target] = 0
+        hops = np.full(out, out)
+        hops[target] = 0
         first_delays = layer.copy()
         best = np.empty(self._tails.size)  # least delay to the target per slot
         try:
@@ -349,19 +339,15 @@ class RouteIndex:
                     np.minimum.at(nxt, self._tails, best)
                     if np.array_equal(nxt, layer):
                         break
-                    new = (first_hops < 0) & (nxt < math.inf)
-                    first_hops[new] = k
+                    new = (hops == out) & (nxt < math.inf)
+                    hops[new] = k
                     first_delays[new] = nxt[new]
                     layer = nxt
         except FloatingPointError:
             raise ValidationError(f"path delays to junction {self.junction_ids[target]} "
                                   "overflow; the arc delays are too large") from None
-        rows = np.flatnonzero(first_hops >= 0)
-        table = dict(zip(rows.tolist(), zip(first_hops[rows].tolist(),
-                                            first_delays[rows].tolist())))
-        out = len(self.junction_ids)
-        hops = np.where(first_hops >= 0, first_hops, out).astype(np.min_scalar_type(out))
-        slot_reach = hops[self._heads]
+        bounds = list(zip(hops.tolist(), first_delays.tolist(), layer.tolist()))
+        slot_reach = hops.astype(np.min_scalar_type(out))[self._heads]
         previous = 0
         for lo, hi in self._blocks[1:]:
             later = slot_reach[previous : previous + hi - lo]
@@ -371,7 +357,7 @@ class RouteIndex:
         reach[self._reach_slots] = slot_reach
         # the search reads only the slots of the entries it lists; a view
         # reads each as a Python int without converting the whole array
-        return table, reach.data, layer.tolist()
+        return bounds, reach.data
 
 
 class PathTable:
@@ -423,15 +409,15 @@ def enumerate_paths(
     A path whose delay is at least the transfer window delivers nothing, so
     a planner passes its window as ``max_delay``. The search then drops a
     complete sequence whose delay is at least a finite ``max_delay``, and a
-    state, the start included, whose delay plus its junction's least delay
-    to the target in up to ``max_hops`` slices, lowered by the margin below,
-    exceeds ``max_delay``. That sum bounds the delay of every completion
-    from below, whatever its hop count, so the prune is admissible, as a
-    resource limit is in a resource-constrained shortest-path search (Irnich
-    and Desaulniers 2005): the table is the unbounded one without its paths
-    of delay ``max_delay`` or more, whose overflow it no longer raises, and
-    a result cap counts the paths kept. The default, inf, drops nothing, and
-    neither does NaN.
+    state, the start included, whose delay plus its junction's ``least``,
+    the least delay to the target in up to ``max_hops`` slices, lowered by
+    the margin below, exceeds ``max_delay``. That sum bounds the delay of
+    every completion from below, whatever its hop count, so the prune is
+    admissible, as a resource limit is in a resource-constrained
+    shortest-path search (Irnich and Desaulniers 2005): the table is the
+    unbounded one without its paths of delay ``max_delay`` or more, whose
+    overflow it no longer raises, and a result cap counts the paths kept.
+    The default, inf, drops nothing, and neither does NaN.
 
     The search runs over *stretch sequences*, not over labelled paths. A
     stretch is an arc tuple that at least one route slice covers, and it
@@ -443,14 +429,15 @@ def enumerate_paths(
     its prefix must end with, if only one can.
 
     The search is best-first over partial sequences, ordered by (hop count,
-    delay) with both replaced by lower bounds on their final values. One
-    table gives both: for each junction, the fewest segments ``k`` still
-    needed to reach the target and the least delay ``d`` of a completion in
-    ``k`` segments, both ignoring loop constraints. Any completion with more
-    segments sorts later whatever its delay, so the key is admissible and
-    consistent in lexicographic order (the A* argument).
+    delay) with both replaced by lower bounds on their final values. Each
+    junction's bound record ``(k, d, least)`` gives both: the fewest
+    segments ``k`` still needed to reach the target and the least delay
+    ``d`` of a completion in ``k`` segments, both ignoring loop
+    constraints. Any completion with more segments sorts later whatever its
+    delay, so the key is admissible and consistent in lexicographic order
+    (the A* argument).
 
-    The same table bounds the successors. A state with ``hops`` segments
+    The same records bound the successors. A state with ``hops`` segments
     leaves a child a budget of ``max_hops - hops - 1`` further segments, and
     a position's reach is the least ``k`` over the heads at and after it in
     its run. A popped state examines only its junction's entries whose
@@ -471,7 +458,7 @@ def enumerate_paths(
     delay, a left-to-right sum from 0.0 like the fold over its segments, and
     the running minimum of its walk as its bottleneck flow.
 
-    The bound table and the reach are computed per call, for all routes at
+    The bound records and the reach are computed per call, for all routes at
     once, and the search runs on the rows and Python tuples the index keeps.
     It builds no path and no slice: a path's row holds one label code per
     segment, ``(route row * w + n) * w + m`` for a power of two ``w`` above
@@ -487,32 +474,33 @@ def enumerate_paths(
     start, goal = index.rows[source], index.rows[target]
 
     # a loop-free path has at most one segment per junction after the source,
-    # so the cap drops only states that cannot finish; it also keeps every
-    # budget below the reach's out-of-budget value
+    # so the cap drops only states that cannot finish; it also keeps it and
+    # every budget below the out-of-reach ``k``, the junction count
     max_hops = min(config.max_hops, len(index.junction_ids) - 1)
     if config.mode == PER_HOP:
         index = index._per_hop_layout()
-    bound, reach, least = index.bound_table(goal, max_hops)
+    bounds, reach = index.bound_table(goal, max_hops)
     # no list holds more than sys.maxsize paths, the largest stop islice takes
     max_paths = None if config.max_paths is None else min(config.max_paths, sys.maxsize)
 
     # Partial entries: (hops + k, (delay + d) lowered, 1, stretch ids,
-    # junction row, delay so far, visited rows, only), with (k, d) the table's
-    # entry and ``only`` the reach slot that the one possible last label of
-    # the prefix would continue at, or None if two or more labels can end it.
-    # The table sums delays in another order than a path does, so d may
-    # exceed the exact rest of a completion by rounding; lowering by a margin
-    # that dominates that noise keeps each partial key below the exact key of
-    # every completion, and x * (1 - 1e-9) - 1e-9 keeps an infinite key
-    # infinite. Complete entries: (hops, delay, 0, stretch ids), exact, so
-    # they pop after every state that could still finish before them and
-    # ahead of partial states with the same key. The stretch ids name a
-    # sequence uniquely, so no comparison reaches the junction or the visited
-    # set, whose frozenset order is not total. The same margin lowers the
-    # delay bound's sums, whose least delays are summed like the table's.
+    # junction row, delay so far, visited rows, only), with (k, d) from the
+    # junction's bound record and ``only`` the reach slot that the one
+    # possible last label of the prefix would continue at, or None if two or
+    # more labels can end it. The records sum delays in another order than a
+    # path does, so d may exceed the exact rest of a completion by rounding;
+    # lowering by a margin that dominates that noise keeps each partial key
+    # below the exact key of every completion, and x * (1 - 1e-9) - 1e-9
+    # keeps an infinite key infinite. Complete entries: (hops, delay, 0,
+    # stretch ids), exact, so they pop after every state that could still
+    # finish before them and ahead of partial states with the same key. The
+    # stretch ids name a sequence uniquely, so no comparison reaches the
+    # junction or the visited set, whose frozenset order is not total. The
+    # same margin lowers the window prune's sums with a record's ``least``,
+    # which the records sum like ``d``.
     heap: list[tuple] = []
-    if start in bound and not least[start] * (1.0 - 1e-9) - 1e-9 > max_delay:
-        k, d = bound[start]
+    k, d, least = bounds[start]
+    if k <= max_hops and not least * (1.0 - 1e-9) - 1e-9 > max_delay:
         heap.append((k, d * (1.0 - 1e-9) - 1e-9, 1, (), start, 0.0, frozenset((start,)), None))
     # each group's (hops, delay, path count), and the rows that wait for a
     # chunk to fill before their label codes and flows move into arrays
@@ -527,11 +515,11 @@ def enumerate_paths(
     segments_of: dict[int, list[tuple]] = {}
 
     def stretches_from(junction: int, budget: int) -> list[tuple]:
-        """``(stretch id, head, delay, entry, junctions, labels, arc count)``
+        """``(stretch id, head, delay, bound, junctions, labels, arc count)``
         of each stretch leaving ``junction`` that a path with ``budget``
-        further segments may use: ``entry`` is the head's bound table entry
-        and its least delay, and ``junctions`` the set the stretch visits
-        after ``junction``.
+        further segments may use: ``bound`` is the head's ``(k, d, least)``
+        record, and ``junctions`` the set the stretch visits after
+        ``junction``.
 
         The labels are the junction's entries ``(route row, n, slot)`` of the
         routes that cover the stretch; with ``c`` arcs, one names the slice
@@ -539,8 +527,8 @@ def enumerate_paths(
         Each route is walked as far as a slice can still be used: up to the
         last position in its run whose reach is within ``budget``, or the
         target. Walks that share arcs share stretches. A walk records each
-        stretch in ``stretches`` when it first reaches it, with ``entry``
-        None if the head is out of reach.
+        stretch in ``stretches`` when it first reaches it, with ``bound``
+        None if the head's ``k`` exceeds ``budget``.
         """
         first = len(stretches)
         node_of: dict[tuple[int, int], int] = {}  # (previous stretch, arc row) -> stretch
@@ -557,9 +545,8 @@ def enumerate_paths(
                 node = node_of.get(key)
                 if node is None:
                     node = node_of[key] = len(stretches)
-                    entry = bound.get(head)
-                    entry = (*entry, least[head]) if entry and entry[0] <= budget else None
-                    stretches.append((node, head, seg_delay, entry, seen | {head}, [], m - n + 1))
+                    bound = bounds[head] if bounds[head][0] <= budget else None
+                    stretches.append((node, head, seg_delay, bound, seen | {head}, [], m - n + 1))
                 stretches[node][5].append(label)
                 seen = stretches[node][4]
                 # past the target every slice revisits it; the run's
@@ -616,9 +603,8 @@ def enumerate_paths(
         if not entry[2]:  # a complete sequence: its tied group is next on the heap
             hops, delay, _, seq = entry
             if delay == math.inf:
-                raise ValidationError(
-                    f"path delays to junction {target} overflow; the arc delays are too large"
-                )
+                raise ValidationError(f"path delays to junction {target} overflow; "
+                                      "the arc delays are too large")
             group = [seq]
             while heap and not heap[0][2] and heap[0][1] == delay and heap[0][0] == hops:
                 group.append(heapq.heappop(heap)[3])
@@ -642,7 +628,7 @@ def enumerate_paths(
         found = leaving.get((junction, budget))
         if found is None:
             found = leaving[junction, budget] = stretches_from(junction, budget)
-        for sid, head, seg_delay, bound_entry, seen, labels, arc_count in found:
+        for sid, head, seg_delay, bound, seen, labels, arc_count in found:
             if not visited.isdisjoint(seen):
                 continue
             if only is not None:
@@ -659,13 +645,10 @@ def enumerate_paths(
                 if delay < max_delay or not max_delay < math.inf:
                     heapq.heappush(heap, (hops + 1, delay, 0, child))
                 continue
-            k, d, rest = bound_entry
-            if (delay + rest) * (1.0 - 1e-9) - 1e-9 > max_delay:
-                continue
-            heapq.heappush(heap, (
-                hops + 1 + k, (delay + d) * (1.0 - 1e-9) - 1e-9, 1, child,
-                head, delay, visited | seen, child_only,
-            ))
+            k, d, least = bound
+            if not (delay + least) * (1.0 - 1e-9) - 1e-9 > max_delay:
+                heapq.heappush(heap, (hops + 1 + k, (delay + d) * (1.0 - 1e-9) - 1e-9, 1, child,
+                                      head, delay, visited | seen, child_only))
     flush()
     routes, spans = np.divmod(np.concatenate(codes), width * width)
     hops, delays, sizes = zip(*groups) if groups else ((), (), ())

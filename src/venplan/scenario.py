@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import operator
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -28,8 +27,8 @@ from typing import Any, NoReturn, Optional
 
 from .energetics import EnergyParams, _check_penetration
 from .errors import FLOAT_MAX, ScenarioFormatError, ValidationError
-from .network import Arc, RoadNetwork, VehicularRoute, build_network
-from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, _is_count, enumerate_paths
+from .network import Arc, RoadNetwork, VehicularRoute, _as_int, _is_count, build_network
+from .paths import FULL_ROUTE, PER_HOP, EnumerationConfig, RouteIndex, enumerate_paths
 
 SCHEMA_VERSION = 1
 UNITS = {
@@ -43,7 +42,8 @@ UNITS = {
 @dataclass(frozen=True)
 class Scenario:
     """A complete, validated planning instance. Its route ``index``, built
-    with it and so checking its routes, is left out of equality and repr."""
+    with it and so checking its routes, is left out of equality and repr.
+    Integer pair ids and seed, numpy's included, are stored as Python ints."""
 
     network: RoadNetwork
     routes: tuple[VehicularRoute, ...]
@@ -57,6 +57,8 @@ class Scenario:
     index: RouteIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple((_as_int(s), _as_int(t)) for s, t in self.pairs))
+        object.__setattr__(self, "seed", _as_int(self.seed))
         _check_penetration(self.penetration)
         if not self.loss_cap >= 0:
             raise ValidationError("loss_cap must be nonnegative")
@@ -370,7 +372,7 @@ class GeneratorConfig:
         for name in ("seed", "junction_count", "arc_count", "route_count", "pair_count"):
             if not _is_count(getattr(self, name)):
                 raise ValidationError(f"{name} must be an integer")
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, _as_int(getattr(self, name)))
         if self.junction_count < 2:
             raise ValidationError("junction_count must be at least 2")
         if self.arc_count < self.junction_count - 1:

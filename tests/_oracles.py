@@ -216,10 +216,11 @@ class IdView:
         return tuple((route_ids[route], n, slot) for route, n, slot in found)
 
     def bound_table(self, target, max_hops):
-        table, reach, least = self.index.bound_table(self.index.rows[target], max_hops)
+        """``({id: (k, d)} over the rows in reach, reach, {id: least})``."""
+        bounds, reach = self.index.bound_table(self.index.rows[target], max_hops)
         ids = self.index.junction_ids
-        return ({ids[row]: entry for row, entry in table.items()}, reach,
-                dict(zip(ids, least)))
+        table = {ids[row]: (k, d) for row, (k, d, _) in enumerate(bounds) if k < len(ids)}
+        return table, reach, {ids[row]: least for row, (*_, least) in enumerate(bounds)}
 
     def slice(self, route_id, span):
         return self.index.slice(self.route_rows[route_id], span)

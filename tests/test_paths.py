@@ -572,6 +572,11 @@ def table_bits(table):
     return {j: (type(k), k, d.hex()) for j, (k, d) in table.items()}
 
 
+def record_bits(bounds):
+    """Bound records with each delay as its exact bit pattern."""
+    return [(type(k), k, d.hex(), least.hex()) for k, d, least in bounds]
+
+
 class TestBoundTable:
     """Both layouts' tables equal the scalar reference exactly, float bits too."""
 
@@ -652,6 +657,53 @@ class TestBoundTable:
         scenario = generate_scenario(config)
         assert max(len(r.arcs) for r in scenario.routes) >= 4
         self.check(scenario.network, scenario.routes, least=False)
+
+
+class TestBoundRecords:
+    """``bound_table`` gives every junction row one ``(k, d, least)`` record:
+    ``k <= max_hops`` and finite delays with ``least <= d`` in reach, the
+    junction count and infinite delays out of reach, and ``(0, 0.0, 0.0)``
+    at the target. The hop limits run past the search's, which stay below
+    the junction count, so a row is in reach when its ``k`` is below it."""
+
+    def check(self, net, routes):
+        built = RouteIndex(net, routes)
+        out = len(built.junction_ids)
+        for index in (built, built._per_hop_layout()):
+            for max_hops in range(1, 7):
+                for target in range(out):
+                    bounds, _ = index.bound_table(target, max_hops)
+                    assert len(bounds) == out
+                    assert bounds[target] == (0, 0.0, 0.0)
+                    for row, (k, d, least) in enumerate(bounds):
+                        where = (max_hops, target, row)
+                        assert type(k) is int and type(d) is float and type(least) is float
+                        # a row in reach needs fewer slices than there are junctions
+                        if k < out:
+                            assert k <= max_hops, where
+                            assert math.isfinite(d) and math.isfinite(least), where
+                            assert least <= d, where
+                        else:
+                            assert k == out, where
+                            assert d == least == math.inf, where
+
+    def test_random_scenarios(self):
+        for seed in range(1, 13):
+            scenario = generate_scenario(small_config(seed))
+            self.check(scenario.network, scenario.routes)
+
+    def test_fewest_segments_slower_network(self):
+        net, routes = fewest_segments_slower_network()
+        self.check(net, routes)
+        index = RouteIndex(net, routes)
+        bounds, _ = index.bound_table(index.rows[4], 6)
+        assert bounds[index.rows[1]] == (1, 20.0, 0.4)
+
+    def test_generated_city_with_long_routes(self):
+        scenario = generate_scenario(GeneratorConfig(
+            seed=5, junction_count=40, arc_count=110, route_count=60, pair_count=1
+        ))
+        self.check(scenario.network, scenario.routes)
 
 
 def unshift_path(path, shift):
@@ -832,9 +884,9 @@ class TestRowsFollowIdOrder:
         for junction in range(len(given.junction_ids)):
             assert a.entries(junction) == b.entries(junction), junction
             for max_hops in (1, 4):
-                table, reach, _ = a.bound_table(junction, max_hops)
-                other, other_reach, _ = b.bound_table(junction, max_hops)
-                assert table_bits(table) == table_bits(other), junction
+                bounds, reach = a.bound_table(junction, max_hops)
+                other, other_reach = b.bound_table(junction, max_hops)
+                assert record_bits(bounds) == record_bits(other), junction
                 assert bytes(reach) == bytes(other_reach), junction
         config = EnumerationConfig(max_hops=4, max_paths=None, mode=mode)
         for source, target in city.pairs:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -282,6 +283,44 @@ class TestGenerator:
         numpy_seeded = dataclasses.replace(config, seed=np.int64(3))
         assert type(numpy_seeded.seed) is int
         assert generate_scenario(numpy_seeded) == generate_scenario(config)
+
+
+NUMPY_IDS = {
+    "pair": lambda s, ids: dataclasses.replace(s, pairs=((ids(1), ids(4)),)),
+    "seed": lambda s, ids: dataclasses.replace(s, seed=ids(7)),
+    "junctions": lambda s, ids: dataclasses.replace(s, network=build_network(
+        map(ids, sorted(s.network.junctions)), s.network.arcs.values()
+    )),
+}
+
+
+class TestNumpyIds:
+    """json.dumps takes no numpy integer: a scenario stores numpy-integer
+    pair ids, seed and junction ids as Python ints, so every writer of a
+    scenario reads as if it were built with Python ints."""
+
+    @pytest.fixture(params=sorted(NUMPY_IDS))
+    def scenarios(self, request, three_routes_scenario):
+        build = NUMPY_IDS[request.param]
+        return build(three_routes_scenario, np.int64), build(three_routes_scenario, int)
+
+    def test_stored_as_python_ints(self, scenarios):
+        found, _ = scenarios
+        ids = [*found.network.junctions, *itertools.chain(*found.pairs), found.seed]
+        assert {type(v) for v in ids if v is not None} == {int}
+
+    def test_serialize_scenario(self, scenarios):
+        found, expected = scenarios
+        assert serialize_scenario(found) == serialize_scenario(expected)
+
+    def test_scenario_hash(self, scenarios):
+        found, expected = scenarios
+        assert scenario_hash(found) == scenario_hash(expected)
+
+    def test_run_sweep(self, scenarios):
+        found, expected = scenarios
+        spec = SweepSpec("z", (0.5, 0.9))
+        assert venplan.sweep.run_sweep(found, spec) == venplan.sweep.run_sweep(expected, spec)
 
 
 class TestScenarioInvariants:
