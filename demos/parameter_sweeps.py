@@ -3,7 +3,9 @@
 For each of round-trip efficiency z, window T, packet size w, and EV
 penetration, one sweep varies the parameter while the others stay at their
 nominal values (z=0.9, T=5 h, w=0.1 kWh, penetration=0.001). Each sweep
-writes a plot-ready CSV next to this script and prints the trend.
+writes a plot-ready CSV next to this script and prints the trend; the z
+sweep also names the two swept values between which the loss stops
+exceeding the delivered energy.
 
 Run from the repository root:  python3 demos/parameter_sweeps.py
 """
@@ -13,7 +15,6 @@ import pathlib
 from venplan import (
     GeneratorConfig,
     SweepSpec,
-    find_crossover,
     generate_scenario,
     run_sweep,
     sweep_to_csv,
@@ -42,10 +43,11 @@ for parameter, values in sweeps.items():
     print(f"  transferred {first.transferred:g} -> {last.transferred:g} kWh")
     print(f"  loss        {first.loss:g} -> {last.loss:g} kWh")
     if parameter == "z":
-        z_star = find_crossover(result)
-        if z_star is not None:
-            print(f"  below z = {z_star:.3f} the loss exceeds the "
-                  f"delivered energy")
+        bracket = next(((a.value, b.value) for a, b in zip(result.points, result.points[1:])
+                        if a.loss > a.transferred and b.loss <= b.transferred), None)
+        if bracket is not None:
+            print(f"  the loss exceeds the delivered energy at z = {bracket[0]:g} "
+                  f"but not at z = {bracket[1]:g}")
     if parameter == "penetration":
         ratios = {round(p.transferred / p.value, 6) for p in result.points}
         print(f"  transferred/penetration is constant: {sorted(ratios)}")

@@ -63,7 +63,6 @@ from .sweep import (
     SweepPoint,
     SweepResult,
     SweepSpec,
-    find_crossover,
     run_sweep,
     sweep_metadata,
     sweep_to_csv,
@@ -109,7 +108,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "SweepSpec",
-    "find_crossover",
     "run_sweep",
     "sweep_metadata",
     "sweep_to_csv",

@@ -1,8 +1,9 @@
 """Command-line interface: validate, enumerate, solve, sweep, generate.
 
-Exit codes: 0 on success, 2 for command-line usage errors (argparse's, an
-output file that cannot be written, two outputs naming one file, or
-``--meta`` without ``--output``), 3
+Exit codes: 0 on success, 1 when standard output is closed before all of
+it is written (a reader such as ``head`` that leaves early), 2 for
+command-line usage errors (argparse's, an output file that cannot be
+written, two outputs naming one file, or ``--meta`` without ``--output``), 3
 for scenario file/parse problems, and 4 for semantic validation failures,
 overflowing numbers and inputs too large for memory. Every machine-readable
 output records the scenario hash, the seed (when known) and the tool version.
@@ -40,6 +41,7 @@ from .sweep import (
 )
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_VALIDATION = 4
@@ -57,6 +59,10 @@ def _load_scenario(path: str) -> Scenario:
             text = handle.read()
     except OSError as exc:
         raise ScenarioFormatError(f"cannot read scenario file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioFormatError(
+            f"scenario file {path!r} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
     return parse_scenario(text)
 
 
@@ -398,7 +404,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # as the signal module's documentation advises: stdout goes to devnull,
+        # so the flush at exit raises nothing, and the run ends without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ScenarioFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT

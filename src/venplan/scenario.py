@@ -150,8 +150,9 @@ def parse_scenario(text: str) -> Scenario:
     first bad field. Integer literals in number fields become floats.
 
     Raises ScenarioFormatError for malformed documents (with the JSON
-    location or field path) and ValidationError when a well-formed document
-    breaks a semantic invariant.
+    location or field path), among them JSON nested too deeply to parse and
+    integer literals past ``sys.get_int_max_str_digits()``, and
+    ValidationError when a well-formed document breaks a semantic invariant.
     """
     try:
         doc = json.loads(text)
@@ -159,6 +160,10 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioFormatError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ScenarioFormatError("invalid JSON: nested too deeply to parse") from None
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ScenarioFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioFormatError("top level must be an object")
 

@@ -166,23 +166,3 @@ def sweep_metadata(result: SweepResult) -> dict:
             for p in result.points
         },
     }
-
-
-def find_crossover(result: SweepResult) -> Optional[float]:
-    """Swept value where total loss stops exceeding transferred energy.
-
-    Scans consecutive points for a sign change of (loss - transferred) from
-    positive to zero or below, and interpolates linearly within the first
-    bracketing interval. Without one, a first point where loss equals the
-    transferred energy is the crossover; otherwise it returns None, as when
-    loss never exceeds the transferred energy anywhere in the sweep or
-    exceeds it at every point.
-    """
-    for a, b in zip(result.points, result.points[1:]):
-        da = a.loss - a.transferred
-        db = b.loss - b.transferred
-        if da > 0 >= db:
-            return a.value + da * (b.value - a.value) / (da - db)
-    if result.points and result.points[0].loss - result.points[0].transferred == 0:
-        return result.points[0].value
-    return None

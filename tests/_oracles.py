@@ -48,8 +48,10 @@ with oracles that know only ids.
 The remaining helpers check or re-read library output: ``validate_path``
 names the first construction rule a path breaks, then checks its stored
 numbers against ``energy_path``'s fold, ``path_loss`` and
-``source_injection`` account one path's energy, and ``read_sweep_csv``
-parses a sweep CSV back into floats.
+``source_injection`` account one path's energy, ``read_sweep_csv``
+parses a sweep CSV back into floats, and ``find_crossover`` estimates the
+swept value where a sweep's loss stops exceeding its delivery, by linear
+interpolation between the two points that bracket it.
 """
 
 import csv
@@ -77,6 +79,7 @@ from venplan import (
     Scenario,
     ScenarioFormatError,
     SubRoute,
+    SweepResult,
     TransferPlan,
     ValidationError,
     VehicularRoute,
@@ -841,3 +844,23 @@ def read_sweep_csv(text):
     if not rows or tuple(rows[0]) != CSV_COLUMNS:
         raise ValidationError(f"unexpected CSV header {rows[0] if rows else None!r}")
     return [(float(v), float(x), float(l)) for v, x, l in rows[1:]]
+
+
+def find_crossover(result: SweepResult) -> Optional[float]:
+    """Swept value where total loss stops exceeding transferred energy.
+
+    Scans consecutive points for a sign change of (loss - transferred) from
+    positive to zero or below, and interpolates linearly within the first
+    bracketing interval. Without one, a first point where loss equals the
+    transferred energy is the crossover; otherwise it returns None, as when
+    loss never exceeds the transferred energy anywhere in the sweep or
+    exceeds it at every point.
+    """
+    for a, b in zip(result.points, result.points[1:]):
+        da = a.loss - a.transferred
+        db = b.loss - b.transferred
+        if da > 0 >= db:
+            return a.value + da * (b.value - a.value) / (da - db)
+    if result.points and result.points[0].loss - result.points[0].transferred == 0:
+        return result.points[0].value
+    return None

@@ -25,15 +25,20 @@ THREE_ROUTES = FIXTURE_DIR / "three_routes.json"
 needs_proc = pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="needs /proc")
 
 
-def run_python(*argv, timeout=None):
-    """Run ``python ARGV`` with the package these tests import on its path."""
+def package_env():
+    """The environment with the package these tests import on PYTHONPATH."""
     src = str(Path(venplan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*argv, timeout=None):
+    """Run ``python ARGV`` with the package these tests import on its path."""
     return subprocess.run(
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=package_env(),
         timeout=timeout,
     )
 

@@ -46,7 +46,6 @@ from venplan import (
     RouteIndex,
     SweepSpec,
     enumerate_paths,
-    find_crossover,
     generate_scenario,
     knapsack_assign,
     parse_scenario,
@@ -60,6 +59,7 @@ from venplan.energetics import EnergyParams
 from _oracles import (
     PathTable,
     brute_force_paths,
+    find_crossover,
     lp_assign,
     path_loss,
     source_injection,

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import threading
 import weakref
@@ -19,7 +20,7 @@ import venplan.scenario
 from venplan import parse_scenario, run_sweep, scenario_hash, serialize_scenario, SweepSpec
 from venplan.cli import main
 
-from conftest import THREE_ROUTES, needs_proc, run_capped, run_python
+from conftest import THREE_ROUTES, needs_proc, package_env, run_capped, run_python
 
 
 FIXTURE = str(THREE_ROUTES)
@@ -51,6 +52,24 @@ class TestValidate:
 
     def test_missing_file(self, capsys):
         assert main(["validate", "does-not-exist.json"]) == 3
+
+    @pytest.mark.parametrize("case", ["not-utf8", "nested-too-deep", "too-many-digits"])
+    def test_undecodable_file_exits_3_with_one_error_line(self, tmp_path, capsys, case):
+        bad = tmp_path / "bad.json"
+        if case == "not-utf8":
+            bad.write_bytes(b"\xff\xfe{}")
+        elif case == "nested-too-deep":
+            bad.write_text("[" * 100_000 + "]" * 100_000)
+        else:
+            limit = sys.get_int_max_str_digits()
+            if limit == 0:
+                pytest.skip("this Python has no integer digit limit")
+            text = THREE_ROUTES.read_text()
+            assert '"seed": null' in text
+            bad.write_text(text.replace('"seed": null', '"seed": ' + "7" * (limit + 1)))
+        assert main(["validate", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_semantic_violation(self, tmp_path, capsys):
         doc = json.loads(THREE_ROUTES.read_text())
@@ -294,6 +313,11 @@ class TestGenerate:
         monkeypatch.delenv("VENPLAN_SEED", raising=False)
         assert main(self.ARGS) == 4
         assert "seed" in capsys.readouterr().err
+
+    def test_env_var_seed_must_be_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("VENPLAN_SEED", "abc")
+        assert main(self.ARGS) == 4
+        assert capsys.readouterr().err == "error: VENPLAN_SEED must be an integer, got 'abc'\n"
 
     def test_unsatisfiable_config_reported(self, capsys):
         assert main(["generate", "--seed", "1", "--junctions", "10",
@@ -747,6 +771,24 @@ class TestNonFiniteInput:
                 "an output number is not finite; the inputs are too large"
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve"], ["sweep", "--parameter", "w", "--values", "6e305", "--penetration", "1"]],
+        ids=["solve", "sweep"],
+    )
+    def test_overflowing_totals_exit_4(self, tmp_path, capsys, argv):
+        # every capacity is finite, but the plan's total is not
+        scenario = FIXTURE
+        if argv == ["solve"]:
+            doc = json.loads(THREE_ROUTES.read_text())
+            doc["params"]["packet_size"] = 6e305
+            scenario = tmp_path / "spoiled.json"
+            scenario.write_text(json.dumps(doc))
+        assert main([argv[0], str(scenario), *argv[1:]]) == 4
+        assert capsys.readouterr() == (
+            "", "error: plan totals overflow to infinity; the inputs are too large\n"
+        )
+
     def test_overflowing_total_capacity_meets_the_floor(self):
         # the capacities are finite, their sum is not: the floor is still met
         proc = run_module(
@@ -769,3 +811,16 @@ class TestEntryPoint:
         proc = run_module("validate", FIXTURE)
         assert proc.returncode == 0
         assert proc.stdout.startswith("ok:")
+
+    def test_closed_pipe_ends_without_a_traceback(self, tmp_path):
+        city = tmp_path / "c61.json"
+        assert main(["generate", "--seed", "61", "-o", str(city)]) == 0
+        # about 400 kB of listing, far more than a pipe holds
+        argv = ["-m", "venplan.cli", "enumerate", str(city), "--max-paths", "0", "--max-hops", "3"]
+        with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=package_env()) as proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()  # the reader leaves, as `head -n 1` does
+            err = proc.stderr.read()
+        assert proc.returncode == 1
+        assert err == b"", err.decode()  # no traceback, no message

@@ -2,8 +2,9 @@
 
 Every case builds one bad input from a valid one and expects the exact
 error: the planner's vector checks, a pair source outside the network,
-four ``GeneratorConfig`` range rules, a non-finite float in a
-``SweepSpec`` and four of the parser's shape checks.
+four ``GeneratorConfig`` range rules, two configs the generator cannot
+build, a non-finite float in a ``SweepSpec``, four of the parser's shape
+checks and two integer literals past the float range.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from venplan import (
     ScenarioFormatError,
     SweepSpec,
     ValidationError,
+    generate_scenario,
     knapsack_assign,
     parse_scenario,
 )
@@ -109,6 +111,24 @@ CASES = {
     "parse-caps": (
         lambda s: parse_scenario(edited([], "caps")),
         ScenarioFormatError, "caps must be an object",
+    ),
+    "parse-window-overflow": (
+        lambda s: parse_scenario(edited(10**400, "params", "window")),
+        ScenarioFormatError, "params.window must be finite",
+    ),
+    "parse-arc-delay-overflow": (
+        lambda s: parse_scenario(edited(10**400, "network", "arcs", 0, "delay")),
+        ScenarioFormatError, r"network.arcs\[0\].delay must be finite",
+    ),
+    "generate-route-length-cap": (
+        lambda s: generate_scenario(generator(junction_count=12, pair_count=1,
+                                              max_route_length=5.0001)),
+        ValidationError, "could not grow a route within the length cap; arcs are 5 to 60 km long",
+    ),
+    "generate-connected-pairs": (
+        lambda s: generate_scenario(generator(seed=2, junction_count=4, arc_count=3,
+                                              route_count=1, pair_count=12)),
+        ValidationError, "could not find enough source-target pairs joined by a path",
     ),
 }
 

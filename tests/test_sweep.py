@@ -9,7 +9,6 @@ from venplan import (
     PathTable,
     SweepSpec,
     ValidationError,
-    find_crossover,
     generate_scenario,
     parse_scenario,
     run_sweep,
@@ -20,7 +19,7 @@ from venplan import (
     sweep_to_csv,
 )
 
-from _oracles import read_sweep_csv
+from _oracles import find_crossover, read_sweep_csv
 
 
 class TestSweepSpec:
